@@ -31,15 +31,14 @@ class BridgeEnd:
     """One side of the bridge; see :class:`Bridge` for pairing."""
 
     def __init__(self, sim: Simulator, session: ClientSession, broker: Broker,
-                 origin_tag: int, topics: tuple[str, ...],
-                 latency_us: int = DEFAULT_CHANNEL_LATENCY_US) -> None:
+                 origin_tag: int, topics: tuple[str, ...]) -> None:
         self.sim = sim
         self.session = session
         self.broker = broker
         self.origin_tag = origin_tag
         self.topics = topics
-        self.latency_us = latency_us
-        self.peer: Optional["BridgeEnd"] = None
+        self.peer: Optional["BridgeEnd"] = None  # paired by Bridge
+        self.latency_us = 0                      # set by Bridge
         self.forwarded = 0
         self.republished = 0
         self.dropped_while_down = 0

@@ -45,7 +45,6 @@ class RadioGate:
         self.on_transmit = on_transmit
         self.transmitted = 0
         self.dropped = 0
-        self.stalled = False  # test hook: a stalled gate never departs
         self._buf: deque = deque()
         self._next_free_us = 0
         self._pending = False
@@ -61,20 +60,14 @@ class RadioGate:
         self._pump()
         return True
 
-    def resume(self) -> None:
-        self.stalled = False
-        self._pump()
-
     def _pump(self) -> None:
-        if self._pending or self.stalled or not self._buf:
+        if self._pending or not self._buf:
             return
         self._pending = True
         self.sim.at(max(self.sim.now, self._next_free_us), self._depart)
 
     def _depart(self) -> None:
         self._pending = False
-        if self.stalled or not self._buf:
-            return
         item = self._buf.popleft()
         self._next_free_us = self.sim.now + self.tx_interval_us
         self.transmitted += 1
@@ -112,7 +105,7 @@ class Broker:
         self.local_clients = set(local_clients)
         self.sessions: dict[str, _Session] = {}
         self.gate = RadioGate(sim, radio_buffer_capacity,
-                              radio_tx_interval_us, self._transmit)
+                              radio_tx_interval_us, self._send)
         self.started = True
         self.bad_packets = 0
         self.unroutable = 0
@@ -202,7 +195,9 @@ class Broker:
 
     def _on_register(self, src: str, pkt: sn.Register) -> None:
         tid = self._intern_topic(pkt.topic_name)
-        self._reply(src, sn.Regack(tid, pkt.msg_id))
+        code = (sn.ReturnCode.ACCEPTED if tid
+                else sn.ReturnCode.REJECTED_CONGESTION)
+        self._reply(src, sn.Regack(tid, pkt.msg_id, code))
 
     def _on_subscribe(self, src: str, pkt: sn.Subscribe) -> None:
         if src not in self.sessions:
@@ -210,6 +205,10 @@ class Broker:
                                        sn.ReturnCode.REJECTED_NOT_SUPPORTED))
             return
         tid = self._intern_topic(pkt.topic_name)
+        if not tid:
+            self._reply(src, sn.Suback(0, pkt.msg_id,
+                                       sn.ReturnCode.REJECTED_CONGESTION))
+            return
         topic = self._topics[tid]
         session = self._session(src)
         if src not in topic.subscribers:
@@ -257,38 +256,34 @@ class Broker:
 
     # -- egress ---------------------------------------------------------------
 
-    def _reply(self, dest: str, pkt: sn.SnPacket, topic_name: str = "") -> None:
-        self._egress(dest, sn.encode_packet(pkt), topic_name or None)
+    def _reply(self, dest: str, pkt: sn.SnPacket) -> None:
+        self._egress(dest, sn.encode_packet(pkt), None)
 
     def _dispatch(self, dest: str, raw: bytes, topic: _Topic) -> None:
-        if dest in self.local_clients:
+        if self._egress(dest, raw, topic.name):
             topic.copies_enqueued += 1
-            self._send(dest, raw, topic.name)
-        elif self.gate.offer((dest, raw, topic.name)):
-            topic.copies_enqueued += 1
-        else:
-            topic.copies_dropped += 1
-            if self.first_overflow is None:
-                self.first_overflow = {
-                    "time_us": self.sim.now,
-                    "topic": topic.name,
-                    "published_so_far": topic.published,
-                }
-            self.network.trace.record(self.sim.now, self.addr, dest,
-                                      "drop-buffer", len(raw), topic.name)
+            return
+        topic.copies_dropped += 1
+        if self.first_overflow is None:
+            self.first_overflow = {
+                "time_us": self.sim.now,
+                "topic": topic.name,
+                "published_so_far": topic.published,
+            }
 
-    def _egress(self, dest: str, raw: bytes, topic: Optional[str]) -> None:
+    def _egress(self, dest: str, raw: bytes, topic: Optional[str]) -> bool:
+        """Send to a local client or offer to the gate; False on a drop."""
+        frame = (dest, raw, topic)
         if dest in self.local_clients:
-            self._send(dest, raw, topic)
-        elif not self.gate.offer((dest, raw, topic)):
+            self._send(frame)
+        elif not self.gate.offer(frame):
             self.network.trace.record(self.sim.now, self.addr, dest,
                                       "drop-buffer", len(raw), topic)
+            return False
+        return True
 
-    def _transmit(self, item: tuple) -> None:
-        dest, raw, topic = item
-        self._send(dest, raw, topic)
-
-    def _send(self, dest: str, raw: bytes, topic: Optional[str]) -> None:
+    def _send(self, frame: tuple) -> None:
+        dest, raw, topic = frame
         try:
             self.network.send(self.addr, dest, raw, topic=topic)
         except NoLink:
@@ -304,8 +299,11 @@ class Broker:
         return session
 
     def _intern_topic(self, name: str) -> int:
+        """The topic's id; 0 once all 16-bit ids are taken by other names."""
         tid = self._topic_ids.get(name)
         if tid is None:
+            if self._next_topic_id > 0xFFFF:
+                return 0
             tid = self._next_topic_id
             self._next_topic_id += 1
             self._topic_ids[name] = tid

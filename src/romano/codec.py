@@ -36,7 +36,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import ClassVar, Union
 
 # -- Protocol constants ------------------------------------------------------
 
@@ -140,6 +140,7 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class NormalData:
+    type_code: ClassVar[int] = DataType.NORMAL_DATA
     data: bytes = b""
 
 
@@ -178,6 +179,7 @@ class MovementControl:
 
 @dataclass(frozen=True)
 class SensorData:
+    type_code: ClassVar[int] = DataType.SENSOR_DATA
     sensor_type: int
     data: bytes = b""
 

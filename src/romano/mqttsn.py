@@ -85,6 +85,10 @@ class OversizePacket(PacketError):
     pass
 
 
+class MalformedString(PacketError):
+    """A client id or topic name that is not valid UTF-8."""
+
+
 # -- Packet types ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -240,6 +244,7 @@ def decode_packet(data: bytes) -> SnPacket:
             layout requires.
         PacketLengthMismatch: trailing octets after the declared length.
         UnsupportedPacket: message type outside the supported subset.
+        MalformedString: a client id or topic name is not valid UTF-8.
     """
     if len(data) < 2:
         raise TruncatedPacket("packet of {} octets has no header".format(
@@ -260,7 +265,7 @@ def decode_packet(data: bytes) -> SnPacket:
 
     if msg_type == MsgType.CONNECT:
         flags, proto, duration = _unpack("!BBH", body, "CONNECT")
-        client_id = body[4:].decode("utf-8")
+        client_id = _text(body[4:], "CONNECT")
         if proto != PROTOCOL_ID:
             raise UnsupportedPacket(
                 "protocol id {:#04x} is not MQTT-SN".format(proto))
@@ -270,7 +275,7 @@ def decode_packet(data: bytes) -> SnPacket:
         return Connack(code)
     if msg_type == MsgType.REGISTER:
         topic_id, msg_id = _unpack("!HH", body, "REGISTER")
-        return Register(topic_id, msg_id, body[4:].decode("utf-8"))
+        return Register(topic_id, msg_id, _text(body[4:], "REGISTER"))
     if msg_type == MsgType.REGACK:
         topic_id, msg_id, code = _unpack("!HHB", body, "REGACK")
         return Regack(topic_id, msg_id, code)
@@ -283,14 +288,14 @@ def decode_packet(data: bytes) -> SnPacket:
         return Puback(topic_id, msg_id, code)
     if msg_type == MsgType.SUBSCRIBE:
         flags, msg_id = _unpack("!BH", body, "SUBSCRIBE")
-        return Subscribe(msg_id, body[3:].decode("utf-8"),
+        return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"),
                          qos=_qos(flags), dup=bool(flags & FLAG_DUP))
     if msg_type == MsgType.SUBACK:
         flags, topic_id, msg_id, code = _unpack("!BHHB", body, "SUBACK")
         return Suback(topic_id, msg_id, code, qos=_qos(flags))
     if msg_type == MsgType.UNSUBSCRIBE:
         _, msg_id = _unpack("!BH", body, "UNSUBSCRIBE")
-        return Unsubscribe(msg_id, body[3:].decode("utf-8"))
+        return Unsubscribe(msg_id, _text(body[3:], "UNSUBSCRIBE"))
     if msg_type == MsgType.UNSUBACK:
         (msg_id,) = _unpack("!H", body, "UNSUBACK")
         return Unsuback(msg_id)
@@ -303,6 +308,14 @@ def _qos(flags: int) -> int:
     if qos not in (0, 1):
         raise UnsupportedPacket("QoS {} not supported".format(qos))
     return qos
+
+
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedString(
+            "{} string is not valid UTF-8".format(what)) from exc
 
 
 def _unpack(fmt: str, body: bytes, what: str) -> tuple:

@@ -75,19 +75,10 @@ class RomanoNode:
 
     def _establish(self) -> None:
         self.phase = INIT
-        self.session.connect(on_ok=self._on_connected,
-                             on_fail=lambda err: self._retry_connect())
-
-    def _retry_connect(self) -> None:
-        # Broker unreachable; try again after the ack-wait interval.
-        self.sim.after(ACK_WAIT_US, self._establish)
+        self.session.connect(on_ok=self._on_connected)
 
     def _on_connected(self) -> None:
-        self.session.subscribe(self.romano_id, on_ok=self._on_id_subscribed,
-                               on_fail=lambda err: None)
-
-    def _on_id_subscribed(self) -> None:
-        self._publish_join_request()
+        self.session.subscribe(self.romano_id, on_ok=self._publish_join_request)
 
     def _publish_join_request(self) -> None:
         if self._ack_timer is not None:
@@ -111,8 +102,7 @@ class RomanoNode:
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
-        self.session.subscribe(codec.TOPIC_COMMON, on_ok=self._on_ready,
-                               on_fail=lambda err: None)
+        self.session.subscribe(codec.TOPIC_COMMON, on_ok=self._on_ready)
 
     def _on_ready(self) -> None:
         self.phase = READY
@@ -123,6 +113,8 @@ class RomanoNode:
             self.on_ready()
 
     def _on_disconnect(self) -> None:
+        # Every failed exchange that ends the session lands here, a failed
+        # or rejected connect included, so this is the one recovery path.
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
@@ -235,7 +227,7 @@ class RomanoNode:
                 self.on_connection_request(msg, topic)
         elif isinstance(msg, (codec.NormalData, codec.SensorData,
                               codec.CustomData)):
-            handler = self._data_handlers.get(_type_code_of(msg))
+            handler = self._data_handlers.get(msg.type_code)
             if handler is not None:
                 handler(msg)
         # RequestConnectedNodesInfo is server business; nodes ignore it.
@@ -256,12 +248,3 @@ class RomanoNode:
         if self.on_mailbox_push is not None:
             self.on_mailbox_push()
 
-
-def _type_code_of(msg: codec.RomanoMessage) -> int:
-    if isinstance(msg, codec.NormalData):
-        return int(codec.DataType.NORMAL_DATA)
-    if isinstance(msg, codec.SensorData):
-        return int(codec.DataType.SENSOR_DATA)
-    if isinstance(msg, codec.CustomData):
-        return msg.type_code
-    raise ValueError("no data handler key for {}".format(type(msg).__name__))

@@ -3,8 +3,8 @@
 Owns the topic name/id map and every in-flight exchange.  Exchanges
 that expect a reply (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, and
 QoS 1 PUBLISH) retransmit every ``T_RETRY_US`` up to ``N_RETRY`` times;
-an exhausted control exchange marks the session disconnected, which is
-the only in-band failure signal a QoS 0 deployment gets.
+an exhausted control exchange or a rejected CONNECT drops the session,
+which is the only in-band failure signal a QoS 0 deployment gets.
 
 The client identifier is the node's IPv6 address string, which is also
 its transport address on the simulated network.
@@ -12,7 +12,7 @@ its transport address on the simulated network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import mqttsn as sn
@@ -38,16 +38,36 @@ class BrokerReject(SessionError):
     """Broker answered with a non-zero return code."""
 
 
+# Every in-flight exchange waits in ClientSession._pending under its msg
+# id; CONNECT has none, so it takes 0, which no msg id (1..0xFFFF) uses.
+CONNECT_KEY = 0
+
+# reply type -> kind of the exchange it completes
+_REPLY_KINDS = {
+    sn.Connack: "connect",
+    sn.Regack: "register",
+    sn.Suback: "subscribe",
+    sn.Unsuback: "unsubscribe",
+    sn.Puback: "publish",
+}
+
+
 @dataclass
 class _Exchange:
     kind: str
-    encode: Callable[[bool], bytes]   # dup flag -> wire octets
+    key: int                          # msg id, or CONNECT_KEY
+    request: sn.SnPacket
     topic: Optional[str]
     on_ok: Optional[Callable]
     on_fail: Optional[Callable[[Exception], None]]
-    control: bool
     retries_left: int = N_RETRY
     timer: Optional[Timer] = None
+    waiters: Optional[list] = None    # register: (proceed, on_fail) pairs
+
+    def __str__(self) -> str:
+        if self.topic is None:
+            return self.kind
+        return "{} of {!r}".format(self.kind, self.topic)
 
 
 class ClientSession:
@@ -65,9 +85,7 @@ class ClientSession:
         self.send_failures = 0
         self.stray_packets = 0
         self._pending: dict[int, _Exchange] = {}
-        self._connect_exchange: Optional[_Exchange] = None
         self._next_msg_id = 1
-        self._registering: dict[str, list] = {}
         network.attach(client_id, self._on_datagram)
 
     # -- connection -----------------------------------------------------------
@@ -75,17 +93,12 @@ class ClientSession:
     def connect(self, on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None,
                 clean_session: bool = True) -> None:
-        if self._connect_exchange is not None:
+        if CONNECT_KEY in self._pending:
             return
         self.state = CONNECTING
-
-        def encode(dup: bool) -> bytes:
-            return sn.encode_packet(
-                sn.Connect(self.client_id, clean_session=clean_session))
-
-        self._connect_exchange = _Exchange(
-            "connect", encode, None, on_ok, on_fail, control=True)
-        self._transmit(self._connect_exchange)
+        request = sn.Connect(self.client_id, clean_session=clean_session)
+        self._start(_Exchange("connect", CONNECT_KEY, request, None, on_ok,
+                              on_fail))
 
     # -- subscriptions ----------------------------------------------------------
 
@@ -93,26 +106,17 @@ class ClientSession:
                   on_fail: Optional[Callable[[Exception], None]] = None,
                   qos: int = 0) -> None:
         msg_id = self._take_msg_id()
-
-        def encode(dup: bool) -> bytes:
-            return sn.encode_packet(sn.Subscribe(msg_id, topic, qos=qos,
-                                                 dup=dup))
-
-        self._pending[msg_id] = _Exchange(
-            "subscribe", encode, topic, on_ok, on_fail, control=True)
-        self._transmit(self._pending[msg_id])
+        request = sn.Subscribe(msg_id, topic, qos=qos)
+        self._start(_Exchange("subscribe", msg_id, request, topic, on_ok,
+                              on_fail))
 
     def unsubscribe(self, topic: str, on_ok: Optional[Callable] = None,
                     on_fail: Optional[Callable[[Exception], None]] = None,
                     ) -> None:
         msg_id = self._take_msg_id()
-
-        def encode(dup: bool) -> bytes:
-            return sn.encode_packet(sn.Unsubscribe(msg_id, topic))
-
-        self._pending[msg_id] = _Exchange(
-            "unsubscribe", encode, topic, on_ok, on_fail, control=True)
-        self._transmit(self._pending[msg_id])
+        request = sn.Unsubscribe(msg_id, topic)
+        self._start(_Exchange("unsubscribe", msg_id, request, topic, on_ok,
+                              on_fail))
 
     # -- publishing --------------------------------------------------------------
 
@@ -139,30 +143,20 @@ class ClientSession:
                 on_ok()
             return
         msg_id = self._take_msg_id()
-
-        def encode(dup: bool) -> bytes:
-            return sn.encode_packet(
-                sn.Publish(topic_id, data, msg_id, qos=1, dup=dup))
-
-        self._pending[msg_id] = _Exchange(
-            "publish", encode, topic, on_ok, on_fail, control=False)
-        self._transmit(self._pending[msg_id])
+        request = sn.Publish(topic_id, data, msg_id, qos=1)
+        self._start(_Exchange("publish", msg_id, request, topic, on_ok,
+                              on_fail))
 
     def _register_then(self, topic: str, proceed: Callable[[int], None],
                        on_fail: Optional[Callable[[Exception], None]]) -> None:
-        waiters = self._registering.get(topic)
-        if waiters is not None:
-            waiters.append((proceed, on_fail))
-            return
-        self._registering[topic] = [(proceed, on_fail)]
+        for exchange in self._pending.values():
+            if exchange.kind == "register" and exchange.topic == topic:
+                exchange.waiters.append((proceed, on_fail))
+                return
         msg_id = self._take_msg_id()
-
-        def encode(dup: bool) -> bytes:
-            return sn.encode_packet(sn.Register(0, msg_id, topic))
-
-        self._pending[msg_id] = _Exchange(
-            "register", encode, topic, None, None, control=True)
-        self._transmit(self._pending[msg_id])
+        request = sn.Register(0, msg_id, topic)
+        self._start(_Exchange("register", msg_id, request, topic, None, None,
+                              waiters=[(proceed, on_fail)]))
 
     # -- inbound -----------------------------------------------------------------
 
@@ -174,79 +168,38 @@ class ClientSession:
         except sn.PacketError:
             self.stray_packets += 1
             return
-
-        if isinstance(pkt, sn.Connack):
-            self._on_connack(pkt)
-        elif isinstance(pkt, sn.Suback):
-            self._complete(pkt.msg_id, "subscribe", pkt.return_code,
-                           topic_id=pkt.topic_id)
-        elif isinstance(pkt, sn.Unsuback):
-            self._complete(pkt.msg_id, "unsubscribe", sn.ReturnCode.ACCEPTED,
-                           forget_topic=True)
-        elif isinstance(pkt, sn.Regack):
-            self._on_regack(pkt)
-        elif isinstance(pkt, sn.Puback):
-            self._complete(pkt.msg_id, "publish", pkt.return_code)
+        kind = _REPLY_KINDS.get(type(pkt))
+        if kind is not None:
+            self._complete(kind, pkt)
         elif isinstance(pkt, sn.Publish):
             self._on_publish(pkt)
         else:
             self.stray_packets += 1
 
-    def _on_connack(self, pkt: sn.Connack) -> None:
-        exchange = self._connect_exchange
-        if exchange is None:
-            return
-        self._connect_exchange = None
-        if exchange.timer is not None:
-            exchange.timer.cancel()
-        if pkt.return_code != sn.ReturnCode.ACCEPTED:
-            self.state = DISCONNECTED
-            if exchange.on_fail is not None:
-                exchange.on_fail(BrokerReject(
-                    "connect rejected with code {}".format(pkt.return_code)))
-            return
-        self.state = ACTIVE
-        if exchange.on_ok is not None:
-            exchange.on_ok()
-
-    def _on_regack(self, pkt: sn.Regack) -> None:
-        exchange = self._pending.pop(pkt.msg_id, None)
-        if exchange is None or exchange.kind != "register":
-            self.stray_packets += 1
-            return
-        if exchange.timer is not None:
-            exchange.timer.cancel()
-        topic = exchange.topic
-        waiters = self._registering.pop(topic, [])
-        if pkt.return_code != sn.ReturnCode.ACCEPTED:
-            err = BrokerReject("register of {!r} rejected with code {}".format(
-                topic, pkt.return_code))
-            for _, on_fail in waiters:
-                if on_fail is not None:
-                    on_fail(err)
-            return
-        self._learn_topic(topic, pkt.topic_id)
-        for proceed, _ in waiters:
-            proceed(pkt.topic_id)
-
-    def _complete(self, msg_id: int, kind: str, return_code: int,
-                  topic_id: Optional[int] = None,
-                  forget_topic: bool = False) -> None:
-        exchange = self._pending.pop(msg_id, None)
+    def _complete(self, kind: str, pkt: sn.SnPacket) -> None:
+        key = getattr(pkt, "msg_id", CONNECT_KEY)
+        exchange = self._pending.get(key)
         if exchange is None or exchange.kind != kind:
             self.stray_packets += 1
             return
-        if exchange.timer is not None:
-            exchange.timer.cancel()
-        if return_code != sn.ReturnCode.ACCEPTED:
-            if exchange.on_fail is not None:
-                exchange.on_fail(BrokerReject(
-                    "{} of {!r} rejected with code {}".format(
-                        kind, exchange.topic, return_code)))
+        del self._pending[key]
+        exchange.timer.cancel()
+        code = getattr(pkt, "return_code", sn.ReturnCode.ACCEPTED)
+        if code != sn.ReturnCode.ACCEPTED:
+            self._fail(exchange, BrokerReject(
+                "{} rejected with code {}".format(exchange, code)))
+            if kind == "connect":
+                self._drop_session()
             return
-        if topic_id is not None and exchange.topic is not None:
-            self._learn_topic(exchange.topic, topic_id)
-        if forget_topic and exchange.topic in self.topic_ids:
+        if kind == "connect":
+            self.state = ACTIVE
+        elif kind == "register":
+            self._learn_topic(exchange.topic, pkt.topic_id)
+            for proceed, _ in exchange.waiters:
+                proceed(pkt.topic_id)
+        elif kind == "subscribe":
+            self._learn_topic(exchange.topic, pkt.topic_id)
+        elif kind == "unsubscribe" and exchange.topic in self.topic_ids:
             self.topic_names.pop(self.topic_ids.pop(exchange.topic))
         if exchange.on_ok is not None:
             exchange.on_ok()
@@ -264,8 +217,15 @@ class ClientSession:
 
     # -- retransmission -------------------------------------------------------------
 
+    def _start(self, exchange: _Exchange) -> None:
+        self._pending[exchange.key] = exchange
+        self._transmit(exchange)
+
     def _transmit(self, exchange: _Exchange, dup: bool = False) -> None:
-        self._send(exchange.encode(dup), exchange.topic)
+        request = exchange.request
+        if dup and isinstance(request, (sn.Subscribe, sn.Publish)):
+            request = replace(request, dup=True)
+        self._send(sn.encode_packet(request), exchange.topic)
         exchange.timer = self.sim.after(
             T_RETRY_US, lambda: self._on_retry_timeout(exchange))
 
@@ -274,41 +234,25 @@ class ClientSession:
             exchange.retries_left -= 1
             self._transmit(exchange, dup=True)
             return
-        self._abandon(exchange)
+        del self._pending[exchange.key]
+        self._fail(exchange, RetriesExhausted(
+            "{} got no reply after {} retries".format(exchange, N_RETRY)))
+        if exchange.kind != "publish":  # a failed control exchange
+            self._drop_session()
 
-    def _abandon(self, exchange: _Exchange) -> None:
-        if exchange is self._connect_exchange:
-            self._connect_exchange = None
-        else:
-            for msg_id, pending in list(self._pending.items()):
-                if pending is exchange:
-                    del self._pending[msg_id]
-        if exchange.kind == "register":
-            waiters = self._registering.pop(exchange.topic, [])
-            err = RetriesExhausted(
-                "register of {!r} got no REGACK after {} retries".format(
-                    exchange.topic, N_RETRY))
-            for _, on_fail in waiters:
+    def _fail(self, exchange: _Exchange, err: SessionError) -> None:
+        if exchange.waiters is not None:
+            for _, on_fail in exchange.waiters:
                 if on_fail is not None:
                     on_fail(err)
         elif exchange.on_fail is not None:
-            exchange.on_fail(RetriesExhausted(
-                "{} got no reply after {} retries".format(
-                    exchange.kind, N_RETRY)))
-        if exchange.control:
-            self._drop_session()
+            exchange.on_fail(err)
 
     def _drop_session(self) -> None:
         self.state = DISCONNECTED
-        for exchange in list(self._pending.values()):
-            if exchange.timer is not None:
-                exchange.timer.cancel()
+        for exchange in self._pending.values():
+            exchange.timer.cancel()
         self._pending.clear()
-        self._registering.clear()
-        if self._connect_exchange is not None and \
-                self._connect_exchange.timer is not None:
-            self._connect_exchange.timer.cancel()
-        self._connect_exchange = None
         self.topic_ids.clear()
         self.topic_names.clear()
         if self.on_disconnect is not None:

@@ -3,6 +3,7 @@ import pytest
 
 from romano import mqttsn as sn
 from romano.broker import Broker, RadioGate
+from romano.session import ACTIVE, BrokerReject, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
 
 BROKER = "fe80::212:4b00:1:1"
@@ -82,20 +83,19 @@ class TestRadioGate:
         sim = Simulator()
         gate = RadioGate(sim, capacity=3, tx_interval_us=750,
                          on_transmit=lambda item: None)
-        gate.stalled = True
+        # Offered before the simulator runs, so nothing has departed yet.
         results = [gate.offer(i) for i in range(5)]
         assert results == [True, True, True, False, False]
         assert gate.dropped == 2 and len(gate) == 3
 
-    def test_resume_drains_in_order(self):
+    def test_drains_in_order(self):
         sim = Simulator()
         out = []
         gate = RadioGate(sim, capacity=3, tx_interval_us=100,
                          on_transmit=out.append)
-        gate.stalled = True
         for i in range(3):
             gate.offer(i)
-        gate.resume()
+        assert len(gate) == 3 and out == []
         sim.run_until_idle()
         assert out == [0, 1, 2]
 
@@ -262,6 +262,36 @@ class TestSessions:
         assert [r.topic_id for r in regacks] == [1, 2, 1]
         assert broker.topic_name(2) == "beta"
 
+    def test_topic_id_exhaustion_is_rejected_with_congestion(self):
+        sim, net = make_net()
+        broker = Broker(sim, net, BROKER, local_clients={"local"})
+        replies = []  # local replies leave through Network.send at once
+        net.send = lambda src, dst, data, topic=None: replies.append(data)
+        broker.handle("local", sn.Connect("local"))
+        for n in range(0x10000):
+            broker.handle("local", sn.Register(0, n % 0xFFFF + 1, f"t{n}"))
+        broker.handle("local", sn.Register(0, 7, "t0"))
+        broker.handle("local", sn.Subscribe(8, "fresh"))
+        last = [sn.decode_packet(raw) for raw in replies[-4:]]
+        assert last == [
+            sn.Regack(0xFFFF, 0xFFFF),
+            sn.Regack(0, 1, sn.ReturnCode.REJECTED_CONGESTION),
+            sn.Regack(1, 7),  # names that already have an id keep it
+            sn.Suback(0, 8, sn.ReturnCode.REJECTED_CONGESTION),
+        ]
+        assert broker.topic_id("t65535") is None
+        assert broker.topic_id("fresh") is None
+        # A session hears the reject as BrokerReject and stays connected.
+        del net.send
+        session = ClientSession(sim, net, "c", BROKER)
+        session.connect()
+        errors = []
+        session.publish("late", b"x", on_fail=errors.append)
+        sim.run_until_idle()
+        assert isinstance(errors[0], BrokerReject)
+        assert "code 1" in str(errors[0])
+        assert session.state == ACTIVE
+
     def test_publish_to_unknown_topic_id(self):
         sim, net = make_net()
         broker = Broker(sim, net, BROKER)
@@ -296,7 +326,7 @@ class TestSessions:
 
 
 class TestGatedEgress:
-    def test_local_clients_bypass_a_stalled_gate(self):
+    def test_local_clients_bypass_the_gate(self):
         sim, net = make_net()
         broker = Broker(sim, net, BROKER, local_clients={"local"})
         local = Client(sim, net, "local")
@@ -306,13 +336,16 @@ class TestGatedEgress:
         pub = Client(sim, net, "p")
         pub.send(sn.Connect("p"))
         sim.run_until_idle()
-        broker.gate.stalled = True
+        held = []  # radio frames leaving the gate, replayed below
+        transmit = broker.gate.on_transmit
+        broker.gate.on_transmit = held.append
         pub.send(sn.Publish(ids["common"], b"x"))
         sim.run_until_idle()
         assert len(local.publishes()) == 1
-        assert len(radio.publishes()) == 0  # still parked in the gate
-        assert len(broker.gate) == 1
-        broker.gate.resume()
+        assert len(radio.publishes()) == 0  # still held behind the gate
+        assert [frame[0] for frame in held] == ["radio"]
+        for frame in held:
+            transmit(frame)
         sim.run_until_idle()
         assert len(radio.publishes()) == 1
 
@@ -324,7 +357,8 @@ class TestGatedEgress:
         pub = Client(sim, net, "p")
         pub.send(sn.Connect("p"))
         sim.run_until_idle()
-        broker.gate.stalled = True
+        # At zero latency all five publishes arrive in one tick, before
+        # the gate's first departure, so two of them find it full.
         for _ in range(5):
             pub.send(sn.Publish(ids["common"], b"x"))
         sim.run_until_idle()

@@ -148,6 +148,18 @@ class TestEstablishment:
         rig.broker.start()
         rig.ready(node, deadline_us=20_000_000)
 
+    def test_rejected_connect_retries_once_after_ack_wait(self):
+        rig = Rig()
+        rig.net.add_drop_filter(
+            lambda src, dst, data: data[1] == sn.MsgType.CONNECT)
+        node = rig.add_node(NODE_1)
+        node.start()
+        rig.net.send(BROKER, NODE_1, sn.encode_packet(
+            sn.Connack(sn.ReturnCode.REJECTED_CONGESTION)))
+        rig.ready(node)
+        connects = [t for t, _ in rig.tap.from_src(NODE_1, sn.Connect)]
+        assert connects == [LATENCY_US + ACK_WAIT_US + LATENCY_US]
+
     def test_disconnect_returns_to_init_and_recovers(self):
         rig = Rig()
         node = rig.add_node(NODE_1)

@@ -98,6 +98,28 @@ class TestConnect:
         assert session.state == DISCONNECTED
         assert isinstance(errors[0], BrokerReject)
 
+    def test_rejected_connect_drops_the_session(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.subscribe("common")
+        sim.run_until_idle()
+        lost = []
+        session.on_disconnect = lambda: lost.append(sim.now)
+        stub.mute.add(sn.Connect)
+        session.connect()
+        stub.push(CLIENT, sn.Connack(sn.ReturnCode.REJECTED_CONGESTION))
+        sim.run_until_idle()
+        assert lost == [sim.now] and session.state == DISCONNECTED
+        assert session.topic_ids == {}
+        assert len(stub.sends(sn.Connect)) == 2  # the retry timer is gone
+
+    def test_unexpected_connack_is_stray(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        stub.push(CLIENT, sn.Connack())
+        sim.run_until_idle()
+        assert session.stray_packets == 1 and session.state == ACTIVE
+
 
 class TestPublishPath:
     def test_register_precedes_first_publish(self):
@@ -172,6 +194,35 @@ class TestRetransmission:
         tries = [p for _, p in stub.sends(sn.Publish) if p.data == b"y"]
         assert len(tries) == 2 and tries[1].dup
         assert len(done) == 1
+
+    def test_failed_register_fails_every_waiting_publish(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        stub.mute.add(sn.Register)
+        errors = []
+        session.publish("t", b"a", on_fail=errors.append)
+        session.publish("t", b"b", on_fail=errors.append)
+        sim.run_until_idle()
+        assert len(stub.sends(sn.Register)) == N_RETRY + 1
+        assert [type(e) for e in errors] == [RetriesExhausted] * 2
+        assert stub.sends(sn.Publish) == []
+        assert session.state == DISCONNECTED
+
+    def test_reply_of_another_kind_leaves_the_exchange_pending(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.publish("t", b"x")
+        sim.run_until_idle()
+        stub.mute.add(sn.Publish)
+        done = []
+        session.publish("t", b"y", qos=1, on_ok=lambda: done.append(sim.now))
+        sim.run_until(sim.now + 1_000)  # well inside the first retry wait
+        (_, pkt), = stub.sends(sn.Publish)[1:]
+        stub.push(CLIENT, sn.Suback(pkt.topic_id, pkt.msg_id))
+        stub.push(CLIENT, sn.Puback(pkt.topic_id, pkt.msg_id))
+        sim.run_until_idle()
+        assert session.stray_packets == 1 and len(done) == 1
+        assert len(stub.sends(sn.Publish)) == 2  # no retransmission
 
     def test_control_exhaustion_drops_the_session(self):
         sim, net, stub, session = make_session()
