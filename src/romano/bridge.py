@@ -23,7 +23,6 @@ from .broker import Broker
 from .session import ClientSession
 from .simnet import Simulator
 
-DEFAULT_CHANNEL_LATENCY_US = 50_000
 DEFAULT_DOWN_QUEUE_LIMIT = 512
 
 
@@ -47,13 +46,13 @@ class BridgeEnd:
         self.channel_up = True
         session.on_message = self._on_local_delivery
 
-    def start(self, on_ready=None) -> None:
+    def start(self, on_ready) -> None:
         remaining = len(self.topics) + 1
 
         def step_done() -> None:
             nonlocal remaining
             remaining -= 1
-            if remaining == 0 and on_ready is not None:
+            if remaining == 0:
                 on_ready()
 
         def subscribed() -> None:
@@ -102,7 +101,7 @@ class Bridge:
     """Pairs two ends and wires the relay channel between them."""
 
     def __init__(self, end_a: BridgeEnd, end_b: BridgeEnd,
-                 latency_us: int = DEFAULT_CHANNEL_LATENCY_US) -> None:
+                 latency_us: int) -> None:
         self.end_a = end_a
         self.end_b = end_b
         end_a.peer = end_b
@@ -110,13 +109,13 @@ class Bridge:
         end_a.latency_us = latency_us
         end_b.latency_us = latency_us
 
-    def start(self, on_ready=None) -> None:
+    def start(self, on_ready) -> None:
         remaining = 2
 
         def one_done() -> None:
             nonlocal remaining
             remaining -= 1
-            if remaining == 0 and on_ready is not None:
+            if remaining == 0:
                 on_ready()
 
         self.end_a.start(one_done)

@@ -145,13 +145,13 @@ class Broker:
         t = self._topics[tid]
         return (t.published, t.copies_enqueued, t.copies_dropped)
 
-    def set_no_local(self, client_id: str, value: bool = True) -> None:
+    def set_no_local(self, client_id: str) -> None:
         """Suppress fan-out back to this client's own publishes.
 
         Used by bridge relay sessions so a republished message is never
         echoed into the relay that injected it.
         """
-        self._session(client_id).no_local = value
+        self._session(client_id).no_local = True
 
     # -- packet handling -----------------------------------------------------
 

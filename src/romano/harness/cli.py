@@ -106,7 +106,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     res = run_throughput(cfg)
     out = report.write_run_dir(_out_dir(args), report.THROUGHPUT_HEADER,
-                               report.throughput_rows(res), res.trace,
+                               report.throughput_rows(res), {"": res.trace},
                                res.robots)
     print(f"rate {cfg.rate_mps:g} msg/s, {cfg.n_robots} robots,"
           f" seed {cfg.seed}")
@@ -126,17 +126,10 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
     if args.robots is None:
         cfg = cfg.replace(n_robots=10)
     res = run_scalability(cfg)
-    out = Path(_out_dir(args))
-    out.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out / "report.csv", report.SCALABILITY_HEADER,
-                     report.scalability_rows(res))
-    with open(out / "wire_trace.log", "w", encoding="utf-8") as fh:
-        for n in res.n_values:
-            fh.write(f"# n_robots={n}\n")
-            for line in res.traces[n].lines():
-                fh.write(line + "\n")
-    report.write_csv(out / "pose_trace.csv", report.POSE_HEADER,
-                     report.pose_rows(res.robots))
+    out = report.write_run_dir(
+        _out_dir(args), report.SCALABILITY_HEADER,
+        report.scalability_rows(res),
+        {f"# n_robots={n}": res.traces[n] for n in res.n_values}, res.robots)
     for n in res.n_values:
         print(f"n={n:2d}  max delay {res.max_delay_us(n)} us")
     print(f"fit: slope {res.slope_us:.3f} us/robot,"
@@ -149,7 +142,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     res = DEMOS[args.demo](cfg)
     out = report.write_run_dir(_out_dir(args), report.DEMO_HEADER,
-                               report.demo_rows(res), res.trace, res.robots)
+                               report.demo_rows(res), {"": res.trace},
+                               res.robots)
     for check in res.checks:
         mark = "ok  " if check.passed else "FAIL"
         tail = f" ({check.detail})" if check.detail else ""
@@ -168,7 +162,7 @@ def _cmd_command(args: argparse.Namespace) -> int:
     world.sim.run_until_idle()
     out = report.write_run_dir(_out_dir(args), report.COMMAND_HEADER,
                                report.command_rows(world.robots),
-                               world.trace, world.robots)
+                               {"": world.trace}, world.robots)
     for i, robot in enumerate(world.robots, start=1):
         pose = robot.pose
         print(f"robot {i} ({robot.romano_id}): x {pose.x_mm:.1f} mm,"
@@ -192,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     rates = _parse_grid(args.rates, float)
     seeds = _parse_grid(args.seeds, int)
-    out = Path(_out_dir(args))
+    out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     combined: list[list[str]] = []
     ok = True
@@ -200,11 +194,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for seed in seeds:
             sub = cfg.replace(rate_mps=rate, seed=seed)
             res = run_throughput(sub)
-            combined.extend(report.throughput_rows(res))
-            sub_dir = out / f"rate-{rate:g}-seed-{seed}"
-            report.write_run_dir(sub_dir, report.THROUGHPUT_HEADER,
-                                 report.throughput_rows(res), res.trace,
-                                 res.robots)
+            rows = report.throughput_rows(res)
+            combined.extend(rows)
+            report.write_run_dir(out / f"rate-{rate:g}-seed-{seed}",
+                                 report.THROUGHPUT_HEADER, rows,
+                                 {"": res.trace}, res.robots)
             ok = ok and res.conservation_ok
             onset = ("-" if res.overflow_onset is None
                      else str(res.overflow_onset))

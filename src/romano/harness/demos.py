@@ -10,18 +10,19 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .. import codec
 from ..robot import (DispersalController, LeaderScript, PathLossModel, Pose,
                      Robot, SQUARE_PATH)
 from ..bridge import Bridge, BridgeEnd
 from ..session import ClientSession
-from ..simnet import LinkModel, Network, Simulator, WireTrace
+from ..simnet import LinkModel, WireTrace
 from .config import ScenarioConfig
-from .world import Cell, WorldNotReady, World, relay_addr
+from .world import Cell, World, relay_addr
 
 PROBE_LINK_LATENCY_US = 5_000
+DISPERSAL_HOLD_ROUNDS = 50
 
 
 class DemoError(Exception):
@@ -38,9 +39,9 @@ class DemoCheck:
 @dataclass
 class DemoResult:
     demo: str
+    trace: WireTrace
+    robots: list[Robot]
     checks: list[DemoCheck] = field(default_factory=list)
-    trace: Optional[WireTrace] = None
-    robots: list[Robot] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -62,8 +63,7 @@ def run_group_control(cfg: ScenarioConfig) -> DemoResult:
     """Broadcast one order to the swarm, then a private one to a robot."""
     world = World(cfg)
     world.run_ready()
-    result = DemoResult("group-control", trace=world.trace,
-                        robots=world.robots)
+    result = DemoResult("group-control", world.trace, world.robots)
 
     _publish_romano(world.commander, codec.TOPIC_COMMON,
                     codec.movement_control(codec.MovementType.MOVE_FRONT, 100))
@@ -100,7 +100,7 @@ def run_path_copy(cfg: ScenarioConfig) -> DemoResult:
         raise DemoError("path copy needs at least two robots")
     world = World(cfg)
     world.run_ready()
-    result = DemoResult("path-copy", trace=world.trace, robots=world.robots)
+    result = DemoResult("path-copy", world.trace, world.robots)
     leader, followers = world.robots[0], world.robots[1:]
 
     topic = "telemetry"
@@ -136,18 +136,19 @@ def run_path_copy(cfg: ScenarioConfig) -> DemoResult:
 # -- Dispersal ----------------------------------------------------------------------------
 
 
-def run_dispersal(cfg: ScenarioConfig, hold_rounds: int = 50) -> DemoResult:
+def run_dispersal(cfg: ScenarioConfig) -> DemoResult:
     """Two robots range each other apart until RSSI hits the threshold.
 
-    Runs ``cfg.max_rounds + hold_rounds`` measurement rounds; passing
-    means the pair entered the equilibrium band (one stride around the
-    threshold distance) within ``cfg.max_rounds`` rounds and never left.
+    Runs ``cfg.max_rounds + DISPERSAL_HOLD_ROUNDS`` measurement rounds;
+    passing means the pair entered the equilibrium band (one stride
+    around the threshold distance) within ``cfg.max_rounds`` rounds and
+    never left.
     """
     sub = cfg.replace(n_robots=2)
     d0 = cfg.initial_separation_mm
     world = World(sub, poses=[Pose(0.0, 0.0, 180.0), Pose(d0, 0.0, 0.0)])
     world.run_ready()
-    result = DemoResult("dispersal", trace=world.trace, robots=world.robots)
+    result = DemoResult("dispersal", world.trace, world.robots)
 
     a, b = world.robots
     addr_a = a.node.session.client_id
@@ -173,7 +174,7 @@ def run_dispersal(cfg: ScenarioConfig, hold_rounds: int = 50) -> DemoResult:
     ctrl_a.on_round = ctrl_b.on_round = lambda rssi: distance_log.append(
         separation())
 
-    target = sub.max_rounds + hold_rounds
+    target = sub.max_rounds + DISPERSAL_HOLD_ROUNDS
     ctrl_a.initiate()
     done = world.sim.run_until_true(
         lambda: ctrl_a.rounds + ctrl_b.rounds >= target,
@@ -204,47 +205,34 @@ def run_dispersal(cfg: ScenarioConfig, hold_rounds: int = 50) -> DemoResult:
 # -- Bridged networks -----------------------------------------------------------------------
 
 
-class BridgedWorld:
+class BridgedWorld(World):
     """Two broker domains joined by a relay pair on an allow-listed topic."""
 
     def __init__(self, cfg: ScenarioConfig) -> None:
-        self.cfg = cfg
-        self.sim = Simulator(seed=cfg.seed)
-        self.trace = WireTrace()
-        self.net = Network(self.sim, default_link=None, trace=self.trace)
-        self.cell_a = Cell(self.sim, self.net, cfg, cell=1)
+        super().__init__(cfg)
+        self.cell_a = self.cell
         self.cell_b = Cell(self.sim, self.net, cfg, cell=2)
+        self.cells.append(self.cell_b)
         topics = cfg.bridge_topic_list()
-        self.end_a = BridgeEnd(
-            self.sim, ClientSession(self.sim, self.net, relay_addr(1),
-                                    self.cell_a.addr),
-            self.cell_a.broker, origin_tag=1, topics=topics)
-        self.end_b = BridgeEnd(
-            self.sim, ClientSession(self.sim, self.net, relay_addr(2),
-                                    self.cell_b.addr),
-            self.cell_b.broker, origin_tag=2, topics=topics)
+        self.end_a, self.end_b = (
+            BridgeEnd(self.sim,
+                      ClientSession(self.sim, self.net, relay_addr(c.cell),
+                                    c.addr),
+                      c.broker, origin_tag=c.cell, topics=topics)
+            for c in self.cells)
         self.bridge = Bridge(self.end_a, self.end_b,
                              latency_us=cfg.bridge_latency_us)
         self._bridge_ready = False
 
-    def run_ready(self) -> None:
-        self.cell_a.start()
-        self.cell_b.start()
+    def start(self) -> None:
+        super().start()
+        self.bridge.start(on_ready=self._mark_bridge_ready)
 
-        def mark() -> None:
-            self._bridge_ready = True
+    def _mark_bridge_ready(self) -> None:
+        self._bridge_ready = True
 
-        self.bridge.start(on_ready=mark)
-        ok = self.sim.run_until_true(
-            lambda: (self.cell_a.ready() and self.cell_b.ready()
-                     and self._bridge_ready),
-            self.sim.now + self.cfg.ready_deadline_us)
-        if not ok:
-            raise WorldNotReady("bridged swarms never finished forming")
-
-    @property
-    def robots(self) -> list[Robot]:
-        return self.cell_a.robots + self.cell_b.robots
+    def ready(self) -> bool:
+        return super().ready() and self._bridge_ready
 
 
 def _count_crossed_seqs(end: BridgeEnd) -> dict[int, int]:
@@ -266,7 +254,7 @@ def run_bridge(cfg: ScenarioConfig, soak_messages: int = 40) -> DemoResult:
     """
     world = BridgedWorld(cfg)
     world.run_ready()
-    result = DemoResult("bridge", trace=world.trace, robots=world.robots)
+    result = DemoResult("bridge", world.trace, world.robots)
     topic = cfg.bridge_topic_list()[0]
 
     listeners = world.cell_b.robots[:2]
@@ -305,13 +293,8 @@ def run_bridge(cfg: ScenarioConfig, soak_messages: int = 40) -> DemoResult:
 
         robot.node.on_data(int(codec.DataType.NORMAL_DATA), record)
 
-    from_a = from_b = 0
     for seq in range(soak_messages):
         side = world.cell_a.commander if seq % 2 == 0 else world.cell_b.commander
-        if seq % 2 == 0:
-            from_a += 1
-        else:
-            from_b += 1
         raw = codec.encode_message(
             codec.NormalData(struct.pack(">I", seq)))
         # Each message fans out to two gated radio copies, so 2 ms spacing
@@ -334,12 +317,11 @@ def run_bridge(cfg: ScenarioConfig, soak_messages: int = 40) -> DemoResult:
         f"soak: all {soak_messages} messages crossed exactly once",
         once_each,
         f"a->b {world.end_a.forwarded - 1}, b->a {world.end_b.forwarded}")
-    evens = sorted(s for s in range(soak_messages) if s % 2 == 0)
-    odds = sorted(s for s in range(soak_messages) if s % 2 == 1)
     result.check(
         "soak: every remote subscriber saw each foreign message once"
         " and every local message once",
-        all(sorted(seqs) == sorted(evens + odds) for seqs in received.values()))
+        all(sorted(seqs) == list(range(soak_messages))
+            for seqs in received.values()))
     return result
 
 

@@ -63,9 +63,8 @@ class ThroughputResult:
     link_dropped: int
     overflow_onset: Optional[int]   # messages published when the radio
     conservation_ok: bool           # buffer first overflowed, if ever
-    duration_us: int
-    trace: Optional[WireTrace] = None
-    robots: list[Robot] = field(default_factory=list)
+    trace: WireTrace
+    robots: list[Robot]
 
     @property
     def delivered(self) -> int:
@@ -108,7 +107,6 @@ def run_throughput(cfg: ScenarioConfig) -> ThroughputResult:
     world = World(cfg)
     world.run_ready()
     stats = _attach_recorders(world)
-    start = world.sim.now
     _broadcast_probes(world, cfg.n_messages)
     world.sim.run_until_idle()
 
@@ -131,7 +129,6 @@ def run_throughput(cfg: ScenarioConfig) -> ThroughputResult:
         cfg=cfg, published=published, per_robot=stats,
         buffer_dropped=buffer_dropped, link_dropped=link_dropped,
         overflow_onset=onset, conservation_ok=conservation_ok,
-        duration_us=world.sim.now - start,
         trace=world.trace, robots=world.robots)
 
 
@@ -162,8 +159,8 @@ class ScalabilityResult:
     slope_us: float
     intercept_us: float
     r_squared: float
-    traces: dict = field(default_factory=dict)   # n -> WireTrace
-    robots: list[Robot] = field(default_factory=list)
+    traces: dict[int, WireTrace]
+    robots: list[Robot]            # of the last swarm size run
 
     def max_delay_us(self, n: int) -> int:
         return max(max(r.delays) for r in self.per_n[n])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import statistics
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..robot import Robot
 from ..simnet import WireTrace
@@ -113,12 +113,20 @@ def write_csv(path: Path, header: Sequence[str],
 
 def write_run_dir(out_dir, header: Sequence[str],
                   rows: Iterable[Sequence[str]],
-                  trace: Optional[WireTrace],
+                  traces: Mapping[str, WireTrace],
                   robots: Iterable[Robot]) -> Path:
-    """Write the standard three artifacts under ``out_dir``."""
+    """Write the standard three artifacts under ``out_dir``.
+
+    The log holds each trace under its heading; "" writes no heading.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "report.csv", header, rows)
-    (trace if trace is not None else WireTrace()).save(out / "wire_trace.log")
+    with open(out / "wire_trace.log", "w", encoding="utf-8") as fh:
+        for heading, trace in traces.items():
+            if heading:
+                fh.write(heading + "\n")
+            for record in trace.records:
+                fh.write(record.line() + "\n")
     write_csv(out / "pose_trace.csv", POSE_HEADER, pose_rows(robots))
     return out

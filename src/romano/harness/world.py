@@ -21,15 +21,11 @@ from ..node import READY, RomanoNode
 from ..robot import Pose, Robot
 from ..server import RegistryServer
 from ..session import ACTIVE, ClientSession
-from ..simnet import LinkModel, Network, Simulator, WireTrace
+from ..simnet import LinkModel, Network, Simulator
 from .config import ScenarioConfig
 
 
-class WorldError(Exception):
-    pass
-
-
-class WorldNotReady(WorldError):
+class WorldNotReady(Exception):
     """Establishment did not finish before the deadline."""
 
 
@@ -54,21 +50,12 @@ def robot_addr(index: int, cell: int = 1) -> str:
     return f"fe80::212:4b00:{cell:x}0:{index:x}"
 
 
-def _radio_link(cfg: ScenarioConfig) -> LinkModel:
-    if cfg.latency_lo_us == cfg.latency_hi_us:
-        return LinkModel.fixed(cfg.latency_lo_us, loss_prob=cfg.loss_prob)
-    return LinkModel(latency_us=(cfg.latency_lo_us, cfg.latency_hi_us),
-                     loss_prob=cfg.loss_prob)
-
-
 class Cell:
     """One broker domain with its registry, commander and robots."""
 
     def __init__(self, sim: Simulator, net: Network, cfg: ScenarioConfig,
                  cell: int = 1,
                  poses: Optional[list[Pose]] = None) -> None:
-        self.sim = sim
-        self.net = net
         self.cfg = cfg
         self.cell = cell
         self.addr = broker_addr(cell)
@@ -95,7 +82,8 @@ class Cell:
         self.robots: list[Robot] = []
         for i in range(1, cfg.n_robots + 1):
             addr = robot_addr(i, cell)
-            net.set_link_pair(addr, self.addr, _radio_link(cfg))
+            net.set_link_pair(addr, self.addr, LinkModel(
+                (cfg.latency_lo_us, cfg.latency_hi_us), cfg.loss_prob))
             session = ClientSession(sim, net, addr, self.addr)
             node = RomanoNode(
                 sim, session,
@@ -124,28 +112,43 @@ class Cell:
 
 
 class World:
-    """Single-cell convenience wrapper owning the simulator and network."""
+    """The simulator, network and broker cells of one run.
+
+    The shortcuts name the first cell's parts; ``robots`` spans all cells.
+    """
 
     def __init__(self, cfg: ScenarioConfig,
                  poses: Optional[list[Pose]] = None) -> None:
         self.cfg = cfg
         self.sim = Simulator(seed=cfg.seed)
-        self.trace = WireTrace()
-        self.net = Network(self.sim, default_link=None, trace=self.trace)
+        self.net = Network(self.sim)
+        self.trace = self.net.trace
         self.cell = Cell(self.sim, self.net, cfg, cell=1, poses=poses)
+        self.cells = [self.cell]
         self.broker = self.cell.broker
         self.server = self.cell.server
         self.commander = self.cell.commander
         self.nodes = self.cell.nodes
-        self.robots = self.cell.robots
+
+    @property
+    def robots(self) -> list[Robot]:
+        return [robot for cell in self.cells for robot in cell.robots]
 
     def start(self) -> None:
-        self.cell.start()
+        for cell in self.cells:
+            cell.start()
+
+    def ready(self) -> bool:
+        # Runs after every event of run_ready, so no per-call set-up.
+        for cell in self.cells:
+            if not cell.ready():
+                return False
+        return True
 
     def run_ready(self) -> None:
         """Start everything and run until the whole swarm is connected."""
         self.start()
         deadline = self.sim.now + self.cfg.ready_deadline_us
-        if not self.sim.run_until_true(self.cell.ready, deadline):
+        if not self.sim.run_until_true(self.ready, deadline):
             raise WorldNotReady(
                 f"swarm not ready after {self.cfg.ready_deadline_us} us")

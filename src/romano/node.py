@@ -57,8 +57,6 @@ class RomanoNode:
         self.stray_acks = 0
         self.on_ready: Optional[Callable[[], None]] = None
         self.on_mailbox_push: Optional[Callable[[], None]] = None
-        self.on_connection_request: Optional[
-            Callable[[codec.ConnectionRequest, str], None]] = None
         self._data_handlers: dict[int, Callable] = {}
         self._extension_codes: set[int] = set()
         self._ack_timer: Optional[Timer] = None
@@ -222,15 +220,13 @@ class RomanoNode:
             self.session.publish(msg.topic, msg.data)
         elif isinstance(msg, codec.MovementControl):
             self.enqueue_movement(msg)
-        elif isinstance(msg, codec.ConnectionRequest):
-            if self.on_connection_request is not None:
-                self.on_connection_request(msg, topic)
         elif isinstance(msg, (codec.NormalData, codec.SensorData,
                               codec.CustomData)):
             handler = self._data_handlers.get(msg.type_code)
             if handler is not None:
                 handler(msg)
-        # RequestConnectedNodesInfo is server business; nodes ignore it.
+        # ConnectionRequest and RequestConnectedNodesInfo are server
+        # business; nodes ignore them.
 
     def enqueue_movement(self, msg: codec.MovementControl) -> None:
         """Queue a movement order exactly as a received one would be."""

@@ -9,7 +9,8 @@ ID topic with the roster, split across messages of at most 31 IDs so
 each stays within the 255-octet frame.
 
 Optionally the server also subscribes to "common" to track heartbeats
-and evict nodes not heard for a configurable number of periods.
+and evict nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
+same horizon a node uses to call a peer stale.
 
 The server outlives broker outages: a failed or dropped session is
 retried every RECONNECT_US until stop() is called.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import codec
+from .node import HEARTBEAT_STALE_PERIODS
 from .session import ClientSession
 from .simnet import Simulator, Timer
 
@@ -40,27 +42,23 @@ class NodeRecord:
 class RegistryServer:
     def __init__(self, sim: Simulator, session: ClientSession, *,
                  track_heartbeats: bool = False,
-                 heartbeat_period_us: int = 1_000_000,
-                 evict_after_missed: int = 3) -> None:
+                 heartbeat_period_us: int = 1_000_000) -> None:
         self.sim = sim
         self.session = session
         self.track_heartbeats = track_heartbeats
         self.heartbeat_period_us = heartbeat_period_us
-        self.evict_after_missed = evict_after_missed
         self.registry: dict[str, NodeRecord] = {}
         self.acks_sent = 0
         self.evicted = 0
         self.ignored = 0
         self.running = False
         self._want_up = False
-        self._on_ready_cb = None
         self._sweep_timer: Optional[Timer] = None
         session.on_message = self._on_romano
         session.on_disconnect = self._on_session_drop
 
-    def start(self, on_ready=None) -> None:
+    def start(self) -> None:
         self._want_up = True
-        self._on_ready_cb = on_ready
         self._connect()
 
     def _connect(self) -> None:
@@ -69,8 +67,6 @@ class RegistryServer:
             if self.track_heartbeats:
                 self.session.subscribe(codec.TOPIC_COMMON)
                 self._schedule_sweep()
-            if self._on_ready_cb is not None:
-                self._on_ready_cb()
 
         self.session.connect(
             on_ok=lambda: self.session.subscribe(codec.TOPIC_INIT_INFO,
@@ -133,7 +129,7 @@ class RegistryServer:
     def _sweep(self) -> None:
         if not self.running:
             return
-        horizon = self.evict_after_missed * self.heartbeat_period_us
+        horizon = HEARTBEAT_STALE_PERIODS * self.heartbeat_period_us
         for romano_id, record in list(self.registry.items()):
             seen = record.last_heartbeat_us
             if seen is None:

@@ -4,7 +4,8 @@ Owns the topic name/id map and every in-flight exchange.  Exchanges
 that expect a reply (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, and
 QoS 1 PUBLISH) retransmit every ``T_RETRY_US`` up to ``N_RETRY`` times;
 an exhausted control exchange or a rejected CONNECT drops the session,
-which is the only in-band failure signal a QoS 0 deployment gets.
+which is the only in-band failure signal a QoS 0 deployment gets.  A
+request that finds every msg id in flight fails at once, unsent.
 
 The client identifier is the node's IPv6 address string, which is also
 its transport address on the simulated network.
@@ -55,7 +56,7 @@ _REPLY_KINDS = {
 @dataclass
 class _Exchange:
     kind: str
-    key: int                          # msg id, or CONNECT_KEY
+    key: Optional[int]                # msg id or CONNECT_KEY; None: no id free
     request: sn.SnPacket
     topic: Optional[str]
     on_ok: Optional[Callable]
@@ -91,12 +92,11 @@ class ClientSession:
     # -- connection -----------------------------------------------------------
 
     def connect(self, on_ok: Optional[Callable] = None,
-                on_fail: Optional[Callable[[Exception], None]] = None,
-                clean_session: bool = True) -> None:
+                on_fail: Optional[Callable[[Exception], None]] = None) -> None:
         if CONNECT_KEY in self._pending:
             return
         self.state = CONNECTING
-        request = sn.Connect(self.client_id, clean_session=clean_session)
+        request = sn.Connect(self.client_id)
         self._start(_Exchange("connect", CONNECT_KEY, request, None, on_ok,
                               on_fail))
 
@@ -104,9 +104,9 @@ class ClientSession:
 
     def subscribe(self, topic: str, on_ok: Optional[Callable] = None,
                   on_fail: Optional[Callable[[Exception], None]] = None,
-                  qos: int = 0) -> None:
+                  ) -> None:
         msg_id = self._take_msg_id()
-        request = sn.Subscribe(msg_id, topic, qos=qos)
+        request = sn.Subscribe(msg_id, topic)
         self._start(_Exchange("subscribe", msg_id, request, topic, on_ok,
                               on_fail))
 
@@ -218,6 +218,10 @@ class ClientSession:
     # -- retransmission -------------------------------------------------------------
 
     def _start(self, exchange: _Exchange) -> None:
+        if exchange.key is None:
+            self._fail(exchange, SessionError(
+                "no free message id for {}".format(exchange)))
+            return
         self._pending[exchange.key] = exchange
         self._transmit(exchange)
 
@@ -264,13 +268,14 @@ class ClientSession:
         self.topic_ids[name] = topic_id
         self.topic_names[topic_id] = name
 
-    def _take_msg_id(self) -> int:
+    def _take_msg_id(self) -> Optional[int]:
+        """A free msg id, or None when all 65 535 are in flight."""
         for _ in range(0xFFFF):
             msg_id = self._next_msg_id
             self._next_msg_id = self._next_msg_id % 0xFFFF + 1
             if msg_id not in self._pending:
                 return msg_id
-        raise SessionError("no free message id")
+        return None
 
     def _send(self, raw: bytes, topic: Optional[str]) -> None:
         try:

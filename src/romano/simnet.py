@@ -7,7 +7,7 @@ samples and loss decisions — comes from the single seeded generator
 owned by the simulator.
 
 Links are point-to-point with a latency distribution, an independent
-loss probability, and a connected flag.  Ordered links never reorder:
+loss probability, and a connected flag.  Links never reorder:
 a delivery is scheduled at max(now + sample, previous delivery time).
 A multihop path is modeled as one link with k times the latency.
 """
@@ -15,7 +15,7 @@ A multihop path is modeled as one link with k times the latency.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -39,10 +39,9 @@ class SimulationLimit(Exception):
 class Timer:
     """Handle for a scheduled callback; cancellation is lazy."""
 
-    __slots__ = ("time_us", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, time_us: int, fn: Callable[[], None]):
-        self.time_us = time_us
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
 
@@ -61,7 +60,7 @@ class Simulator:
         if time_us < self.now:
             raise ValueError("cannot schedule at {} before now {}".format(
                 time_us, self.now))
-        timer = Timer(time_us, fn)
+        timer = Timer(fn)
         heappush(self._heap, (time_us, self._next_seq, timer))
         self._next_seq += 1
         return timer
@@ -82,16 +81,7 @@ class Simulator:
 
     def run_until(self, t_end_us: int) -> None:
         """Run every event scheduled at or before ``t_end_us``."""
-        while self._heap:
-            time_us, _, timer = self._heap[0]
-            if time_us > t_end_us:
-                break
-            heappop(self._heap)
-            if timer.cancelled:
-                continue
-            self.now = time_us
-            timer.fn()
-        self.now = max(self.now, t_end_us)
+        self.run_until_true(lambda: False, t_end_us)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         for _ in range(max_events):
@@ -104,6 +94,9 @@ class Simulator:
     def run_until_true(self, pred: Callable[[], bool], deadline_us: int) -> bool:
         """Step until ``pred()`` holds; False if the deadline passes first."""
         while not pred():
+            # A cancelled head must not hide a next event past the deadline.
+            while self._heap and self._heap[0][2].cancelled:
+                heappop(self._heap)
             if not self._heap or self._heap[0][0] > deadline_us:
                 self.now = max(self.now, deadline_us)
                 return False
@@ -143,12 +136,6 @@ class WireTrace:
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for r in self.records:
-                fh.write(r.line())
-                fh.write("\n")
-
     def query(self, kind: Optional[str] = None, src: Optional[str] = None,
               dst: Optional[str] = None,
               topic: Optional[str] = None) -> list[TraceRecord]:
@@ -175,7 +162,6 @@ class LinkModel:
     latency_us: tuple[int, int] = (10_000, 20_000)
     loss_prob: float = 0.0
     connected: bool = True
-    ordered: bool = True
 
     @classmethod
     def fixed(cls, latency_us: int, **kwargs) -> "LinkModel":
@@ -219,17 +205,10 @@ class Network:
         """The callback attached at (addr, port), for taps and wrappers."""
         return self._endpoints.get((addr, port))
 
-    def set_link(self, src: str, dst: str, link: LinkModel) -> None:
-        self._links[(src, dst)] = link
-
     def set_link_pair(self, a: str, b: str, link: LinkModel) -> None:
         # Each direction keeps independent FIFO state but shares the model.
         self._links[(a, b)] = link
         self._links[(b, a)] = link
-
-    def link_between(self, src: str, dst: str) -> Optional[LinkModel]:
-        link = self._links.get((src, dst))
-        return link if link is not None else self.default_link
 
     def set_connected(self, a: str, b: str, up: bool) -> None:
         for pair in ((a, b), (b, a)):
@@ -250,7 +229,7 @@ class Network:
         Raises:
             NoLink: if no link exists or it is disconnected.
         """
-        link = self.link_between(src, dst)
+        link = self._links.get((src, dst), self.default_link)
         if link is None or not link.connected:
             raise NoLink("no connected link from {} to {}".format(src, dst))
         now = self.sim.now
@@ -265,9 +244,8 @@ class Network:
 
         lo, hi = link.latency_us
         t = now + (lo if lo == hi else self.sim.rng.randint(lo, hi))
-        if link.ordered:
-            t = max(t, self._last_delivery.get((src, dst), 0))
-            self._last_delivery[(src, dst)] = t
+        t = max(t, self._last_delivery.get((src, dst), 0))
+        self._last_delivery[(src, dst)] = t
         self.sim.at(t, lambda: self._deliver(src, dst, data, topic, port))
 
     def _scripted_drop(self, src: str, dst: str, data: bytes) -> bool:

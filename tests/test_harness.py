@@ -192,8 +192,8 @@ class TestReport:
     def test_run_dir_artifacts(self, tmp_path):
         res = run_throughput(SMALL)
         out = report.write_run_dir(tmp_path / "run", report.THROUGHPUT_HEADER,
-                                   report.throughput_rows(res), res.trace,
-                                   res.robots)
+                                   report.throughput_rows(res),
+                                   {"": res.trace}, res.robots)
         with open(out / "report.csv", newline="") as fh:
             table = list(csv.reader(fh))
         assert table[0] == report.THROUGHPUT_HEADER

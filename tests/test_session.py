@@ -13,6 +13,7 @@ from romano.session import (
     DISCONNECTED,
     N_RETRY,
     RetriesExhausted,
+    SessionError,
     T_RETRY_US,
 )
 from romano.simnet import LinkModel, Network, Simulator
@@ -237,6 +238,27 @@ class TestRetransmission:
         assert session.state == DISCONNECTED
         # the last retransmission still gets a full reply window
         assert lost == [(N_RETRY + 1) * T_RETRY_US]
+
+
+class TestMsgIdExhaustion:
+    def test_every_entry_point_fails_through_on_fail(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.publish("known", b"x")
+        sim.run_until_idle()
+        net.default_link.connected = False  # no request reaches the broker
+        for i in range(0xFFFF):
+            session.subscribe("t{}".format(i))
+        assert len(session._pending) == 0xFFFF
+        errors = []
+        session.subscribe("s", on_fail=errors.append)
+        session.unsubscribe("known", on_fail=errors.append)
+        session.publish("known", b"q", qos=1, on_fail=errors.append)
+        session.publish("fresh", b"r", on_fail=errors.append)  # must REGISTER
+        session.subscribe("quiet")  # no on_fail: nothing to report to
+        assert [type(e) for e in errors] == [SessionError] * 4
+        assert len(session._pending) == 0xFFFF
+        assert session.send_failures == 0xFFFF  # nothing more was sent
 
 
 class TestInbound:
