@@ -79,7 +79,8 @@ class BridgeEnd:
 
     def _forward(self, frame: tuple[int, str, bytes]) -> None:
         self.forwarded += 1
-        self.sim.after(self.latency_us, lambda: self.peer._on_channel(frame))
+        self.sim.call_at(self.sim.now + self.latency_us, self.peer._on_channel,
+                         frame)
 
     # -- channel -> local network ---------------------------------------------------
 

@@ -64,7 +64,7 @@ class RadioGate:
         if self._pending or not self._buf:
             return
         self._pending = True
-        self.sim.at(max(self.sim.now, self._next_free_us), self._depart)
+        self.sim.call_at(max(self.sim.now, self._next_free_us), self._depart)
 
     def _depart(self) -> None:
         self._pending = False
@@ -166,20 +166,11 @@ class Broker:
         self.handle(src, pkt)
 
     def handle(self, src: str, pkt: sn.SnPacket) -> None:
-        if isinstance(pkt, sn.Connect):
-            self._on_connect(src, pkt)
-        elif isinstance(pkt, sn.Register):
-            self._on_register(src, pkt)
-        elif isinstance(pkt, sn.Subscribe):
-            self._on_subscribe(src, pkt)
-        elif isinstance(pkt, sn.Unsubscribe):
-            self._on_unsubscribe(src, pkt)
-        elif isinstance(pkt, sn.Publish):
-            self._on_publish(src, pkt)
-        elif isinstance(pkt, sn.Puback):
-            pass  # subscriber-side acks are not tracked at QoS 0/1 fan-out
-        else:
+        handler = self._HANDLERS.get(type(pkt))
+        if handler is None:
             self.bad_packets += 1
+        else:
+            handler(self, src, pkt)
 
     def _on_connect(self, src: str, pkt: sn.Connect) -> None:
         session = self.sessions.get(pkt.client_id)
@@ -241,18 +232,31 @@ class Broker:
         topic.published += 1
         copy = sn.Publish(pkt.topic_id, pkt.data)  # fan-out copies are QoS 0
         raw = sn.encode_packet(copy)
+        sender = self.sessions.get(src)
+        skip = src if sender is not None and sender.no_local else None
+        now = self.sim.now
+        call_at = self.sim.call_at
         position = 0
         for client_id in topic.subscribers:
-            session = self.sessions.get(client_id)
-            if session is not None and session.no_local and client_id == src:
+            if client_id == skip:
                 continue
             offset = position * self.dispatch_interval_us
             position += 1
             if offset == 0:
                 self._dispatch(client_id, raw, topic)
             else:
-                self.sim.after(offset, lambda c=client_id: self._dispatch(
-                    c, raw, topic))
+                call_at(now + offset, self._dispatch, client_id, raw, topic)
+
+    # packet type -> handler; any other type is a bad packet
+    _HANDLERS = {
+        sn.Connect: _on_connect,
+        sn.Register: _on_register,
+        sn.Subscribe: _on_subscribe,
+        sn.Unsubscribe: _on_unsubscribe,
+        sn.Publish: _on_publish,
+        # subscriber-side acks are not tracked at QoS 0/1 fan-out
+        sn.Puback: lambda self, src, pkt: None,
+    }
 
     # -- egress ---------------------------------------------------------------
 

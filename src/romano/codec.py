@@ -370,54 +370,75 @@ def decode_message(data: bytes,
             "{} trailing octets after declared length {}".format(
                 len(data) - msg_len, msg_len))
     payload = data[HEADER_LEN:msg_len]
-
-    if type_code == DataType.CONNECTION_REQUEST:
-        return ConnectionRequest(_parse_id(payload))
-    if type_code == DataType.CONNECTION_ACK:
-        if payload:
-            raise LengthMismatch(
-                "ConnectionAck carries no payload, got {} octets".format(
-                    len(payload)))
-        return ConnectionAck()
-    if type_code == DataType.REQUEST_CONNECTED_NODES_INFO:
-        return RequestConnectedNodesInfo(_parse_id(payload))
-    if type_code == DataType.CONNECTED_NODES_INFO:
-        if len(payload) % ROMANO_ID_LEN:
-            raise LengthMismatch(
-                "roster payload of {} octets is not a multiple of {}".format(
-                    len(payload), ROMANO_ID_LEN))
-        ids = tuple(_parse_id(payload[i:i + ROMANO_ID_LEN])
-                    for i in range(0, len(payload), ROMANO_ID_LEN))
-        return ConnectedNodesInfo(ids)
-    if type_code == DataType.HEARTBEAT:
-        return Heartbeat(_parse_id(payload))
-    if type_code == DataType.NORMAL_DATA:
-        return NormalData(payload)
-    if type_code == DataType.MQTT_SUBSCRIBE:
-        return MqttSubscribe(_parse_topic(payload))
-    if type_code == DataType.MQTT_UNSUBSCRIBE:
-        return MqttUnsubscribe(_parse_topic(payload))
-    if type_code == DataType.MQTT_PUBLISH_REQUEST:
-        if not payload:
-            raise LengthMismatch("publish request is missing the topic field")
-        last = payload[0]
-        if last < HEADER_LEN + 1 or last >= msg_len:
-            raise LengthMismatch(
-                "topic end index {} outside message of {} octets".format(
-                    last, msg_len))
-        topic = _parse_topic(data[HEADER_LEN + 1:last + 1])
-        return MqttPublishRequest(topic, data[last + 1:msg_len])
-    if type_code == DataType.MOVEMENT_CONTROL:
-        if len(payload) < 2:
-            raise LengthMismatch("movement control shorter than its type field")
-        return MovementControl(int.from_bytes(payload[:2], "big"), payload[2:])
-    if type_code == DataType.SENSOR_DATA:
-        if len(payload) < 2:
-            raise LengthMismatch("sensor data shorter than its type field")
-        return SensorData(int.from_bytes(payload[:2], "big"), payload[2:])
-    if type_code in extension_codes and type_code not in _BUILTIN_CODES:
+    decode = _DECODERS.get(type_code)
+    if decode is not None:
+        return decode(payload)
+    if type_code in extension_codes:
         return CustomData(type_code, payload)
     raise UnknownType("unrecognized data type code {:#04x}".format(type_code))
+
+
+def _decode_connection_ack(payload: bytes) -> ConnectionAck:
+    if payload:
+        raise LengthMismatch(
+            "ConnectionAck carries no payload, got {} octets".format(
+                len(payload)))
+    return ConnectionAck()
+
+
+def _decode_roster(payload: bytes) -> ConnectedNodesInfo:
+    if len(payload) % ROMANO_ID_LEN:
+        raise LengthMismatch(
+            "roster payload of {} octets is not a multiple of {}".format(
+                len(payload), ROMANO_ID_LEN))
+    ids = tuple(_parse_id(payload[i:i + ROMANO_ID_LEN])
+                for i in range(0, len(payload), ROMANO_ID_LEN))
+    return ConnectedNodesInfo(ids)
+
+
+def _decode_publish_request(payload: bytes) -> MqttPublishRequest:
+    if not payload:
+        raise LengthMismatch("publish request is missing the topic field")
+    # ``last`` indexes the message; the payload starts HEADER_LEN later.
+    last = payload[0]
+    if last < HEADER_LEN + 1 or last >= HEADER_LEN + len(payload):
+        raise LengthMismatch(
+            "topic end index {} outside message of {} octets".format(
+                last, HEADER_LEN + len(payload)))
+    topic = _parse_topic(payload[1:last + 1 - HEADER_LEN])
+    return MqttPublishRequest(topic, payload[last + 1 - HEADER_LEN:])
+
+
+def _decode_movement(payload: bytes) -> MovementControl:
+    if len(payload) < 2:
+        raise LengthMismatch("movement control shorter than its type field")
+    return MovementControl(int.from_bytes(payload[:2], "big"), payload[2:])
+
+
+def _decode_sensor(payload: bytes) -> SensorData:
+    if len(payload) < 2:
+        raise LengthMismatch("sensor data shorter than its type field")
+    return SensorData(int.from_bytes(payload[:2], "big"), payload[2:])
+
+
+# built-in data type code -> decoder, keyed by plain int
+_DECODERS = {int(code): decode for code, decode in (
+    (DataType.CONNECTION_REQUEST,
+     lambda payload: ConnectionRequest(_parse_id(payload))),
+    (DataType.CONNECTION_ACK, _decode_connection_ack),
+    (DataType.REQUEST_CONNECTED_NODES_INFO,
+     lambda payload: RequestConnectedNodesInfo(_parse_id(payload))),
+    (DataType.CONNECTED_NODES_INFO, _decode_roster),
+    (DataType.HEARTBEAT, lambda payload: Heartbeat(_parse_id(payload))),
+    (DataType.NORMAL_DATA, NormalData),
+    (DataType.MQTT_SUBSCRIBE,
+     lambda payload: MqttSubscribe(_parse_topic(payload))),
+    (DataType.MQTT_UNSUBSCRIBE,
+     lambda payload: MqttUnsubscribe(_parse_topic(payload))),
+    (DataType.MQTT_PUBLISH_REQUEST, _decode_publish_request),
+    (DataType.MOVEMENT_CONTROL, _decode_movement),
+    (DataType.SENSOR_DATA, _decode_sensor),
+)}
 
 
 def _parse_id(payload: bytes) -> str:

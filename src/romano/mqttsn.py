@@ -246,61 +246,90 @@ def decode_packet(data: bytes) -> SnPacket:
         UnsupportedPacket: message type outside the supported subset.
         MalformedString: a client id or topic name is not valid UTF-8.
     """
-    if len(data) < 2:
-        raise TruncatedPacket("packet of {} octets has no header".format(
-            len(data)))
+    size = len(data)
+    if size < 2:
+        raise TruncatedPacket("packet of {} octets has no header".format(size))
     length, msg_type = data[0], data[1]
     if length < 2:
         raise PacketLengthMismatch(
             "declared length {} is below the 2-octet minimum".format(length))
-    if len(data) < length:
+    if size < length:
         raise TruncatedPacket(
             "buffer holds {} octets but packet declares {}".format(
-                len(data), length))
-    if len(data) > length:
+                size, length))
+    if size > length:
         raise PacketLengthMismatch(
             "{} trailing octets after declared length {}".format(
-                len(data) - length, length))
-    body = data[2:length]
+                size - length, length))
+    decode = _DECODERS.get(msg_type)
+    if decode is None:
+        raise UnsupportedPacket(
+            "message type {:#04x} outside the supported subset".format(
+                msg_type))
+    return decode(data[2:length])
 
-    if msg_type == MsgType.CONNECT:
-        flags, proto, duration = _unpack("!BBH", body, "CONNECT")
-        client_id = _text(body[4:], "CONNECT")
-        if proto != PROTOCOL_ID:
-            raise UnsupportedPacket(
-                "protocol id {:#04x} is not MQTT-SN".format(proto))
-        return Connect(client_id, bool(flags & FLAG_CLEAN_SESSION), duration)
-    if msg_type == MsgType.CONNACK:
-        (code,) = _unpack("!B", body, "CONNACK")
-        return Connack(code)
-    if msg_type == MsgType.REGISTER:
-        topic_id, msg_id = _unpack("!HH", body, "REGISTER")
-        return Register(topic_id, msg_id, _text(body[4:], "REGISTER"))
-    if msg_type == MsgType.REGACK:
-        topic_id, msg_id, code = _unpack("!HHB", body, "REGACK")
-        return Regack(topic_id, msg_id, code)
-    if msg_type == MsgType.PUBLISH:
-        flags, topic_id, msg_id = _unpack("!BHH", body, "PUBLISH")
-        return Publish(topic_id, body[5:], msg_id,
-                       qos=_qos(flags), dup=bool(flags & FLAG_DUP))
-    if msg_type == MsgType.PUBACK:
-        topic_id, msg_id, code = _unpack("!HHB", body, "PUBACK")
-        return Puback(topic_id, msg_id, code)
-    if msg_type == MsgType.SUBSCRIBE:
-        flags, msg_id = _unpack("!BH", body, "SUBSCRIBE")
-        return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"),
-                         qos=_qos(flags), dup=bool(flags & FLAG_DUP))
-    if msg_type == MsgType.SUBACK:
-        flags, topic_id, msg_id, code = _unpack("!BHHB", body, "SUBACK")
-        return Suback(topic_id, msg_id, code, qos=_qos(flags))
-    if msg_type == MsgType.UNSUBSCRIBE:
-        _, msg_id = _unpack("!BH", body, "UNSUBSCRIBE")
-        return Unsubscribe(msg_id, _text(body[3:], "UNSUBSCRIBE"))
-    if msg_type == MsgType.UNSUBACK:
-        (msg_id,) = _unpack("!H", body, "UNSUBACK")
-        return Unsuback(msg_id)
-    raise UnsupportedPacket(
-        "message type {:#04x} outside the supported subset".format(msg_type))
+
+# Fixed-layout prefix of each packet body, compiled once.
+_B = struct.Struct("!B")
+_H = struct.Struct("!H")
+_BH = struct.Struct("!BH")
+_HH = struct.Struct("!HH")
+_BBH = struct.Struct("!BBH")
+_BHH = struct.Struct("!BHH")
+_HHB = struct.Struct("!HHB")
+_BHHB = struct.Struct("!BHHB")
+
+
+def _decode_connect(body: bytes) -> Connect:
+    flags, proto, duration = _unpack(_BBH, body, "CONNECT")
+    client_id = _text(body[4:], "CONNECT")
+    if proto != PROTOCOL_ID:
+        raise UnsupportedPacket(
+            "protocol id {:#04x} is not MQTT-SN".format(proto))
+    return Connect(client_id, bool(flags & FLAG_CLEAN_SESSION), duration)
+
+
+def _decode_register(body: bytes) -> Register:
+    topic_id, msg_id = _unpack(_HH, body, "REGISTER")
+    return Register(topic_id, msg_id, _text(body[4:], "REGISTER"))
+
+
+def _decode_publish(body: bytes) -> Publish:
+    flags, topic_id, msg_id = _unpack(_BHH, body, "PUBLISH")
+    return Publish(topic_id, body[5:], msg_id,
+                   qos=_qos(flags), dup=bool(flags & FLAG_DUP))
+
+
+def _decode_subscribe(body: bytes) -> Subscribe:
+    flags, msg_id = _unpack(_BH, body, "SUBSCRIBE")
+    return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"),
+                     qos=_qos(flags), dup=bool(flags & FLAG_DUP))
+
+
+def _decode_suback(body: bytes) -> Suback:
+    flags, topic_id, msg_id, code = _unpack(_BHHB, body, "SUBACK")
+    return Suback(topic_id, msg_id, code, qos=_qos(flags))
+
+
+def _decode_unsubscribe(body: bytes) -> Unsubscribe:
+    _, msg_id = _unpack(_BH, body, "UNSUBSCRIBE")
+    return Unsubscribe(msg_id, _text(body[3:], "UNSUBSCRIBE"))
+
+
+# message type code -> body decoder, keyed by plain int
+_DECODERS = {int(code): decode for code, decode in (
+    (MsgType.CONNECT, _decode_connect),
+    (MsgType.CONNACK, lambda body: Connack(*_unpack(_B, body, "CONNACK"))),
+    (MsgType.REGISTER, _decode_register),
+    (MsgType.REGACK, lambda body: Regack(*_unpack(_HHB, body, "REGACK"))),
+    (MsgType.PUBLISH, _decode_publish),
+    (MsgType.PUBACK, lambda body: Puback(*_unpack(_HHB, body, "PUBACK"))),
+    (MsgType.SUBSCRIBE, _decode_subscribe),
+    (MsgType.SUBACK, _decode_suback),
+    (MsgType.UNSUBSCRIBE, _decode_unsubscribe),
+    (MsgType.UNSUBACK,
+     lambda body: Unsuback(*_unpack(_H, body, "UNSUBACK"))),
+)}
 
 
 def _qos(flags: int) -> int:
@@ -318,10 +347,9 @@ def _text(raw: bytes, what: str) -> str:
             "{} string is not valid UTF-8".format(what)) from exc
 
 
-def _unpack(fmt: str, body: bytes, what: str) -> tuple:
-    size = struct.calcsize(fmt)
-    if len(body) < size:
+def _unpack(layout: struct.Struct, body: bytes, what: str) -> tuple:
+    if len(body) < layout.size:
         raise TruncatedPacket(
             "{} body of {} octets shorter than its {}-octet layout".format(
-                what, len(body), size))
-    return struct.unpack(fmt, body[:size])
+                what, len(body), layout.size))
+    return layout.unpack_from(body)

@@ -195,7 +195,8 @@ class RomanoNode:
             self.malformed += 1
             return
 
-        if isinstance(msg, codec.ConnectionAck):
+        cls = type(msg)
+        if cls is codec.ConnectionAck:
             if self.phase == AWAIT_ACK:
                 self._on_ack()
             else:
@@ -204,29 +205,23 @@ class RomanoNode:
         if self.phase != READY:
             self.early_messages += 1
             return
+        handler = self._HANDLERS.get(cls)
+        if handler is not None:
+            handler(self, msg)
 
-        if isinstance(msg, codec.Heartbeat):
-            self.neighbors[msg.romano_id] = self.sim.now
-            if msg.romano_id in self._gate_queues:
-                self._flush_gate(msg.romano_id)
-        elif isinstance(msg, codec.ConnectedNodesInfo):
-            for romano_id in msg.romano_ids:
-                self.neighbors.setdefault(romano_id, self.sim.now)
-        elif isinstance(msg, codec.MqttSubscribe):
-            self.session.subscribe(msg.topic)
-        elif isinstance(msg, codec.MqttUnsubscribe):
-            self.session.unsubscribe(msg.topic)
-        elif isinstance(msg, codec.MqttPublishRequest):
-            self.session.publish(msg.topic, msg.data)
-        elif isinstance(msg, codec.MovementControl):
-            self.enqueue_movement(msg)
-        elif isinstance(msg, (codec.NormalData, codec.SensorData,
-                              codec.CustomData)):
-            handler = self._data_handlers.get(msg.type_code)
-            if handler is not None:
-                handler(msg)
-        # ConnectionRequest and RequestConnectedNodesInfo are server
-        # business; nodes ignore them.
+    def _on_heartbeat(self, msg: codec.Heartbeat) -> None:
+        self.neighbors[msg.romano_id] = self.sim.now
+        if msg.romano_id in self._gate_queues:
+            self._flush_gate(msg.romano_id)
+
+    def _on_roster(self, msg: codec.ConnectedNodesInfo) -> None:
+        for romano_id in msg.romano_ids:
+            self.neighbors.setdefault(romano_id, self.sim.now)
+
+    def _on_data_message(self, msg) -> None:
+        handler = self._data_handlers.get(msg.type_code)
+        if handler is not None:
+            handler(msg)
 
     def enqueue_movement(self, msg: codec.MovementControl) -> None:
         """Queue a movement order exactly as a received one would be."""
@@ -244,3 +239,19 @@ class RomanoNode:
         if self.on_mailbox_push is not None:
             self.on_mailbox_push()
 
+    # message type -> handler once READY.  ConnectionRequest and
+    # RequestConnectedNodesInfo are server business; nodes ignore them.
+    _HANDLERS = {
+        codec.Heartbeat: _on_heartbeat,
+        codec.ConnectedNodesInfo: _on_roster,
+        codec.MqttSubscribe:
+            lambda self, msg: self.session.subscribe(msg.topic),
+        codec.MqttUnsubscribe:
+            lambda self, msg: self.session.unsubscribe(msg.topic),
+        codec.MqttPublishRequest:
+            lambda self, msg: self.session.publish(msg.topic, msg.data),
+        codec.MovementControl: enqueue_movement,
+        codec.NormalData: _on_data_message,
+        codec.SensorData: _on_data_message,
+        codec.CustomData: _on_data_message,
+    }

@@ -54,6 +54,7 @@ class RegistryServer:
         self.running = False
         self._want_up = False
         self._sweep_timer: Optional[Timer] = None
+        self._reconnect_timer: Optional[Timer] = None
         session.on_message = self._on_romano
         session.on_disconnect = self._on_session_drop
 
@@ -63,6 +64,8 @@ class RegistryServer:
 
     def _connect(self) -> None:
         def subscribed() -> None:
+            if not self._want_up:
+                return  # stopped while the exchanges were in flight
             self.running = True
             if self.track_heartbeats:
                 self.session.subscribe(codec.TOPIC_COMMON)
@@ -77,7 +80,7 @@ class RegistryServer:
         # connect, so this is the single recovery path.
         self.running = False
         if self._want_up:
-            self.sim.after(RECONNECT_US, self._connect)
+            self._reconnect_timer = self.sim.after(RECONNECT_US, self._connect)
 
     # -- message handling ------------------------------------------------------
 
@@ -142,6 +145,7 @@ class RegistryServer:
     def stop(self) -> None:
         self._want_up = False
         self.running = False
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-            self._sweep_timer = None
+        for timer in (self._sweep_timer, self._reconnect_timer):
+            if timer is not None:
+                timer.cancel()
+        self._sweep_timer = self._reconnect_timer = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 US_PER_MS = 1_000
 US_PER_SEC = 1_000_000
@@ -36,46 +36,64 @@ class SimulationLimit(Exception):
 
 # -- Event loop ---------------------------------------------------------------
 
+# A heap entry is the list [time_us, seq, fn, args]; seq is unique, so
+# entries never compare past it.  A cancelled entry has fn set to None
+# and stays in the heap until it reaches the head.
+_FN = 2
+
+
 class Timer:
-    """Handle for a scheduled callback; cancellation is lazy."""
+    """Handle for a callback scheduled with :meth:`Simulator.at`;
+    cancellation is lazy."""
 
-    __slots__ = ("fn", "cancelled")
+    __slots__ = ("_entry",)
 
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-        self.cancelled = False
+    def __init__(self, entry: list):
+        self._entry = entry
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self._entry[_FN] = None
 
 
 class Simulator:
+    """Runs events in (time, scheduling order), whichever of :meth:`at`
+    and :meth:`call_at` scheduled them."""
+
     def __init__(self, seed: int = 0):
         self.now = 0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[int, int, Timer]] = []
+        self._heap: list[list] = []
         self._next_seq = 0
+
+    def call_at(self, time_us: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` at ``time_us``; for callbacks nobody cancels."""
+        if time_us < self.now:
+            raise ValueError("cannot schedule at {} before now {}".format(
+                time_us, self.now))
+        heappush(self._heap, [time_us, self._next_seq, fn, args])
+        self._next_seq += 1
 
     def at(self, time_us: int, fn: Callable[[], None]) -> Timer:
         if time_us < self.now:
             raise ValueError("cannot schedule at {} before now {}".format(
                 time_us, self.now))
-        timer = Timer(fn)
-        heappush(self._heap, (time_us, self._next_seq, timer))
+        entry = [time_us, self._next_seq, fn, ()]
+        heappush(self._heap, entry)
         self._next_seq += 1
-        return timer
+        return Timer(entry)
 
     def after(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         return self.at(self.now + delay_us, fn)
 
     def step(self) -> bool:
         """Run the next pending event; False if the queue is empty."""
-        while self._heap:
-            time_us, _, timer = heappop(self._heap)
-            if timer.cancelled:
+        heap = self._heap
+        while heap:
+            time_us, _, fn, args = heappop(heap)
+            if fn is None:
                 continue
             self.now = time_us
-            timer.fn()
+            fn(*args)
             return True
         return False
 
@@ -93,11 +111,12 @@ class Simulator:
 
     def run_until_true(self, pred: Callable[[], bool], deadline_us: int) -> bool:
         """Step until ``pred()`` holds; False if the deadline passes first."""
+        heap = self._heap
         while not pred():
             # A cancelled head must not hide a next event past the deadline.
-            while self._heap and self._heap[0][2].cancelled:
-                heappop(self._heap)
-            if not self._heap or self._heap[0][0] > deadline_us:
+            while heap and heap[0][_FN] is None:
+                heappop(heap)
+            if not heap or heap[0][0] > deadline_us:
                 self.now = max(self.now, deadline_us)
                 return False
             self.step()
@@ -109,8 +128,7 @@ class Simulator:
 # Record kinds: "send" (octets put on a link), "deliver", "drop-link"
 # (loss draw or scripted drop), "drop-buffer" (broker egress overflow).
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time_us: int
     src: str
     dst: str
@@ -119,9 +137,12 @@ class TraceRecord:
     topic: str = ""
 
     def line(self) -> str:
-        return "{}\t{}\t{}\t{}\t{}\t{}".format(
-            self.time_us, self.src, self.dst, self.kind, self.nbytes,
-            self.topic)
+        return "{}\t{}\t{}\t{}\t{}\t{}".format(*self)
+
+
+# Builds a TraceRecord from a field tuple without the Python-level
+# NamedTuple constructor: one record per send and per delivery.
+_record = tuple.__new__
 
 
 class WireTrace:
@@ -130,8 +151,8 @@ class WireTrace:
 
     def record(self, time_us: int, src: str, dst: str, kind: str,
                nbytes: int, topic: Optional[str]) -> None:
-        self.records.append(
-            TraceRecord(time_us, src, dst, kind, nbytes, topic or ""))
+        self.records.append(_record(
+            TraceRecord, (time_us, src, dst, kind, nbytes, topic or "")))
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -192,9 +213,11 @@ class Network:
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._last_delivery: dict[tuple[str, str], int] = {}
         self._filters: list[_Filter] = []
+        # sent = delivered + link_dropped + no_endpoint + in flight
         self.sent = 0
         self.delivered = 0
         self.link_dropped = 0
+        self.no_endpoint = 0    # arrived where nothing is attached
 
     def attach(self, addr: str, on_receive: Callable[[str, bytes], None],
                port: int = PORT_MQTTSN) -> None:
@@ -229,24 +252,31 @@ class Network:
         Raises:
             NoLink: if no link exists or it is disconnected.
         """
-        link = self._links.get((src, dst), self.default_link)
+        pair = (src, dst)
+        link = self._links.get(pair, self.default_link)
         if link is None or not link.connected:
             raise NoLink("no connected link from {} to {}".format(src, dst))
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        nbytes = len(data)
+        topic = topic or ""
+        records = self.trace.records
         self.sent += 1
-        self.trace.record(now, src, dst, "send", len(data), topic)
+        records.append(_record(TraceRecord,
+                               (now, src, dst, "send", nbytes, topic)))
 
-        if self._scripted_drop(src, dst, data) or \
-                (link.loss_prob > 0.0 and self.sim.rng.random() < link.loss_prob):
+        if (self._filters and self._scripted_drop(src, dst, data)) or \
+                (link.loss_prob > 0.0 and sim.rng.random() < link.loss_prob):
             self.link_dropped += 1
-            self.trace.record(now, src, dst, "drop-link", len(data), topic)
+            records.append(_record(TraceRecord,
+                                   (now, src, dst, "drop-link", nbytes, topic)))
             return
 
         lo, hi = link.latency_us
-        t = now + (lo if lo == hi else self.sim.rng.randint(lo, hi))
-        t = max(t, self._last_delivery.get((src, dst), 0))
-        self._last_delivery[(src, dst)] = t
-        self.sim.at(t, lambda: self._deliver(src, dst, data, topic, port))
+        t = now + (lo if lo == hi else sim.rng.randint(lo, hi))
+        t = max(t, self._last_delivery.get(pair, 0))
+        self._last_delivery[pair] = t
+        sim.call_at(t, self._deliver, src, dst, data, topic, port)
 
     def _scripted_drop(self, src: str, dst: str, data: bytes) -> bool:
         for f in self._filters:
@@ -256,10 +286,12 @@ class Network:
         return False
 
     def _deliver(self, src: str, dst: str, data: bytes,
-                 topic: Optional[str], port: int) -> None:
+                 topic: str, port: int) -> None:
         endpoint = self._endpoints.get((dst, port))
         if endpoint is None:
+            self.no_endpoint += 1
             return
         self.delivered += 1
-        self.trace.record(self.sim.now, src, dst, "deliver", len(data), topic)
+        self.trace.records.append(_record(
+            TraceRecord, (self.sim.now, src, dst, "deliver", len(data), topic)))
         endpoint(src, data)

@@ -3,8 +3,8 @@ import pytest
 
 from romano import codec
 from romano.broker import Broker
-from romano.server import MAX_IDS_PER_INFO, RegistryServer
-from romano.session import ACTIVE, ClientSession
+from romano.server import MAX_IDS_PER_INFO, RECONNECT_US, RegistryServer
+from romano.session import ACTIVE, DISCONNECTED, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
 
 BROKER = "fe80::212:4b00:1:1"
@@ -207,3 +207,29 @@ class TestRecovery:
         rig.broker.start()
         rig.sim.run_until(rig.sim.now + 10_000_000)
         assert not rig.server.running
+
+    def test_stop_cancels_a_pending_reconnect(self):
+        rig = Rig()
+        rig.broker.stop()
+        rig.server.session.subscribe("poke")
+        # The poke exhausts its retries after 2 s and drops the session;
+        # the reconnect is then due RECONNECT_US later.
+        assert rig.sim.run_until_true(lambda: not rig.server.running,
+                                      rig.sim.now + 2_500_000)
+        dropped_at = rig.sim.now
+        rig.sim.run_until(dropped_at + RECONNECT_US // 2)
+        rig.server.stop()
+        rig.broker.start()
+        rig.sim.run_until(dropped_at + 5 * RECONNECT_US)
+        assert not rig.server.running
+        assert rig.server.session.state == DISCONNECTED
+
+    def test_stop_during_connect_keeps_the_server_down(self):
+        sim = Simulator(seed=0)
+        net = Network(sim, default_link=LinkModel.fixed(1_000))
+        Broker(sim, net, BROKER, local_clients={SERVER})
+        server = RegistryServer(sim, ClientSession(sim, net, SERVER, BROKER))
+        server.start()
+        server.stop()   # the CONNECT is still in flight
+        sim.run_until(2 * RECONNECT_US)
+        assert not server.running

@@ -32,8 +32,30 @@ class TestEventLoop:
         seen = []
         for tag in "abc":
             sim.at(5, lambda tag=tag: seen.append(tag))
+        for tag in "def":
+            sim.call_at(5, seen.append, tag)
         sim.run_until_idle()
-        assert seen == ["a", "b", "c"]
+        assert seen == ["a", "b", "c", "d", "e", "f"]
+
+    def test_at_and_call_at_share_one_scheduling_order(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(7, seen.append, "call_at first")
+        sim.at(7, lambda: seen.append("at second"))
+        sim.call_at(3, seen.append, "earlier tick")
+        sim.call_at(7, seen.append, "call_at third")
+        sim.at(7, lambda: seen.append("at fourth"))
+        sim.run_until_idle()
+        assert seen == ["earlier tick", "call_at first", "at second",
+                        "call_at third", "at fourth"]
+
+    def test_call_at_passes_its_arguments(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(4, lambda *args: seen.append((sim.now, args)), 1, "x")
+        assert sim.call_at(4, seen.append, "one argument") is None
+        sim.run_until_idle()
+        assert seen == [(4, (1, "x")), "one argument"]
 
     def test_cannot_schedule_in_the_past(self):
         sim = Simulator()
@@ -41,14 +63,22 @@ class TestEventLoop:
         sim.run_until_idle()
         with pytest.raises(ValueError):
             sim.at(5, lambda: None)
+        with pytest.raises(ValueError):
+            sim.call_at(5, print, "never")
+        sim.call_at(10, lambda: None)   # now itself is allowed
+        assert sim.step() and not sim.step()
 
     def test_cancelled_timer_never_fires(self):
         sim = Simulator()
         seen = []
         timer = sim.at(10, lambda: seen.append("no"))
         sim.at(5, timer.cancel)
+        sim.call_at(10, seen.append, "call_at at the same tick")
+        later = sim.after(20, lambda: seen.append("no"))
+        sim.call_at(15, later.cancel)
         sim.run_until_idle()
-        assert seen == []
+        assert seen == ["call_at at the same tick"]
+        assert sim.now == 15
 
     def test_run_until_is_inclusive_and_advances_clock(self):
         sim = Simulator()
@@ -73,6 +103,16 @@ class TestEventLoop:
         sim.at(50, lambda: None)
         assert not sim.run_until_true(lambda: sim.now >= 50, 10)
         assert sim.now == 10
+
+    def test_cancelled_head_before_call_at_respects_the_deadline(self):
+        sim = Simulator()
+        seen = []
+        sim.at(5, lambda: seen.append("cancelled")).cancel()
+        sim.call_at(50, seen.append, "past the deadline")
+        assert not sim.run_until_true(lambda: bool(seen), 10)
+        assert seen == [] and sim.now == 10
+        assert sim.run_until_true(lambda: bool(seen), 50)
+        assert seen == ["past the deadline"] and sim.now == 50
 
     def test_recurring_timer_trips_the_event_budget(self):
         sim = Simulator()
@@ -182,6 +222,13 @@ class TestLinks:
         net.send("a", "b", b"p", port=PORT_APP)
         sim.run_until_idle()
         assert control == [b"c"] and app == [b"p"]
+        assert net.no_endpoint == 0
+
+        # A port with nothing attached discards the frame and counts it.
+        net.send("a", "b", b"lost", port=PORT_APP + 1)
+        sim.run_until_idle()
+        assert control == [b"c"] and app == [b"p"]
+        assert (net.sent, net.delivered, net.no_endpoint) == (3, 2, 1)
 
     def test_scripted_drop_filter(self):
         sim = Simulator()
@@ -227,10 +274,21 @@ class TestDeterminism:
         net = Network(sim, default_link=LinkModel.fixed(10, loss_prob=0.2))
         net.attach("b", lambda s, d: None)
         for i in range(500):
-            sim.at(i * 100, lambda: net.send("a", "b", b"x"))
+            # every fifth frame goes to an address nothing is attached at
+            dst = "nobody" if i % 5 == 0 else "b"
+            sim.call_at(i * 100, net.send, "a", dst, b"x")
+        sim.run_until(20_000)
+        in_flight = 1   # the frame sent at 20 000 arrives at 20 010
+        assert net.sent == 201
+        assert net.sent == (net.delivered + net.link_dropped
+                            + net.no_endpoint + in_flight)
         sim.run_until_idle()
         assert net.sent == 500
-        assert net.delivered + net.link_dropped == 500
+        assert net.delivered + net.link_dropped + net.no_endpoint == 500
+        assert net.no_endpoint > 0 and net.link_dropped > 0
+        assert len(net.trace.query(kind="deliver")) == net.delivered
+        assert {r.kind for r in net.trace.records} == {
+            "send", "deliver", "drop-link"}
 
 
 class TestWireTrace:
