@@ -13,6 +13,11 @@ spacing between departures.  The gate adds no latency while idle; under
 sustained overload it fills and tail-drops at enqueue, which is the
 radio-buffer-overflow failure mode seen at high publish rates.  Clients
 listed as local (collocated server-side processes) bypass the gate.
+
+A request retransmitted while its reply still waits in the gate is not
+answered twice: the queued reply answers both.  Once that reply has
+departed, a retransmission is answered again, since the reply may have
+been lost on the link.  Fan-out copies are never suppressed.
 """
 
 from __future__ import annotations
@@ -79,7 +84,8 @@ class RadioGate:
 class _Topic:
     topic_id: int
     name: str
-    subscribers: list[str] = field(default_factory=list)
+    # client ids in subscription order (a dict for O(1) membership)
+    subscribers: dict[str, None] = field(default_factory=dict)
     published: int = 0
     copies_enqueued: int = 0
     copies_dropped: int = 0
@@ -109,10 +115,13 @@ class Broker:
         self.started = True
         self.bad_packets = 0
         self.unroutable = 0
+        self.duplicate_replies = 0
         self.first_overflow: Optional[dict] = None
         self._topics: dict[int, _Topic] = {}
         self._topic_ids: dict[str, int] = {}
         self._next_topic_id = 1
+        # (dest, octets) of every reply waiting in the gate
+        self._queued_replies: set[tuple[str, bytes]] = set()
         network.attach(addr, self._on_datagram)
 
     # -- lifecycle ---------------------------------------------------------
@@ -176,9 +185,7 @@ class Broker:
         session = self.sessions.get(pkt.client_id)
         if session is not None and pkt.clean_session:
             for tid in session.subscriptions:
-                subs = self._topics[tid].subscribers
-                if pkt.client_id in subs:
-                    subs.remove(pkt.client_id)
+                self._topics[tid].subscribers.pop(pkt.client_id, None)
             session.subscriptions.clear()
         elif session is None:
             self.sessions[pkt.client_id] = _Session(pkt.client_id)
@@ -203,16 +210,14 @@ class Broker:
         topic = self._topics[tid]
         session = self._session(src)
         if src not in topic.subscribers:
-            topic.subscribers.append(src)
+            topic.subscribers[src] = None
             session.subscriptions.append(tid)
         self._reply(src, sn.Suback(tid, pkt.msg_id, qos=pkt.qos))
 
     def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe) -> None:
         tid = self._topic_ids.get(pkt.topic_name)
         if tid is not None:
-            topic = self._topics[tid]
-            if src in topic.subscribers:
-                topic.subscribers.remove(src)
+            self._topics[tid].subscribers.pop(src, None)
             session = self.sessions.get(src)
             if session and tid in session.subscriptions:
                 session.subscriptions.remove(tid)
@@ -261,7 +266,12 @@ class Broker:
     # -- egress ---------------------------------------------------------------
 
     def _reply(self, dest: str, pkt: sn.SnPacket) -> None:
-        self._egress(dest, sn.encode_packet(pkt), None)
+        raw = sn.encode_packet(pkt)
+        key = (dest, raw)
+        if key in self._queued_replies:
+            self.duplicate_replies += 1  # the queued copy answers this too
+        elif self._egress(dest, raw, None) and dest not in self.local_clients:
+            self._queued_replies.add(key)
 
     def _dispatch(self, dest: str, raw: bytes, topic: _Topic) -> None:
         if self._egress(dest, raw, topic.name):
@@ -288,6 +298,8 @@ class Broker:
 
     def _send(self, frame: tuple) -> None:
         dest, raw, topic = frame
+        if topic is None:  # a reply leaving the gate (or a local one)
+            self._queued_replies.discard((dest, raw))
         try:
             self.network.send(self.addr, dest, raw, topic=topic)
         except NoLink:

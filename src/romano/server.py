@@ -85,6 +85,11 @@ class RegistryServer:
     # -- message handling ------------------------------------------------------
 
     def _on_romano(self, topic: str, data: bytes) -> None:
+        if not self._want_up:
+            # stop() leaves the session subscribed; a stopped server
+            # serves nothing it still hears
+            self.ignored += 1
+            return
         try:
             msg = codec.decode_message(data)
         except codec.CodecError:

@@ -367,3 +367,67 @@ class TestGatedEgress:
         assert broker.first_overflow["published_so_far"] == 4
         assert broker.first_overflow["topic"] == "common"
         assert len(net.trace.query(kind="drop-buffer")) == 2
+
+    # A request retransmitted while its reply waits in the gate is
+    # answered by that one queued reply.
+
+    def _registered(self, **broker_kw):
+        sim, net = make_net()
+        broker = Broker(sim, net, BROKER, **broker_kw)
+        client = Client(sim, net, "c")
+        client.join()
+        return sim, broker, client
+
+    @staticmethod
+    def _regacks(client):
+        return [p for _, p in client.inbox if isinstance(p, sn.Regack)]
+
+    def test_retransmission_of_a_queued_reply_is_not_queued_again(self):
+        sim, broker, client = self._registered()
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        broker.handle("c", sn.Register(0, 1, "alpha"))  # REGACK still queued
+        assert len(broker.gate) == 1
+        assert broker.duplicate_replies == 1
+        sim.run_until_idle()
+        assert self._regacks(client) == [sn.Regack(1, 1)]
+
+    def test_retransmission_after_departure_is_answered_again(self):
+        sim, broker, client = self._registered()
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        sim.run_until_idle()
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        sim.run_until_idle()
+        assert self._regacks(client) == [sn.Regack(1, 1)] * 2
+        assert broker.duplicate_replies == 0
+
+    def test_tail_dropped_reply_is_answered_on_retransmission(self):
+        sim, broker, client = self._registered(radio_buffer_capacity=1)
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        broker.handle("c", sn.Register(0, 2, "beta"))  # finds the gate full
+        assert broker.gate.dropped == 1
+        sim.run_until_idle()
+        broker.handle("c", sn.Register(0, 2, "beta"))
+        sim.run_until_idle()
+        assert self._regacks(client) == [sn.Regack(1, 1), sn.Regack(2, 2)]
+        assert broker.duplicate_replies == 0
+
+    def test_local_client_duplicate_replies_are_all_sent(self):
+        sim, broker, client = self._registered(local_clients={"c"})
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        broker.handle("c", sn.Register(0, 1, "alpha"))
+        sim.run_until_idle()
+        assert self._regacks(client) == [sn.Regack(1, 1)] * 2
+        assert broker.duplicate_replies == 0
+
+    def test_equal_fanout_copies_are_all_queued(self):
+        sim, net = make_net()
+        broker = Broker(sim, net, BROKER)
+        sub = Client(sim, net, "s")
+        ids = sub.join(["common"])
+        broker.handle("p", sn.Connect("p"))
+        broker.handle("p", sn.Publish(ids["common"], b"beat"))
+        broker.handle("p", sn.Publish(ids["common"], b"beat"))
+        assert len(broker.gate) == 3  # the CONNACK and both copies
+        sim.run_until_idle()
+        assert [p.data for _, p in sub.publishes()] == [b"beat", b"beat"]
+        assert broker.duplicate_replies == 0

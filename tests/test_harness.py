@@ -118,6 +118,13 @@ class TestWorld:
         assert set(world.broker.subscribers(codec.TOPIC_COMMON)) == {
             robot_addr(i) for i in range(1, 4)}
 
+    def test_two_thousand_robots_form_within_the_default_deadline(self):
+        # The broker queues no duplicate reply, so the gate carries
+        # little beyond each robot's own join frames.
+        world = World(ScenarioConfig(n_robots=2000, seed=1))
+        world.run_ready()  # raises WorldNotReady past the 10 s default
+        assert len(world.server.registry) == 2000
+
     def test_unreachable_deadline(self):
         cfg = ScenarioConfig(n_robots=2, ready_deadline_us=1)
         with pytest.raises(WorldNotReady):

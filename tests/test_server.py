@@ -224,6 +224,17 @@ class TestRecovery:
         assert not rig.server.running
         assert rig.server.session.state == DISCONNECTED
 
+    def test_stopped_server_serves_no_joins(self):
+        # stop() leaves the session subscribed to init-info
+        rig = Rig()
+        rig.listen_on("00100009")
+        rig.server.stop()
+        rig.join("00100009")
+        rig.settle()
+        assert rig.acks() == []
+        assert rig.server.registry == {}
+        assert rig.server.ignored == 1
+
     def test_stop_during_connect_keeps_the_server_down(self):
         sim = Simulator(seed=0)
         net = Network(sim, default_link=LinkModel.fixed(1_000))
