@@ -20,7 +20,7 @@ from collections import deque
 from typing import Optional
 
 from .broker import Broker
-from .session import ClientSession
+from .session import ACTIVE, ClientSession
 from .simnet import Simulator
 
 DEFAULT_DOWN_QUEUE_LIMIT = 512
@@ -46,22 +46,18 @@ class BridgeEnd:
         self.channel_up = True
         session.on_message = self._on_local_delivery
 
-    def start(self, on_ready) -> None:
-        remaining = len(self.topics) + 1
-
-        def step_done() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                on_ready()
-
-        def subscribed() -> None:
+    def start(self) -> None:
+        def connected() -> None:
             self.broker.set_no_local(self.session.client_id)
             for topic in self.topics:
-                self.session.subscribe(topic, on_ok=step_done)
-            step_done()
+                self.session.subscribe(topic)
 
-        self.session.connect(on_ok=subscribed)
+        self.session.connect(on_ok=connected)
+
+    def ready(self) -> bool:
+        """Connected, with a topic id for every bridged topic."""
+        return (self.session.state == ACTIVE
+                and all(t in self.session.topic_ids for t in self.topics))
 
     # -- local network -> channel ------------------------------------------------
 
@@ -110,14 +106,9 @@ class Bridge:
         end_a.latency_us = latency_us
         end_b.latency_us = latency_us
 
-    def start(self, on_ready) -> None:
-        remaining = 2
+    def start(self) -> None:
+        self.end_a.start()
+        self.end_b.start()
 
-        def one_done() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                on_ready()
-
-        self.end_a.start(one_done)
-        self.end_b.start(one_done)
+    def ready(self) -> bool:
+        return self.end_a.ready() and self.end_b.ready()

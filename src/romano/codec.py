@@ -64,6 +64,8 @@ class DataType(IntEnum):
     SENSOR_DATA = 0x0A
 
 
+BUILTIN_TYPE_CODES = frozenset(int(t) for t in DataType)
+
 # Reserved custom codes used by the ranging/dispersal application.
 UDP_SEND_REQ = 0x11
 UDP_SEND_GO = 0x12
@@ -258,14 +260,6 @@ def _check_id(romano_id: str) -> bytes:
 
 # -- Encoding ----------------------------------------------------------------
 
-def _frame(type_code: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise OversizePayload(
-            "payload of {} octets exceeds the {}-octet limit".format(
-                len(payload), MAX_PAYLOAD_LEN))
-    return bytes((type_code, HEADER_LEN + len(payload))) + payload
-
-
 def encode_message(msg: RomanoMessage) -> bytes:
     """Serialize a ROMANO message to wire octets.
 
@@ -274,47 +268,23 @@ def encode_message(msg: RomanoMessage) -> bytes:
         MalformedAddress: if an embedded ROMANO ID is invalid.
         CodecError: for other unencodable field values.
     """
-    if isinstance(msg, ConnectionRequest):
-        return _frame(DataType.CONNECTION_REQUEST, _check_id(msg.romano_id))
-    if isinstance(msg, ConnectionAck):
-        return _frame(DataType.CONNECTION_ACK, b"")
-    if isinstance(msg, RequestConnectedNodesInfo):
-        return _frame(DataType.REQUEST_CONNECTED_NODES_INFO,
-                      _check_id(msg.romano_id))
-    if isinstance(msg, ConnectedNodesInfo):
-        return _frame(DataType.CONNECTED_NODES_INFO,
-                      b"".join(_check_id(rid) for rid in msg.romano_ids))
-    if isinstance(msg, Heartbeat):
-        return _frame(DataType.HEARTBEAT, _check_id(msg.romano_id))
-    if isinstance(msg, NormalData):
-        return _frame(DataType.NORMAL_DATA, bytes(msg.data))
-    if isinstance(msg, MqttSubscribe):
-        return _frame(DataType.MQTT_SUBSCRIBE, _topic_bytes(msg.topic))
-    if isinstance(msg, MqttUnsubscribe):
-        return _frame(DataType.MQTT_UNSUBSCRIBE, _topic_bytes(msg.topic))
-    if isinstance(msg, MqttPublishRequest):
-        topic = _topic_bytes(msg.topic)
-        # Octet 2 holds the index of the last topic octet, counted from
-        # the start of the message; the topic begins at octet 3.
-        last = HEADER_LEN + len(topic)
-        if last > 0xFF:
-            raise OversizePayload("topic of {} octets is unencodable".format(
-                len(topic)))
-        return _frame(DataType.MQTT_PUBLISH_REQUEST,
-                      bytes((last,)) + topic + bytes(msg.data))
-    if isinstance(msg, MovementControl):
-        return _frame(DataType.MOVEMENT_CONTROL,
-                      _u16(msg.control_type, "control type") + bytes(msg.data))
-    if isinstance(msg, SensorData):
-        return _frame(DataType.SENSOR_DATA,
-                      _u16(msg.sensor_type, "sensor type") + bytes(msg.data))
-    if isinstance(msg, CustomData):
-        if not 0 <= msg.type_code <= 0xFF or msg.type_code in _BUILTIN_CODES:
+    entry = _ENCODERS.get(type(msg))
+    if entry is None:
+        raise CodecError("cannot encode object of type {}".format(
+            type(msg).__name__))
+    type_code, encode = entry
+    if type_code is None:  # CustomData carries its own code
+        type_code = msg.type_code
+        if not 0 <= type_code <= 0xFF or type_code in BUILTIN_TYPE_CODES:
             raise UnknownType(
-                "custom type code {:#04x} collides with a built-in or is out of "
-                "range".format(msg.type_code))
-        return _frame(msg.type_code, bytes(msg.data))
-    raise CodecError("cannot encode object of type {}".format(type(msg).__name__))
+                "custom type code {:#04x} collides with a built-in or is out "
+                "of range".format(type_code))
+    payload = encode(msg)
+    if len(payload) > MAX_PAYLOAD_LEN:
+        raise OversizePayload(
+            "payload of {} octets exceeds the {}-octet limit".format(
+                len(payload), MAX_PAYLOAD_LEN))
+    return bytes((type_code, HEADER_LEN + len(payload))) + payload
 
 
 def _topic_bytes(topic: str) -> bytes:
@@ -330,11 +300,46 @@ def _u16(value: int, what: str) -> bytes:
     return value.to_bytes(2, "big")
 
 
+def _encode_publish_request(msg: MqttPublishRequest) -> bytes:
+    topic = _topic_bytes(msg.topic)
+    # Octet 2 holds the index of the last topic octet, counted from the
+    # start of the message; the topic begins at octet 3.
+    last = HEADER_LEN + len(topic)
+    if last > 0xFF:
+        raise OversizePayload("topic of {} octets is unencodable".format(
+            len(topic)))
+    return bytes((last,)) + topic + bytes(msg.data)
+
+
+def _encode_id(msg) -> bytes:
+    return _check_id(msg.romano_id)
+
+
+# message class -> (data type code, payload encoder), keyed by exact type
+_ENCODERS = {
+    ConnectionRequest: (DataType.CONNECTION_REQUEST, _encode_id),
+    ConnectionAck: (DataType.CONNECTION_ACK, lambda msg: b""),
+    RequestConnectedNodesInfo:
+        (DataType.REQUEST_CONNECTED_NODES_INFO, _encode_id),
+    ConnectedNodesInfo: (DataType.CONNECTED_NODES_INFO, lambda msg: b"".join(
+        _check_id(rid) for rid in msg.romano_ids)),
+    Heartbeat: (DataType.HEARTBEAT, _encode_id),
+    NormalData: (DataType.NORMAL_DATA, lambda msg: bytes(msg.data)),
+    MqttSubscribe:
+        (DataType.MQTT_SUBSCRIBE, lambda msg: _topic_bytes(msg.topic)),
+    MqttUnsubscribe:
+        (DataType.MQTT_UNSUBSCRIBE, lambda msg: _topic_bytes(msg.topic)),
+    MqttPublishRequest:
+        (DataType.MQTT_PUBLISH_REQUEST, _encode_publish_request),
+    MovementControl: (DataType.MOVEMENT_CONTROL, lambda msg: _u16(
+        msg.control_type, "control type") + bytes(msg.data)),
+    SensorData: (DataType.SENSOR_DATA, lambda msg: _u16(
+        msg.sensor_type, "sensor type") + bytes(msg.data)),
+    CustomData: (None, lambda msg: bytes(msg.data)),
+}
+
+
 # -- Decoding ----------------------------------------------------------------
-
-BUILTIN_TYPE_CODES = frozenset(int(t) for t in DataType)
-_BUILTIN_CODES = BUILTIN_TYPE_CODES
-
 
 def decode_message(data: bytes,
                    extension_codes: frozenset[int] | set[int] = frozenset(),

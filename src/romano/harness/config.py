@@ -104,6 +104,9 @@ def build_config(file_overrides: Mapping[str, Any] | None = None,
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = ScenarioConfig(**merged)
+    for key, kind in _FIELD_TYPES.items():
+        if kind == "int" and key != "seed" and getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must not be negative")
     if cfg.n_robots < 1:
         raise ConfigError("n_robots must be at least 1")
     if cfg.payload_octets < 14 or cfg.payload_octets > 255:

@@ -222,17 +222,13 @@ class BridgedWorld(World):
             for c in self.cells)
         self.bridge = Bridge(self.end_a, self.end_b,
                              latency_us=cfg.bridge_latency_us)
-        self._bridge_ready = False
 
     def start(self) -> None:
         super().start()
-        self.bridge.start(on_ready=self._mark_bridge_ready)
-
-    def _mark_bridge_ready(self) -> None:
-        self._bridge_ready = True
+        self.bridge.start()
 
     def ready(self) -> bool:
-        return super().ready() and self._bridge_ready
+        return super().ready() and self.bridge.ready()
 
 
 def _count_crossed_seqs(end: BridgeEnd) -> dict[int, int]:

@@ -70,11 +70,10 @@ class Cell:
         for addr in wired:
             net.set_link_pair(addr, self.addr, LinkModel.fixed(0))
 
-        heartbeats = cfg.heartbeat_period_us > 0
+        heartbeat_period_us = cfg.heartbeat_period_us or None
         self.server = RegistryServer(
             sim, ClientSession(sim, net, server_addr(cell), self.addr),
-            track_heartbeats=heartbeats,
-            heartbeat_period_us=cfg.heartbeat_period_us or 1_000_000)
+            heartbeat_period_us=heartbeat_period_us)
         self.commander = ClientSession(sim, net, commander_addr(cell),
                                        self.addr)
 
@@ -85,9 +84,8 @@ class Cell:
             net.set_link_pair(addr, self.addr, LinkModel(
                 (cfg.latency_lo_us, cfg.latency_hi_us), cfg.loss_prob))
             session = ClientSession(sim, net, addr, self.addr)
-            node = RomanoNode(
-                sim, session,
-                heartbeat_period_us=cfg.heartbeat_period_us or None)
+            node = RomanoNode(sim, session,
+                              heartbeat_period_us=heartbeat_period_us)
             pose = poses[i - 1] if poses else Pose()
             self.nodes.append(node)
             self.robots.append(Robot(sim, node, pose))

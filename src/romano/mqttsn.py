@@ -55,10 +55,7 @@ class ReturnCode(IntEnum):
 FLAG_DUP = 0x80
 FLAG_QOS_MASK = 0x60
 FLAG_QOS_SHIFT = 5
-FLAG_RETAIN = 0x10
-FLAG_WILL = 0x08
 FLAG_CLEAN_SESSION = 0x04
-FLAG_TOPIC_TYPE_MASK = 0x03
 
 TOPIC_TYPE_NORMAL = 0x00  # registered 16-bit topic id (name in SUBSCRIBE)
 
@@ -168,52 +165,31 @@ SnPacket = Union[
 
 # -- Encoding ----------------------------------------------------------------
 
+# Fixed-layout prefix of each packet body, compiled once.
+_B = struct.Struct("!B")
+_H = struct.Struct("!H")
+_BH = struct.Struct("!BH")
+_HH = struct.Struct("!HH")
+_BBH = struct.Struct("!BBH")
+_BHH = struct.Struct("!BHH")
+_HHB = struct.Struct("!HHB")
+_BHHB = struct.Struct("!BHHB")
+
+
 def encode_packet(pkt: SnPacket) -> bytes:
     """Serialize a packet; raises :class:`OversizePacket` past 255 octets."""
-    if isinstance(pkt, Connect):
-        flags = FLAG_CLEAN_SESSION if pkt.clean_session else 0
-        body = struct.pack("!BBH", flags, PROTOCOL_ID, pkt.duration)
-        body += pkt.client_id.encode("utf-8")
-        return _finish(MsgType.CONNECT, body)
-    if isinstance(pkt, Connack):
-        return _finish(MsgType.CONNACK, bytes((pkt.return_code,)))
-    if isinstance(pkt, Register):
-        body = struct.pack("!HH", pkt.topic_id, pkt.msg_id)
-        body += pkt.topic_name.encode("utf-8")
-        return _finish(MsgType.REGISTER, body)
-    if isinstance(pkt, Regack):
-        return _finish(MsgType.REGACK,
-                       struct.pack("!HHB", pkt.topic_id, pkt.msg_id,
-                                   pkt.return_code))
-    if isinstance(pkt, Publish):
-        if len(pkt.data) > MAX_PUBLISH_DATA:
-            raise OversizePacket(
-                "publish data of {} octets exceeds the {}-octet limit".format(
-                    len(pkt.data), MAX_PUBLISH_DATA))
-        flags = _flags(qos=pkt.qos, dup=pkt.dup)
-        body = struct.pack("!BHH", flags, pkt.topic_id, pkt.msg_id)
-        return _finish(MsgType.PUBLISH, body + bytes(pkt.data))
-    if isinstance(pkt, Puback):
-        return _finish(MsgType.PUBACK,
-                       struct.pack("!HHB", pkt.topic_id, pkt.msg_id,
-                                   pkt.return_code))
-    if isinstance(pkt, Subscribe):
-        flags = _flags(qos=pkt.qos, dup=pkt.dup)
-        body = struct.pack("!BH", flags, pkt.msg_id)
-        return _finish(MsgType.SUBSCRIBE, body + pkt.topic_name.encode("utf-8"))
-    if isinstance(pkt, Suback):
-        flags = _flags(qos=pkt.qos)
-        return _finish(MsgType.SUBACK,
-                       struct.pack("!BHHB", flags, pkt.topic_id, pkt.msg_id,
-                                   pkt.return_code))
-    if isinstance(pkt, Unsubscribe):
-        body = struct.pack("!BH", 0, pkt.msg_id)
-        return _finish(MsgType.UNSUBSCRIBE,
-                       body + pkt.topic_name.encode("utf-8"))
-    if isinstance(pkt, Unsuback):
-        return _finish(MsgType.UNSUBACK, struct.pack("!H", pkt.msg_id))
-    raise PacketError("cannot encode object of type {}".format(
-        type(pkt).__name__))
+    entry = _ENCODERS.get(type(pkt))
+    if entry is None:
+        raise PacketError("cannot encode object of type {}".format(
+            type(pkt).__name__))
+    msg_type, encode = entry
+    body = encode(pkt)
+    total = 2 + len(body)
+    if total > MAX_PACKET_LEN:
+        raise OversizePacket(
+            "packet of {} octets exceeds the single-octet length form".format(
+                total))
+    return bytes((total, msg_type)) + body
 
 
 def _flags(qos: int = 0, dup: bool = False) -> int:
@@ -225,13 +201,34 @@ def _flags(qos: int = 0, dup: bool = False) -> int:
     return flags
 
 
-def _finish(msg_type: int, body: bytes) -> bytes:
-    total = 2 + len(body)
-    if total > MAX_PACKET_LEN:
-        raise OversizePacket(
-            "packet of {} octets exceeds the single-octet length form".format(
-                total))
-    return bytes((total, msg_type)) + body
+def _encode_connect(pkt: Connect) -> bytes:
+    flags = FLAG_CLEAN_SESSION if pkt.clean_session else 0
+    return (_BBH.pack(flags, PROTOCOL_ID, pkt.duration)
+            + pkt.client_id.encode("utf-8"))
+
+
+def _encode_ack(pkt: Union[Regack, Puback]) -> bytes:
+    return _HHB.pack(pkt.topic_id, pkt.msg_id, pkt.return_code)
+
+
+# packet class -> (message type code, body encoder), keyed by exact type
+_ENCODERS = {
+    Connect: (MsgType.CONNECT, _encode_connect),
+    Connack: (MsgType.CONNACK, lambda pkt: _B.pack(pkt.return_code)),
+    Register: (MsgType.REGISTER, lambda pkt: _HH.pack(
+        pkt.topic_id, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
+    Regack: (MsgType.REGACK, _encode_ack),
+    Publish: (MsgType.PUBLISH, lambda pkt: _BHH.pack(
+        _flags(pkt.qos, pkt.dup), pkt.topic_id, pkt.msg_id) + bytes(pkt.data)),
+    Puback: (MsgType.PUBACK, _encode_ack),
+    Subscribe: (MsgType.SUBSCRIBE, lambda pkt: _BH.pack(
+        _flags(pkt.qos, pkt.dup), pkt.msg_id) + pkt.topic_name.encode("utf-8")),
+    Suback: (MsgType.SUBACK, lambda pkt: _BHHB.pack(
+        _flags(pkt.qos), pkt.topic_id, pkt.msg_id, pkt.return_code)),
+    Unsubscribe: (MsgType.UNSUBSCRIBE, lambda pkt: _BH.pack(
+        0, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
+    Unsuback: (MsgType.UNSUBACK, lambda pkt: _H.pack(pkt.msg_id)),
+}
 
 
 # -- Decoding ----------------------------------------------------------------
@@ -267,17 +264,6 @@ def decode_packet(data: bytes) -> SnPacket:
             "message type {:#04x} outside the supported subset".format(
                 msg_type))
     return decode(data[2:length])
-
-
-# Fixed-layout prefix of each packet body, compiled once.
-_B = struct.Struct("!B")
-_H = struct.Struct("!H")
-_BH = struct.Struct("!BH")
-_HH = struct.Struct("!HH")
-_BBH = struct.Struct("!BBH")
-_BHH = struct.Struct("!BHH")
-_HHB = struct.Struct("!HHB")
-_BHHB = struct.Struct("!BHHB")
 
 
 def _decode_connect(body: bytes) -> Connect:

@@ -30,8 +30,6 @@ from . import codec
 from .node import RomanoNode
 from .simnet import Network, NoLink, Simulator, PORT_APP
 
-MM_PER_M = 1000.0
-
 
 class RobotError(Exception):
     pass

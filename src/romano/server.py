@@ -5,11 +5,11 @@ It subscribes to "init-info"; every ConnectionRequest heard there is
 recorded (idempotently — a rejoin refreshes the join time) and answered
 with a ConnectionAck published to the joiner's ID topic.  A
 RequestConnectedNodesInfo on "init-info" is answered on the requester's
-ID topic with the roster, split across messages of at most 31 IDs so
+ID topic with the roster, split across messages of at most 30 IDs so
 each stays within the 255-octet frame.
 
-Optionally the server also subscribes to "common" to track heartbeats
-and evict nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
+Given a heartbeat period, the server also subscribes to "common" and
+evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
 same horizon a node uses to call a peer stale.
 
 The server outlives broker outages: a failed or dropped session is
@@ -41,11 +41,9 @@ class NodeRecord:
 
 class RegistryServer:
     def __init__(self, sim: Simulator, session: ClientSession, *,
-                 track_heartbeats: bool = False,
-                 heartbeat_period_us: int = 1_000_000) -> None:
+                 heartbeat_period_us: Optional[int] = None) -> None:
         self.sim = sim
         self.session = session
-        self.track_heartbeats = track_heartbeats
         self.heartbeat_period_us = heartbeat_period_us
         self.registry: dict[str, NodeRecord] = {}
         self.acks_sent = 0
@@ -67,7 +65,7 @@ class RegistryServer:
             if not self._want_up:
                 return  # stopped while the exchanges were in flight
             self.running = True
-            if self.track_heartbeats:
+            if self.heartbeat_period_us:
                 self.session.subscribe(codec.TOPIC_COMMON)
                 self._schedule_sweep()
 
@@ -95,19 +93,15 @@ class RegistryServer:
         except codec.CodecError:
             self.ignored += 1
             return
-        if isinstance(msg, codec.ConnectionRequest):
-            if topic == codec.TOPIC_INIT_INFO:
-                self._on_join(msg.romano_id)
-        elif isinstance(msg, codec.RequestConnectedNodesInfo):
-            self._on_roster_request(msg.romano_id)
-        elif isinstance(msg, codec.Heartbeat):
-            record = self.registry.get(msg.romano_id)
-            if record is not None:
-                record.last_heartbeat_us = self.sim.now
-        else:
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
             self.ignored += 1
+            return
+        handler(self, topic, msg.romano_id)
 
-    def _on_join(self, romano_id: str) -> None:
+    def _on_join(self, topic: str, romano_id: str) -> None:
+        if topic != codec.TOPIC_INIT_INFO:
+            return  # a join request counts only on init-info
         record = self.registry.get(romano_id)
         if record is None:
             self.registry[romano_id] = NodeRecord(romano_id, self.sim.now)
@@ -117,7 +111,7 @@ class RegistryServer:
         self.session.publish(romano_id, ack)
         self.acks_sent += 1
 
-    def _on_roster_request(self, requester_id: str) -> None:
+    def _on_roster_request(self, topic: str, requester_id: str) -> None:
         # An unknown requester still gets an answer: the empty roster.
         ids = list(self.registry) if requester_id in self.registry else []
         chunks = [ids[i:i + MAX_IDS_PER_INFO]
@@ -125,6 +119,18 @@ class RegistryServer:
         for chunk in chunks:
             raw = codec.encode_message(codec.ConnectedNodesInfo(tuple(chunk)))
             self.session.publish(requester_id, raw)
+
+    def _on_heartbeat(self, topic: str, romano_id: str) -> None:
+        record = self.registry.get(romano_id)
+        if record is not None:
+            record.last_heartbeat_us = self.sim.now
+
+    # message type -> handler of the sender's ROMANO ID
+    _HANDLERS = {
+        codec.ConnectionRequest: _on_join,
+        codec.RequestConnectedNodesInfo: _on_roster_request,
+        codec.Heartbeat: _on_heartbeat,
+    }
 
     # -- heartbeat eviction -------------------------------------------------------
 

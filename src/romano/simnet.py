@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
-US_PER_MS = 1_000
 US_PER_SEC = 1_000_000
 
 PORT_MQTTSN = 1884   # broker traffic

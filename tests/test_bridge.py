@@ -39,12 +39,7 @@ class BridgeRig:
             self.sim, ClientSession(self.sim, self.net, RELAY_B, BROKER_B),
             self.broker_b, 1, tuple(topics))
         self.bridge = Bridge(self.end_a, self.end_b, latency_us)
-        self._bridge_ready = False
-
-        def mark_ready() -> None:
-            self._bridge_ready = True
-
-        self.bridge.start(mark_ready)
+        self.bridge.start()
         self.client_a = ClientSession(self.sim, self.net, CLIENT_A, BROKER_A)
         self.client_b = ClientSession(self.sim, self.net, CLIENT_B, BROKER_B)
         self.inbox_a: list[tuple[str, bytes]] = []
@@ -56,7 +51,7 @@ class BridgeRig:
         assert self.sim.run_until_true(lambda: self.ready(), 5_000_000)
 
     def ready(self) -> bool:
-        return (self._bridge_ready
+        return (self.bridge.ready()
                 and CLIENT_A in self.broker_a.subscribers(TOPIC)
                 and CLIENT_B in self.broker_b.subscribers(TOPIC))
 

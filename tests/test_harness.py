@@ -302,6 +302,22 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "heartbeat_period_us = -1",
+        "latency_lo_us = -20000",
+        "dispatch_interval_us = -1",
+        "radio_tx_interval_us = -1",
+        "n_messages = -3",
+    ])
+    def test_negative_scenario_value_exits_2(self, tmp_path, capsys, line):
+        scenario = tmp_path / "neg.scenario"
+        scenario.write_text(f"n_robots = 2\nn_messages = 20\n{line}\n")
+        code = self.run("throughput", "--scenario", str(scenario),
+                        "--out-dir", str(tmp_path / "neg"))
+        assert code == 2
+        assert "must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
+
     def test_bad_scenario_key_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "bad.scenario"
         scenario.write_text("robots = 3\n")

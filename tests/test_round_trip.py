@@ -1,0 +1,207 @@
+"""Round-trip properties for both codecs: decode(encode(x)) == x.
+
+Every packet and message type is drawn over its whole field space,
+boundaries included: frame lengths 2 and 255, ids 0 and 65 535, empty
+and maximal strings and data, and a 31-id roster.  Both encoders
+dispatch on the exact type of their argument, so anything else, a
+look-alike dataclass with the same name and fields included, must fail
+with the codec's own error type.
+"""
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from romano import codec
+from romano import mqttsn as sn
+
+ROUND_TRIP = settings(max_examples=60, derandomize=True, deadline=None)
+
+U8 = st.integers(min_value=0, max_value=0xFF)
+U16 = st.one_of(st.sampled_from((0, 0xFFFF)),
+                st.integers(min_value=0, max_value=0xFFFF))
+QOS = st.sampled_from((0, 1))
+
+
+def text(max_octets: int, min_size: int = 0):
+    """UTF-8 strings up to ``max_octets`` long, the longest one included."""
+    edges = [s for s in ("", "t" * max_octets, "é" * (max_octets // 2))
+             if len(s) >= min_size]
+    # a code point takes at most 4 octets, so this never overflows
+    drawn = st.text(min_size=min_size, max_size=max_octets // 4)
+    return st.one_of(st.sampled_from(edges), drawn)
+
+
+def octets(max_len: int):
+    return st.one_of(st.sampled_from((b"", bytes(range(max_len)))),
+                     st.binary(max_size=max_len))
+
+
+# -- MQTT-SN packets ------------------------------------------------------------
+
+# Octets a packet's body spends before its trailing string or data.
+_STRING_ROOM = {sn.Connect: 4, sn.Register: 4, sn.Subscribe: 3,
+                sn.Unsubscribe: 3, sn.Publish: 5}
+
+
+def room(cls) -> int:
+    return sn.MAX_PACKET_LEN - 2 - _STRING_ROOM[cls]
+
+
+PACKETS = {
+    sn.Connect: st.builds(sn.Connect, text(room(sn.Connect)), st.booleans(),
+                          U16),
+    sn.Connack: st.builds(sn.Connack, U8),
+    sn.Register: st.builds(sn.Register, U16, U16, text(room(sn.Register))),
+    sn.Regack: st.builds(sn.Regack, U16, U16, U8),
+    sn.Publish: st.builds(sn.Publish, U16, octets(room(sn.Publish)), U16,
+                          QOS, st.booleans()),
+    sn.Puback: st.builds(sn.Puback, U16, U16, U8),
+    sn.Subscribe: st.builds(sn.Subscribe, U16, text(room(sn.Subscribe)),
+                            QOS, st.booleans()),
+    sn.Suback: st.builds(sn.Suback, U16, U16, U8, QOS),
+    sn.Unsubscribe: st.builds(sn.Unsubscribe, U16,
+                              text(room(sn.Unsubscribe))),
+    sn.Unsuback: st.builds(sn.Unsuback, U16),
+}
+
+
+def test_every_packet_type_has_a_strategy():
+    assert set(PACKETS) == set(sn.SnPacket.__args__)
+
+
+@pytest.mark.parametrize("strategy", PACKETS.values(),
+                         ids=[cls.__name__ for cls in PACKETS])
+@ROUND_TRIP
+@given(data=st.data())
+def test_packet_round_trip(strategy, data):
+    pkt = data.draw(strategy)
+    raw = sn.encode_packet(pkt)
+    assert raw[0] == len(raw) <= sn.MAX_PACKET_LEN
+    assert sn.decode_packet(raw) == pkt
+
+
+@pytest.mark.parametrize("pkt", [
+    sn.Connect("c" * room(sn.Connect), duration=0xFFFF),
+    sn.Register(0, 0, "r" * room(sn.Register)),
+    sn.Subscribe(0xFFFF, "s" * room(sn.Subscribe)),
+    sn.Unsubscribe(0, "u" * room(sn.Unsubscribe)),
+])
+def test_largest_packets_fill_the_length_octet(pkt):
+    raw = sn.encode_packet(pkt)
+    assert len(raw) == sn.MAX_PACKET_LEN
+    assert sn.decode_packet(raw) == pkt
+
+
+# -- ROMANO messages -------------------------------------------------------------
+
+ROMANO_ID = st.text(alphabet="0123456789abcdef", min_size=8, max_size=8)
+ROSTER = st.one_of(
+    st.lists(ROMANO_ID, min_size=31, max_size=31),
+    st.lists(ROMANO_ID, max_size=31)).map(tuple)
+PAYLOAD = codec.MAX_PAYLOAD_LEN
+CUSTOM_CODES = st.integers(min_value=0, max_value=0xFF).filter(
+    lambda code: code not in codec.BUILTIN_TYPE_CODES)
+
+
+@st.composite
+def publish_requests(draw):
+    topic = draw(text(PAYLOAD - 1, min_size=1))
+    used = 1 + len(topic.encode("utf-8"))
+    return codec.MqttPublishRequest(topic, draw(octets(PAYLOAD - used)))
+
+
+MESSAGES = {
+    codec.ConnectionRequest: st.builds(codec.ConnectionRequest, ROMANO_ID),
+    codec.ConnectionAck: st.just(codec.ConnectionAck()),
+    codec.RequestConnectedNodesInfo:
+        st.builds(codec.RequestConnectedNodesInfo, ROMANO_ID),
+    codec.ConnectedNodesInfo: st.builds(codec.ConnectedNodesInfo, ROSTER),
+    codec.Heartbeat: st.builds(codec.Heartbeat, ROMANO_ID),
+    codec.NormalData: st.builds(codec.NormalData, octets(PAYLOAD)),
+    codec.MqttSubscribe: st.builds(codec.MqttSubscribe,
+                                   text(PAYLOAD, min_size=1)),
+    codec.MqttUnsubscribe: st.builds(codec.MqttUnsubscribe,
+                                     text(PAYLOAD, min_size=1)),
+    codec.MqttPublishRequest: publish_requests(),
+    codec.MovementControl: st.builds(codec.MovementControl, U16,
+                                     octets(PAYLOAD - 2)),
+    codec.SensorData: st.builds(codec.SensorData, U16, octets(PAYLOAD - 2)),
+    codec.CustomData: st.builds(codec.CustomData, st.one_of(
+        st.sampled_from((codec.UDP_SEND_REQ, codec.UDP_SEND_GO, 0xFF)),
+        CUSTOM_CODES), octets(PAYLOAD)),
+}
+
+
+def test_every_message_type_has_a_strategy():
+    assert set(MESSAGES) == set(codec.RomanoMessage.__args__)
+
+
+@pytest.mark.parametrize("strategy", MESSAGES.values(),
+                         ids=[cls.__name__ for cls in MESSAGES])
+@ROUND_TRIP
+@given(data=st.data())
+def test_message_round_trip(strategy, data):
+    msg = data.draw(strategy)
+    raw = codec.encode_message(msg)
+    assert raw[1] == len(raw) <= codec.MAX_MESSAGE_LEN
+    extension = {msg.type_code} if type(msg) is codec.CustomData else set()
+    assert codec.decode_message(raw, extension_codes=extension) == msg
+
+
+@pytest.mark.parametrize("msg, length", [
+    (codec.ConnectionAck(), 2),
+    (codec.NormalData(), 2),
+    (codec.CustomData(codec.UDP_SEND_GO), 2),
+    (codec.CustomData(0xFF, bytes(PAYLOAD)), 255),
+    (codec.MqttSubscribe("t" * PAYLOAD), 255),
+    (codec.MqttPublishRequest("t" * (PAYLOAD - 1)), 255),
+    (codec.SensorData(0xFFFF, bytes(PAYLOAD - 2)), 255),
+])
+def test_message_length_boundaries(msg, length):
+    raw = codec.encode_message(msg)
+    assert len(raw) == length
+    extension = {msg.type_code} if type(msg) is codec.CustomData else set()
+    assert codec.decode_message(raw, extension_codes=extension) == msg
+
+
+@pytest.mark.parametrize("code", sorted(codec.BUILTIN_TYPE_CODES) + [-1, 256])
+def test_custom_code_must_not_be_builtin_or_out_of_range(code):
+    with pytest.raises(codec.UnknownType):
+        codec.encode_message(codec.CustomData(code))
+
+
+# -- objects of no codec type -----------------------------------------------------
+
+@dataclass(frozen=True)
+class Publish:
+    """Same name and fields as ``mqttsn.Publish``, but not that class."""
+
+    topic_id: int
+    data: bytes
+    msg_id: int = 0
+    qos: int = 0
+    dup: bool = False
+
+
+@dataclass(frozen=True)
+class Heartbeat:
+    """Same name and field as ``codec.Heartbeat``, but not that class."""
+
+    romano_id: str
+
+
+@pytest.mark.parametrize("obj", [
+    Publish(1, b"x"), None, b"\x03\x05\x00", codec.Heartbeat("0123abcd"),
+], ids=repr)
+def test_encode_packet_rejects_unknown_types(obj):
+    with pytest.raises(sn.PacketError, match="cannot encode"):
+        sn.encode_packet(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    Heartbeat("0123abcd"), None, b"\x04\x02", sn.Connack(),
+], ids=repr)
+def test_encode_message_rejects_unknown_types(obj):
+    with pytest.raises(codec.CodecError, match="cannot encode"):
+        codec.encode_message(obj)

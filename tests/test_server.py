@@ -78,7 +78,7 @@ class TestJoins:
 
     def test_join_requests_elsewhere_are_ignored(self):
         # A ConnectionRequest seen anywhere but init-info must not register.
-        rig = Rig(track_heartbeats=True)
+        rig = Rig(heartbeat_period_us=1_000_000)
         raw = codec.encode_message(codec.ConnectionRequest("00100001"))
         rig.probe.publish(codec.TOPIC_COMMON, raw)
         rig.settle()
@@ -144,7 +144,7 @@ class TestEviction:
         rig.probe.publish(codec.TOPIC_COMMON, raw)
 
     def test_silent_node_is_evicted_after_three_periods(self):
-        rig = Rig(track_heartbeats=True, heartbeat_period_us=1_000_000)
+        rig = Rig(heartbeat_period_us=1_000_000)
         rig.join("00100001")
         rig.join("00100002")
         rig.settle()
@@ -166,7 +166,7 @@ class TestEviction:
         assert rig.server.evicted == 0
 
     def test_heartbeats_refresh_the_record(self):
-        rig = Rig(track_heartbeats=True, heartbeat_period_us=1_000_000)
+        rig = Rig(heartbeat_period_us=1_000_000)
         rig.join("00100001")
         rig.settle()
         self.heartbeat(rig, "00100001")
@@ -174,7 +174,7 @@ class TestEviction:
         assert rig.server.registry["00100001"].last_heartbeat_us is not None
 
     def test_stopped_server_stops_sweeping(self):
-        rig = Rig(track_heartbeats=True, heartbeat_period_us=1_000_000)
+        rig = Rig(heartbeat_period_us=1_000_000)
         rig.join("00100001")
         rig.settle()
         rig.server.stop()
