@@ -11,6 +11,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..mqttsn import MAX_PUBLISH_DATA
+
 
 class ConfigError(ValueError):
     """Bad scenario file or malformed value."""
@@ -109,9 +111,11 @@ def build_config(file_overrides: Mapping[str, Any] | None = None,
             raise ConfigError(f"{key} must not be negative")
     if cfg.n_robots < 1:
         raise ConfigError("n_robots must be at least 1")
-    if cfg.payload_octets < 14 or cfg.payload_octets > 255:
-        # 2 header + 4 seq + 8 send-time octets at minimum
-        raise ConfigError("payload_octets must be in [14, 255]")
+    if not 14 <= cfg.payload_octets <= MAX_PUBLISH_DATA:
+        # 2 header + 4 seq + 8 send-time octets at minimum; the whole
+        # probe rides in the data of one PUBLISH
+        raise ConfigError(
+            f"payload_octets must be in [14, {MAX_PUBLISH_DATA}]")
     if cfg.latency_lo_us > cfg.latency_hi_us:
         raise ConfigError("latency_lo_us must not exceed latency_hi_us")
     if not 0.0 <= cfg.loss_prob < 1.0:

@@ -82,6 +82,10 @@ class OversizePacket(PacketError):
     pass
 
 
+class FieldOutOfRange(PacketError):
+    """A field value that does not fit its octets on the wire."""
+
+
 class MalformedString(PacketError):
     """A client id or topic name that is not valid UTF-8."""
 
@@ -177,13 +181,23 @@ _BHHB = struct.Struct("!BHHB")
 
 
 def encode_packet(pkt: SnPacket) -> bytes:
-    """Serialize a packet; raises :class:`OversizePacket` past 255 octets."""
+    """Serialize a packet.
+
+    Raises:
+        OversizePacket: the packet would exceed 255 octets.
+        FieldOutOfRange: an id, duration or return code does not fit
+            its field.
+    """
     entry = _ENCODERS.get(type(pkt))
     if entry is None:
         raise PacketError("cannot encode object of type {}".format(
             type(pkt).__name__))
     msg_type, encode = entry
-    body = encode(pkt)
+    try:
+        body = encode(pkt)
+    except struct.error as exc:
+        raise FieldOutOfRange(
+            "{}: {}".format(type(pkt).__name__, exc)) from exc
     total = 2 + len(body)
     if total > MAX_PACKET_LEN:
         raise OversizePacket(

@@ -19,16 +19,26 @@ time it heard every peer.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import codec
-from .session import ClientSession
+from .session import DECODE_MEMO_SIZE, ClientSession
 from .simnet import Simulator, Timer
 
 ACK_WAIT_US = 2_000_000
 DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
 DEFAULT_MAILBOX_CAPACITY = 64
 HEARTBEAT_STALE_PERIODS = 3
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decode_message(data: bytes,
+                    extension_codes: frozenset[int]) -> codec.RomanoMessage:
+    # Shared by every node that gets the same octets and registered the
+    # same codes; as in ``session._decode_packet``, errors are not cached.
+    return codec.decode_message(data, extension_codes=extension_codes)
+
 
 INIT = "init"
 AWAIT_ACK = "await-ack"
@@ -58,7 +68,7 @@ class RomanoNode:
         self.on_ready: Optional[Callable[[], None]] = None
         self.on_mailbox_push: Optional[Callable[[], None]] = None
         self._data_handlers: dict[int, Callable] = {}
-        self._extension_codes: set[int] = set()
+        self._extension_codes: frozenset[int] = frozenset()
         self._ack_timer: Optional[Timer] = None
         self._heartbeat_timer: Optional[Timer] = None
         self._gate_queues: dict[str, deque[codec.RomanoMessage]] = {}
@@ -134,7 +144,7 @@ class RomanoNode:
         """
         self._data_handlers[int(type_code)] = handler
         if int(type_code) not in codec.BUILTIN_TYPE_CODES:
-            self._extension_codes.add(int(type_code))
+            self._extension_codes |= {int(type_code)}
 
     def pop_command(self) -> Optional[codec.MovementCommand]:
         return self.mailbox.popleft() if self.mailbox else None
@@ -186,8 +196,7 @@ class RomanoNode:
 
     def _on_romano(self, topic: str, data: bytes) -> None:
         try:
-            msg = codec.decode_message(data,
-                                       extension_codes=self._extension_codes)
+            msg = _decode_message(data, self._extension_codes)
         except codec.UnknownType:
             self.unknown_types += 1
             return

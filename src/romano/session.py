@@ -14,6 +14,7 @@ its transport address on the simulated network.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import mqttsn as sn
@@ -42,6 +43,24 @@ class BrokerReject(SessionError):
 # Every in-flight exchange waits in ClientSession._pending under its msg
 # id; CONNECT has none, so it takes 0, which no msg id (1..0xFFFF) uses.
 CONNECT_KEY = 0
+
+# Entries of each receive-path decode memo.  A fan-out sends one frame
+# as the same octets to every subscriber, so a frame is worth keeping
+# while its copies are in flight: about rate x subscribers x the 8 ms
+# dispatch offset distinct frames, a dozen on a 16-robot broadcast and
+# 40 when 40 robots heartbeat.  256 covers that with room to spare and
+# holds about 0.4 MB; a frame evicted early is only decoded again.
+DECODE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decode_packet(data: bytes) -> sn.SnPacket:
+    # Packets are frozen, so every receiver may share one.  An error is
+    # never cached: each receiver counts its own stray packets.  The
+    # decoder is looked up at call time, so a wrapper put on the module
+    # attribute sees every miss.
+    return sn.decode_packet(data)
+
 
 # reply type -> kind of the exchange it completes
 _REPLY_KINDS = {
@@ -164,7 +183,7 @@ class ClientSession:
         if src != self.broker_addr:
             return  # direct node-to-node traffic uses a different port
         try:
-            pkt = sn.decode_packet(data)
+            pkt = _decode_packet(data)
         except sn.PacketError:
             self.stray_packets += 1
             return

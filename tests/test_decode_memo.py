@@ -1,0 +1,109 @@
+"""The receive-path decode memos in ``session`` and ``node``.
+
+A fan-out delivers one frame as the same octets to every subscriber, so
+each distinct frame is decoded once and the result shared.  That is
+sound only while every decoded object is immutable and every receiver
+still sees its own errors and its own extension codes.
+"""
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from romano import codec, node, session
+from romano import mqttsn as sn
+from romano.harness.config import ScenarioConfig
+from romano.harness.experiments import encode_probe
+from romano.harness.world import World
+
+from test_node import BROKER, NODE_1, NODE_2, Rig
+
+CUSTOM = 0x42
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    session._decode_packet.cache_clear()
+    node._decode_message.cache_clear()
+
+
+@pytest.mark.parametrize("encoders", [sn._ENCODERS, codec._ENCODERS],
+                         ids=["mqttsn", "codec"])
+def test_every_decoded_class_is_a_frozen_dataclass(encoders):
+    for cls in encoders:
+        assert dataclasses.is_dataclass(cls), cls
+        assert cls.__dataclass_params__.frozen, cls
+
+
+def ready_pair() -> tuple:
+    rig = Rig()
+    nodes = [rig.add_node(NODE_1), rig.add_node(NODE_2)]
+    for each in nodes:
+        each.start()
+        rig.ready(each)
+    return rig, nodes
+
+
+def test_same_malformed_octets_count_at_each_session():
+    rig, nodes = ready_pair()
+    junk = b"\x05\x0c"  # declares 5 octets, holds 2
+    for each in nodes:
+        rig.net.send(BROKER, each.session.client_id, junk)
+    rig.sim.run_until_idle()
+    assert [each.session.stray_packets for each in nodes] == [1, 1]
+
+
+@pytest.mark.parametrize("registered_first", [True, False])
+def test_extension_codes_are_part_of_the_key(registered_first):
+    rig, (registered, other) = ready_pair()
+    got = []
+    registered.on_data(CUSTOM, got.append)
+    raw = codec.encode_message(codec.CustomData(CUSTOM, b"zz"))
+    order = [registered, other] if registered_first else [other, registered]
+    for each in order:
+        each._on_romano(codec.TOPIC_COMMON, raw)
+    assert got == [codec.CustomData(CUSTOM, b"zz")]
+    assert registered.unknown_types == 0
+    assert other.unknown_types == 1
+
+
+def test_broadcast_decodes_each_fanout_frame_once(monkeypatch):
+    world = World(ScenarioConfig(n_robots=16))
+    world.run_ready()
+    net = world.net
+    delivered = Counter()   # octets -> copies delivered to client sessions
+    broker_frames = 0
+
+    def tap(addr: str) -> None:
+        inner = net.endpoint(addr)
+
+        def wrapped(src: str, data: bytes) -> None:
+            nonlocal broker_frames
+            if addr == world.cell.addr:
+                broker_frames += 1
+            else:
+                delivered[data] += 1
+            inner(src, data)
+
+        net.attach(addr, wrapped)
+
+    for addr in [world.cell.addr, world.commander.client_id,
+                 world.server.session.client_id, *world.cell.robot_addrs()]:
+        tap(addr)
+    calls = 0
+    decode = sn.decode_packet
+
+    def counting(data: bytes) -> sn.SnPacket:
+        nonlocal calls
+        calls += 1
+        return decode(data)
+
+    monkeypatch.setattr(sn, "decode_packet", counting)
+    for seq in range(20):
+        world.commander.publish(codec.TOPIC_COMMON,
+                                encode_probe(seq, world.sim.now, 32))
+    world.sim.run_until_idle()
+    # 16 copies of each probe, and the commander's REGACK for "common"
+    assert sorted(delivered.values()) == [1] + [16] * 20
+    # the broker decodes what it receives itself, once per frame
+    assert calls - broker_frames == len(delivered)

@@ -302,6 +302,21 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["249", "250"])
+    def test_payload_past_one_publish_exits_2(self, tmp_path, capsys,
+                                              payload):
+        code = self.run("throughput", "--payload", payload, "--robots", "2",
+                        "--messages", "5", "--out-dir", str(tmp_path / "big"))
+        assert code == 2
+        assert "payload_octets must be in [14, 248]" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
+
+    def test_largest_payload_runs(self, tmp_path, capsys):
+        code = self.run("throughput", "--payload", "248", "--robots", "2",
+                        "--messages", "5", "--out-dir", str(tmp_path / "max"))
+        assert code == 0
+        assert "ratio 1.000000" in capsys.readouterr().out
+
     @pytest.mark.parametrize("line", [
         "heartbeat_period_us = -1",
         "latency_lo_us = -20000",

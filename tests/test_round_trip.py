@@ -5,9 +5,10 @@ boundaries included: frame lengths 2 and 255, ids 0 and 65 535, empty
 and maximal strings and data, and a 31-id roster.  Both encoders
 dispatch on the exact type of their argument, so anything else, a
 look-alike dataclass with the same name and fields included, must fail
-with the codec's own error type.
+with the codec's own error type.  So must an integer field outside
+the range its octets hold.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,48 @@ def test_largest_packets_fill_the_length_octet(pkt):
     raw = sn.encode_packet(pkt)
     assert len(raw) == sn.MAX_PACKET_LEN
     assert sn.decode_packet(raw) == pkt
+
+
+# -- integer fields outside their octets -----------------------------------------
+
+BASES = [sn.Connect("x"), sn.Connack(), sn.Register(1, 1, "a"),
+         sn.Regack(1, 1), sn.Publish(1, b""), sn.Puback(1, 1),
+         sn.Subscribe(1, "a"), sn.Suback(1, 1), sn.Unsubscribe(1, "a"),
+         sn.Unsuback(1)]
+
+# (valid packet, integer field, largest value its octets hold); the QoS
+# is a flag value with a check of its own
+INT_FIELDS = [(base, f.name, 0xFF if f.name == "return_code" else 0xFFFF)
+              for base in BASES for f in fields(base)
+              if f.type == "int" and f.name != "qos"]
+
+
+def test_every_packet_type_has_an_integer_field_case():
+    assert {type(base) for base, _, _ in INT_FIELDS} == \
+        set(sn.SnPacket.__args__)
+
+
+@pytest.mark.parametrize("pkt", [
+    sn.Regack(70000, 1), sn.Connack(256), sn.Publish(-1, b""),
+    sn.Subscribe(70000, "a"), sn.Connect("x", duration=70000),
+], ids=repr)
+def test_out_of_range_field_is_a_packet_error(pkt):
+    with pytest.raises(sn.FieldOutOfRange):
+        sn.encode_packet(pkt)
+
+
+@pytest.mark.parametrize(
+    "base, field, top", INT_FIELDS,
+    ids=["{}.{}".format(type(b).__name__, f) for b, f, _ in INT_FIELDS])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_out_of_range_int_is_a_packet_error(base, field, top, data):
+    value = data.draw(st.one_of(
+        st.sampled_from((-1, top + 1)), st.integers(max_value=-1),
+        st.integers(min_value=top + 1)))
+    with pytest.raises(sn.FieldOutOfRange):
+        sn.encode_packet(replace(base, **{field: value}))
+    sn.encode_packet(replace(base, **{field: top}))  # the edge still fits
 
 
 # -- ROMANO messages -------------------------------------------------------------
