@@ -16,14 +16,11 @@ fanned its own republication and a message can cross at most once.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .broker import Broker
 from .session import ACTIVE, ClientSession
 from .simnet import Simulator
-
-DEFAULT_DOWN_QUEUE_LIMIT = 512
 
 
 class BridgeEnd:
@@ -40,10 +37,7 @@ class BridgeEnd:
         self.latency_us = 0                      # set by Bridge
         self.forwarded = 0
         self.republished = 0
-        self.dropped_while_down = 0
         self.crossings: list[tuple[int, str, bytes]] = []  # origin, topic, data
-        self._down_queue: deque = deque()
-        self.channel_up = True
         session.on_message = self._on_local_delivery
 
     def start(self) -> None:
@@ -64,19 +58,9 @@ class BridgeEnd:
     def _on_local_delivery(self, topic: str, data: bytes) -> None:
         if topic not in self.topics:
             return
-        frame = (self.origin_tag, topic, data)
-        if not self.channel_up:
-            if len(self._down_queue) >= DEFAULT_DOWN_QUEUE_LIMIT:
-                self._down_queue.popleft()
-                self.dropped_while_down += 1
-            self._down_queue.append(frame)
-            return
-        self._forward(frame)
-
-    def _forward(self, frame: tuple[int, str, bytes]) -> None:
         self.forwarded += 1
         self.sim.call_at(self.sim.now + self.latency_us, self.peer._on_channel,
-                         frame)
+                         (self.origin_tag, topic, data))
 
     # -- channel -> local network ---------------------------------------------------
 
@@ -85,13 +69,6 @@ class BridgeEnd:
         self.crossings.append((origin, topic, data))
         self.republished += 1
         self.session.publish(topic, data)
-
-    # -- outages -------------------------------------------------------------------
-
-    def set_channel_up(self, up: bool) -> None:
-        self.channel_up = up
-        while up and self._down_queue:
-            self._forward(self._down_queue.popleft())
 
 
 class Bridge:

@@ -113,6 +113,11 @@ class MalformedAddress(CodecError):
     """Not a valid IPv6 address or ROMANO ID."""
 
 
+class InvalidField(CodecError):
+    """A field of a type the wire cannot carry, such as data that is not
+    octets."""
+
+
 # -- Message types -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -266,6 +271,7 @@ def encode_message(msg: RomanoMessage) -> bytes:
     Raises:
         OversizePayload: if the total length would exceed 255 octets.
         MalformedAddress: if an embedded ROMANO ID is invalid.
+        InvalidField: if a field has the wrong type.
         CodecError: for other unencodable field values.
     """
     entry = _ENCODERS.get(type(msg))
@@ -279,7 +285,10 @@ def encode_message(msg: RomanoMessage) -> bytes:
             raise UnknownType(
                 "custom type code {:#04x} collides with a built-in or is out "
                 "of range".format(type_code))
-    payload = encode(msg)
+    try:
+        payload = encode(msg)
+    except TypeError as exc:
+        raise InvalidField("{}: {}".format(type(msg).__name__, exc)) from exc
     if len(payload) > MAX_PAYLOAD_LEN:
         raise OversizePayload(
             "payload of {} octets exceeds the {}-octet limit".format(
@@ -308,14 +317,15 @@ def _encode_publish_request(msg: MqttPublishRequest) -> bytes:
     if last > 0xFF:
         raise OversizePayload("topic of {} octets is unencodable".format(
             len(topic)))
-    return bytes((last,)) + topic + bytes(msg.data)
+    return bytes((last,)) + topic + msg.data
 
 
 def _encode_id(msg) -> bytes:
     return _check_id(msg.romano_id)
 
 
-# message class -> (data type code, payload encoder), keyed by exact type
+# message class -> (data type code, payload encoder), keyed by exact type;
+# ``+ msg.data`` takes bytes-like data only, where bytes(3) gives 3 zeros
 _ENCODERS = {
     ConnectionRequest: (DataType.CONNECTION_REQUEST, _encode_id),
     ConnectionAck: (DataType.CONNECTION_ACK, lambda msg: b""),
@@ -324,7 +334,7 @@ _ENCODERS = {
     ConnectedNodesInfo: (DataType.CONNECTED_NODES_INFO, lambda msg: b"".join(
         _check_id(rid) for rid in msg.romano_ids)),
     Heartbeat: (DataType.HEARTBEAT, _encode_id),
-    NormalData: (DataType.NORMAL_DATA, lambda msg: bytes(msg.data)),
+    NormalData: (DataType.NORMAL_DATA, lambda msg: b"" + msg.data),
     MqttSubscribe:
         (DataType.MQTT_SUBSCRIBE, lambda msg: _topic_bytes(msg.topic)),
     MqttUnsubscribe:
@@ -332,10 +342,10 @@ _ENCODERS = {
     MqttPublishRequest:
         (DataType.MQTT_PUBLISH_REQUEST, _encode_publish_request),
     MovementControl: (DataType.MOVEMENT_CONTROL, lambda msg: _u16(
-        msg.control_type, "control type") + bytes(msg.data)),
+        msg.control_type, "control type") + msg.data),
     SensorData: (DataType.SENSOR_DATA, lambda msg: _u16(
-        msg.sensor_type, "sensor type") + bytes(msg.data)),
-    CustomData: (None, lambda msg: bytes(msg.data)),
+        msg.sensor_type, "sensor type") + msg.data),
+    CustomData: (None, lambda msg: b"" + msg.data),
 }
 
 

@@ -22,7 +22,8 @@ from typing import Optional
 
 from .. import codec
 from . import report
-from .config import ConfigError, ScenarioConfig, build_config, load_scenario
+from .config import (ConfigError, ScenarioConfig, build_config, check_config,
+                     load_scenario)
 from .demos import DEMOS, DemoError
 from .experiments import (ExperimentError, run_scalability, run_throughput)
 from .world import World, WorldNotReady
@@ -184,26 +185,25 @@ def _parse_grid(text: str, kind) -> list:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    rates = _parse_grid(args.rates, float)
-    seeds = _parse_grid(args.seeds, int)
+    grid = [check_config(cfg.replace(rate_mps=rate, seed=seed))
+            for rate in _parse_grid(args.rates, float)
+            for seed in _parse_grid(args.seeds, int)]
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     combined: list[list[str]] = []
     ok = True
-    for rate in rates:
-        for seed in seeds:
-            sub = cfg.replace(rate_mps=rate, seed=seed)
-            res = run_throughput(sub)
-            rows = report.throughput_rows(res)
-            combined.extend(rows)
-            report.write_run_dir(out / f"rate-{rate:g}-seed-{seed}",
-                                 report.THROUGHPUT_HEADER, rows,
-                                 {"": res.trace}, res.robots)
-            ok = ok and res.conservation_ok
-            onset = ("-" if res.overflow_onset is None
-                     else str(res.overflow_onset))
-            print(f"rate {rate:7g}  seed {seed:3d}  ratio"
-                  f" {res.delivery_ratio:.6f}  overflow {onset}")
+    for sub in grid:
+        res = run_throughput(sub)
+        rows = report.throughput_rows(res)
+        combined.extend(rows)
+        report.write_run_dir(out / f"rate-{sub.rate_mps:g}-seed-{sub.seed}",
+                             report.THROUGHPUT_HEADER, rows,
+                             {"": res.trace}, res.robots)
+        ok = ok and res.conservation_ok
+        onset = ("-" if res.overflow_onset is None
+                 else str(res.overflow_onset))
+        print(f"rate {sub.rate_mps:7g}  seed {sub.seed:3d}  ratio"
+              f" {res.delivery_ratio:.6f}  overflow {onset}")
     report.write_csv(out / "report.csv", report.THROUGHPUT_HEADER, combined)
     print(f"artifacts in {out}")
     return 0 if ok else 1

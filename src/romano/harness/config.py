@@ -8,10 +8,13 @@ Command line flags override file values, which override the defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .. import broker
 from ..mqttsn import MAX_PUBLISH_DATA
+from ..simnet import US_PER_SEC
 
 
 class ConfigError(ValueError):
@@ -32,9 +35,9 @@ class ScenarioConfig:
     latency_hi_us: int = 20_000
     loss_prob: float = 0.0
     # broker egress calibration
-    dispatch_interval_us: int = 8_000
-    radio_tx_interval_us: int = 750
-    radio_buffer_capacity: int = 1400
+    dispatch_interval_us: int = broker.DEFAULT_DISPATCH_INTERVAL_US
+    radio_tx_interval_us: int = broker.DEFAULT_RADIO_TX_INTERVAL_US
+    radio_buffer_capacity: int = broker.DEFAULT_RADIO_BUFFER_CAPACITY
     # node liveness; 0 disables heartbeats entirely
     heartbeat_period_us: int = 0
     ready_deadline_us: int = 10_000_000
@@ -105,10 +108,17 @@ def build_config(file_overrides: Mapping[str, Any] | None = None,
     unknown = set(merged) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ScenarioConfig(**merged)
+    return check_config(ScenarioConfig(**merged))
+
+
+def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Return ``cfg``, or raise ConfigError naming its first bad value."""
     for key, kind in _FIELD_TYPES.items():
-        if kind == "int" and key != "seed" and getattr(cfg, key) < 0:
+        value = getattr(cfg, key)
+        if kind == "int" and key != "seed" and value < 0:
             raise ConfigError(f"{key} must not be negative")
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
     if cfg.n_robots < 1:
         raise ConfigError("n_robots must be at least 1")
     if not 14 <= cfg.payload_octets <= MAX_PUBLISH_DATA:
@@ -122,4 +132,17 @@ def build_config(file_overrides: Mapping[str, Any] | None = None,
         raise ConfigError("loss_prob must be in [0, 1)")
     if cfg.rate_mps <= 0:
         raise ConfigError("rate_mps must be positive")
+    # A probe's send time is a u64.  The first probe leaves 1 ms after the
+    # swarm is ready, by the ready deadline, and the last (n - 1) / rate later.
+    last_probe_us = (cfg.ready_deadline_us + 1_000
+                     + (cfg.n_messages - 1) * US_PER_SEC / cfg.rate_mps)
+    if last_probe_us >= 1 << 64:
+        raise ConfigError("rate_mps is too low: the last probe's send time"
+                          " overflows its 64-bit field")
+    for key in ("rssi_d0_mm", "rssi_exponent", "initial_separation_mm",
+                "dispersal_interval_us"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
+    if not cfg.bridge_topic_list():
+        raise ConfigError("bridge_topics must name at least one topic")
     return cfg

@@ -83,7 +83,8 @@ class OversizePacket(PacketError):
 
 
 class FieldOutOfRange(PacketError):
-    """A field value that does not fit its octets on the wire."""
+    """A field value that does not fit its octets on the wire, or data
+    that is not octets."""
 
 
 class MalformedString(PacketError):
@@ -186,7 +187,7 @@ def encode_packet(pkt: SnPacket) -> bytes:
     Raises:
         OversizePacket: the packet would exceed 255 octets.
         FieldOutOfRange: an id, duration or return code does not fit
-            its field.
+            its field, or the data is not bytes-like.
     """
     entry = _ENCODERS.get(type(pkt))
     if entry is None:
@@ -195,7 +196,7 @@ def encode_packet(pkt: SnPacket) -> bytes:
     msg_type, encode = entry
     try:
         body = encode(pkt)
-    except struct.error as exc:
+    except (struct.error, TypeError) as exc:
         raise FieldOutOfRange(
             "{}: {}".format(type(pkt).__name__, exc)) from exc
     total = 2 + len(body)
@@ -225,7 +226,8 @@ def _encode_ack(pkt: Union[Regack, Puback]) -> bytes:
     return _HHB.pack(pkt.topic_id, pkt.msg_id, pkt.return_code)
 
 
-# packet class -> (message type code, body encoder), keyed by exact type
+# packet class -> (message type code, body encoder), keyed by exact type;
+# ``+ pkt.data`` takes bytes-like data only, where bytes(3) gives 3 zeros
 _ENCODERS = {
     Connect: (MsgType.CONNECT, _encode_connect),
     Connack: (MsgType.CONNACK, lambda pkt: _B.pack(pkt.return_code)),
@@ -233,7 +235,7 @@ _ENCODERS = {
         pkt.topic_id, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
     Regack: (MsgType.REGACK, _encode_ack),
     Publish: (MsgType.PUBLISH, lambda pkt: _BHH.pack(
-        _flags(pkt.qos, pkt.dup), pkt.topic_id, pkt.msg_id) + bytes(pkt.data)),
+        _flags(pkt.qos, pkt.dup), pkt.topic_id, pkt.msg_id) + pkt.data),
     Puback: (MsgType.PUBACK, _encode_ack),
     Subscribe: (MsgType.SUBSCRIBE, lambda pkt: _BH.pack(
         _flags(pkt.qos, pkt.dup), pkt.msg_id) + pkt.topic_name.encode("utf-8")),

@@ -28,7 +28,7 @@ from .simnet import Simulator, Timer
 
 ACK_WAIT_US = 2_000_000
 DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
-DEFAULT_MAILBOX_CAPACITY = 64
+MAILBOX_CAPACITY = 64
 HEARTBEAT_STALE_PERIODS = 3
 
 
@@ -47,8 +47,7 @@ READY = "ready"
 
 class RomanoNode:
     def __init__(self, sim: Simulator, session: ClientSession, *,
-                 heartbeat_period_us: Optional[int] = None,
-                 mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY) -> None:
+                 heartbeat_period_us: Optional[int] = None) -> None:
         self.sim = sim
         self.session = session
         self.romano_id = codec.derive_romano_id(session.client_id)
@@ -58,7 +57,6 @@ class RomanoNode:
         self.heartbeats_sent = 0
         self.neighbors: dict[str, int] = {}  # ROMANO ID -> last heard, us
         self.mailbox: deque[codec.MovementCommand] = deque()
-        self.mailbox_capacity = mailbox_capacity
         self.mailbox_dropped = 0
         self.unknown_types = 0
         self.unknown_controls = 0
@@ -71,8 +69,6 @@ class RomanoNode:
         self._extension_codes: frozenset[int] = frozenset()
         self._ack_timer: Optional[Timer] = None
         self._heartbeat_timer: Optional[Timer] = None
-        self._gate_queues: dict[str, deque[codec.RomanoMessage]] = {}
-        self._gate_limit = 16
         session.on_message = self._on_romano
         session.on_disconnect = self._on_disconnect
 
@@ -170,28 +166,6 @@ class RomanoNode:
         return last is not None and \
             self.sim.now - last <= HEARTBEAT_STALE_PERIODS * period
 
-    def guarded_publish(self, peer_id: str, msg: codec.RomanoMessage) -> bool:
-        """Send to a peer's ID topic only while its heartbeats are fresh.
-
-        Messages for a stale peer wait in a bounded per-peer queue and
-        flush, in order, when the peer is heard again.  Returns whether
-        the message went out immediately.
-        """
-        if self.neighbor_fresh(peer_id):
-            self.session.publish(peer_id, codec.encode_message(msg))
-            return True
-        queue = self._gate_queues.setdefault(peer_id, deque())
-        if len(queue) >= self._gate_limit:
-            queue.popleft()
-        queue.append(msg)
-        return False
-
-    def _flush_gate(self, peer_id: str) -> None:
-        queue = self._gate_queues.get(peer_id)
-        while queue:
-            self.session.publish(peer_id,
-                                 codec.encode_message(queue.popleft()))
-
     # -- dispatch -----------------------------------------------------------------------
 
     def _on_romano(self, topic: str, data: bytes) -> None:
@@ -220,8 +194,6 @@ class RomanoNode:
 
     def _on_heartbeat(self, msg: codec.Heartbeat) -> None:
         self.neighbors[msg.romano_id] = self.sim.now
-        if msg.romano_id in self._gate_queues:
-            self._flush_gate(msg.romano_id)
 
     def _on_roster(self, msg: codec.ConnectedNodesInfo) -> None:
         for romano_id in msg.romano_ids:
@@ -241,7 +213,7 @@ class RomanoNode:
             else:
                 self.unknown_controls += 1
             return
-        if len(self.mailbox) >= self.mailbox_capacity:
+        if len(self.mailbox) >= MAILBOX_CAPACITY:
             self.mailbox.popleft()
             self.mailbox_dropped += 1
         self.mailbox.append(msg.to_command())

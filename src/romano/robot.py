@@ -114,27 +114,20 @@ class PathLossModel:
 # -- Drive controller --------------------------------------------------------------
 
 class Robot:
-    """Executes mailbox orders against a pose, instantly by default.
+    """Executes mailbox orders against a pose, each at the tick it arrives.
 
-    With ``speed_mm_s``/``speed_deg_s`` set, each order occupies the
-    wall of virtual time it would take to drive, and the next order is
-    popped only when the previous one finishes; the mailbox keeps
-    buffering meanwhile.
+    Every order pushed into the node's mailbox is popped and applied at
+    once, in FIFO order; driving takes no virtual time.  Each executed
+    order is appended to ``executed`` and adds one ``pose_trace`` row.
     """
 
     def __init__(self, sim: Simulator, node: RomanoNode,
-                 pose: Pose = Pose(), *,
-                 speed_mm_s: Optional[float] = None,
-                 speed_deg_s: Optional[float] = None) -> None:
+                 pose: Pose = Pose()) -> None:
         self.sim = sim
         self.node = node
         self.pose = pose
-        self.speed_mm_s = speed_mm_s
-        self.speed_deg_s = speed_deg_s
         self.executed: list[codec.MovementCommand] = []
         self.pose_trace: list[tuple[int, Pose]] = [(sim.now, pose)]
-        self.on_command: Optional[Callable[[codec.MovementCommand], None]] = None
-        self._busy = False
         node.on_mailbox_push = self._drain
 
     @property
@@ -142,38 +135,12 @@ class Robot:
         return self.node.romano_id
 
     def _drain(self) -> None:
-        if self._busy:
-            return
         command = self.node.pop_command()
-        if command is None:
-            return
-        duration = self._duration_us(command)
-        if duration <= 0:
-            self._execute(command)
-            self._drain()
-            return
-        self._busy = True
-        self.sim.after(duration, lambda: self._finish(command))
-
-    def _finish(self, command: codec.MovementCommand) -> None:
-        self._busy = False
-        self._execute(command)
-        self._drain()
-
-    def _execute(self, command: codec.MovementCommand) -> None:
-        self.pose = apply_command(self.pose, command)
-        self.executed.append(command)
-        self.pose_trace.append((self.sim.now, self.pose))
-        if self.on_command is not None:
-            self.on_command(command)
-
-    def _duration_us(self, command: codec.MovementCommand) -> int:
-        rotating = command.control_type in (codec.MovementType.ROTATE_LEFT,
-                                            codec.MovementType.ROTATE_RIGHT)
-        speed = self.speed_deg_s if rotating else self.speed_mm_s
-        if not speed:
-            return 0
-        return int(command.magnitude / speed * 1_000_000)
+        while command is not None:
+            self.pose = apply_command(self.pose, command)
+            self.executed.append(command)
+            self.pose_trace.append((self.sim.now, self.pose))
+            command = self.node.pop_command()
 
 
 # -- Scripted leader ------------------------------------------------------------------

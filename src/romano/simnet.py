@@ -203,10 +203,9 @@ class Network:
     """
 
     def __init__(self, sim: Simulator,
-                 default_link: Optional[LinkModel] = None,
-                 trace: Optional[WireTrace] = None):
+                 default_link: Optional[LinkModel] = None):
         self.sim = sim
-        self.trace = trace if trace is not None else WireTrace()
+        self.trace = WireTrace()
         self.default_link = default_link
         self._endpoints: dict[tuple[str, int], Callable[[str, bytes], None]] = {}
         self._links: dict[tuple[str, str], LinkModel] = {}

@@ -1,9 +1,9 @@
-"""Bridge tests: crossing, echo suppression, isolation, channel outages."""
+"""Bridge tests: crossing, echo suppression, isolation."""
 from collections import Counter
 
 import pytest
 
-from romano.bridge import Bridge, BridgeEnd, DEFAULT_DOWN_QUEUE_LIMIT
+from romano.bridge import Bridge, BridgeEnd
 from romano.broker import Broker
 from romano.session import ACTIVE, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
@@ -118,43 +118,3 @@ class TestCrossing:
         assert Counter(rig.on_topic(rig.inbox_b)) == want
         assert rig.end_a.forwarded == 40
         assert rig.end_b.forwarded == 40
-
-
-class TestOutage:
-    def test_down_channel_queues_then_flushes_in_order(self):
-        rig = BridgeRig()
-        rig.end_a.set_channel_up(False)
-        for i in range(3):
-            rig.client_a.publish(TOPIC, "m-{}".format(i).encode())
-        rig.settle()
-        assert rig.on_topic(rig.inbox_b) == []
-        assert rig.end_a.forwarded == 0
-        assert rig.end_a.dropped_while_down == 0
-        rig.end_a.set_channel_up(True)
-        rig.settle()
-        assert rig.on_topic(rig.inbox_b) == [b"m-0", b"m-1", b"m-2"]
-        assert rig.end_a.forwarded == 3
-
-    def test_down_queue_drops_oldest_beyond_cap(self):
-        rig = BridgeRig()
-        rig.end_a.set_channel_up(False)
-        extra = 8
-        for i in range(DEFAULT_DOWN_QUEUE_LIMIT + extra):
-            rig.client_a.publish(TOPIC, "q-{:03d}".format(i).encode())
-        rig.settle(10_000_000)
-        assert rig.end_a.dropped_while_down == extra
-        rig.end_a.set_channel_up(True)
-        rig.settle(10_000_000)
-        got = rig.on_topic(rig.inbox_b)
-        assert len(got) == DEFAULT_DOWN_QUEUE_LIMIT
-        assert got[0] == "q-{:03d}".format(extra).encode()
-        assert got[-1] == "q-{:03d}".format(DEFAULT_DOWN_QUEUE_LIMIT
-                                            + extra - 1).encode()
-
-    def test_traffic_resumes_after_outage(self):
-        rig = BridgeRig()
-        rig.end_a.set_channel_up(False)
-        rig.end_a.set_channel_up(True)
-        rig.client_a.publish(TOPIC, b"fresh")
-        rig.settle()
-        assert rig.on_topic(rig.inbox_b) == [b"fresh"]

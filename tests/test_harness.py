@@ -63,6 +63,15 @@ class TestConfig:
         {"loss_prob": 1.0},
         {"loss_prob": -0.1},
         {"rate_mps": 0.0},
+        {"rate_mps": float("nan")},
+        {"rate_mps": float("inf")},
+        {"rate_mps": 1e-300},
+        {"rssi_p0_dbm": float("-inf")},
+        {"rssi_d0_mm": 0.0},
+        {"rssi_exponent": 0.0},
+        {"initial_separation_mm": 0.0},
+        {"dispersal_interval_us": 0},
+        {"bridge_topics": ","},
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -332,6 +341,39 @@ class TestCli:
         assert code == 2
         assert "must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["throughput", "--rate", "nan"], "rate_mps must be finite"),
+        (["throughput", "--rate", "1e-300"], "rate_mps is too low"),
+        (["sweep", "--rates", "0"], "rate_mps must be positive"),
+        (["sweep", "--rates", "-1"], "rate_mps must be positive"),
+        (["sweep", "--rates", "nan"], "rate_mps must be finite"),
+        (["sweep", "--rates", "10,0"], "rate_mps must be positive"),
+    ])
+    def test_bad_rate_exits_2(self, tmp_path, capsys, argv, error):
+        code = self.run(*argv, "--robots", "2", "--messages", "5",
+                        "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("demo, line, error", [
+        ("dispersal", "initial_separation_mm = 0",
+         "initial_separation_mm must be positive"),
+        ("dispersal", "rssi_d0_mm = 0", "rssi_d0_mm must be positive"),
+        ("dispersal", "rssi_exponent = 0", "rssi_exponent must be positive"),
+        ("bridge", "bridge_topics = ,",
+         "bridge_topics must name at least one topic"),
+    ])
+    def test_bad_demo_value_exits_2(self, tmp_path, capsys, demo, line,
+                                    error):
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_text(f"{line}\n")
+        code = self.run("demo", "--demo", demo, "--scenario", str(scenario),
+                        "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_scenario_key_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "bad.scenario"

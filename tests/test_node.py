@@ -9,7 +9,8 @@ import pytest
 from romano import codec
 from romano import mqttsn as sn
 from romano.broker import Broker
-from romano.node import ACK_WAIT_US, AWAIT_ACK, INIT, READY, RomanoNode
+from romano.node import (ACK_WAIT_US, AWAIT_ACK, INIT, MAILBOX_CAPACITY, READY,
+                         RomanoNode)
 from romano.server import RegistryServer
 from romano.session import ClientSession
 from romano.simnet import LinkModel, Network, Simulator
@@ -196,13 +197,12 @@ class TestDispatch:
 
     def test_mailbox_overflow_drops_oldest(self):
         rig = Rig()
-        node = rig.add_node(NODE_1, mailbox_capacity=3)
-        node.start()
-        rig.ready(node)
-        for mm in range(5):
+        node = self.make_ready(rig)
+        for mm in range(MAILBOX_CAPACITY + 2):
             rig.publish_to(node, codec.movement_control(0, mm))
         rig.sim.run_until_idle()
-        assert [c.magnitude for c in node.mailbox] == [2, 3, 4]
+        assert [c.magnitude for c in node.mailbox] == list(
+            range(2, MAILBOX_CAPACITY + 2))
         assert node.mailbox_dropped == 2
 
     def test_odd_sized_control_needs_a_handler(self):
@@ -304,25 +304,6 @@ class TestHeartbeats:
         rig.net.set_connected(NODE_2, BROKER, False)
         rig.sim.run_until(rig.sim.now + 4_000_000)
         assert not a.neighbor_fresh(b.romano_id)
-
-    def test_guarded_publish_waits_for_liveness(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        a = rig.add_node(NODE_1)
-        a.start()
-        rig.ready(a)
-        peer_id = codec.derive_romano_id(NODE_2)
-        queued = a.guarded_publish(peer_id, codec.NormalData(b"hi"))
-        assert not queued  # peer not heard yet: parked, not sent
-        b = rig.add_node(NODE_2)
-        b.start()
-        rig.ready(b)
-        got = []
-        b.on_data(int(codec.DataType.NORMAL_DATA),
-                  lambda msg: got.append(msg.data))
-        # a hears b's next heartbeat and flushes the parked message
-        rig.sim.run_until_true(lambda: got == [b"hi"],
-                               rig.sim.now + 5_000_000)
-        assert got == [b"hi"]
 
 
 def test_node_ids_follow_the_address():

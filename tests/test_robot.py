@@ -99,11 +99,11 @@ class TestPathLoss:
             PathLossModel().rssi(-5.0)
 
 
-def bare_robot(sim, **kw):
+def bare_robot(sim):
     """A robot whose node never talks: drive-layer tests only."""
     net = Network(sim, default_link=LinkModel.fixed(0))
     session = ClientSession(sim, net, "fe80::212:4b00:10:1", BROKER)
-    return Robot(sim, RomanoNode(sim, session), **kw)
+    return Robot(sim, RomanoNode(sim, session))
 
 
 class TestRobotDrive:
@@ -117,28 +117,6 @@ class TestRobotDrive:
         assert robot.pose == Pose(100.0, 0.0, 90.0)
         assert robot.executed == [cmd(0x0000, 100), cmd(0x0004, 90)]
         assert [t for t, _ in robot.pose_trace] == [0, 0, 0]
-
-    def test_timed_drive_takes_virtual_time(self):
-        sim = Simulator()
-        robot = bare_robot(sim, speed_mm_s=100.0, speed_deg_s=45.0)
-        robot.node.enqueue_movement(
-            codec.movement_control(codec.MovementType.MOVE_FRONT, 100))
-        robot.node.enqueue_movement(
-            codec.movement_control(codec.MovementType.ROTATE_LEFT, 90))
-        assert len(robot.node.mailbox) == 1  # second order buffered
-        sim.run_until(500_000)
-        assert robot.executed == []
-        sim.run_until_idle()
-        assert [t for t, _ in robot.pose_trace] == [0, 1_000_000, 3_000_000]
-        assert robot.pose == Pose(100.0, 0.0, 90.0)
-
-    def test_on_command_hook(self):
-        sim = Simulator()
-        robot = bare_robot(sim)
-        seen = []
-        robot.on_command = seen.append
-        robot.node.enqueue_movement(codec.movement_control(0x0001, 7))
-        assert seen == [cmd(0x0001, 7)]
 
 
 class SwarmRig:

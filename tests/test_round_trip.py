@@ -6,7 +6,7 @@ and maximal strings and data, and a 31-id roster.  Both encoders
 dispatch on the exact type of their argument, so anything else, a
 look-alike dataclass with the same name and fields included, must fail
 with the codec's own error type.  So must an integer field outside
-the range its octets hold.
+the range its octets hold, and data that is not bytes-like.
 """
 from dataclasses import dataclass, fields, replace
 
@@ -116,6 +116,7 @@ def test_every_packet_type_has_an_integer_field_case():
 @pytest.mark.parametrize("pkt", [
     sn.Regack(70000, 1), sn.Connack(256), sn.Publish(-1, b""),
     sn.Subscribe(70000, "a"), sn.Connect("x", duration=70000),
+    sn.Publish(1, 3), sn.Publish(1, "x"),
 ], ids=repr)
 def test_out_of_range_field_is_a_packet_error(pkt):
     with pytest.raises(sn.FieldOutOfRange):
@@ -212,6 +213,47 @@ def test_message_length_boundaries(msg, length):
 def test_custom_code_must_not_be_builtin_or_out_of_range(code):
     with pytest.raises(codec.UnknownType):
         codec.encode_message(codec.CustomData(code))
+
+
+# -- data that is not octets ---------------------------------------------------
+
+# (encoder, valid value with a data field, error the encoder must raise)
+DATA_FIELDS = [(sn.encode_packet, sn.Publish(1, b""), sn.FieldOutOfRange)] + [
+    (codec.encode_message, msg, codec.InvalidField) for msg in (
+        codec.NormalData(), codec.MqttPublishRequest("t"),
+        codec.MovementControl(0), codec.SensorData(0),
+        codec.CustomData(codec.UDP_SEND_GO))]
+
+# Small ints only: ``bytes(n)`` makes n zero octets.
+NOT_OCTETS = st.one_of(
+    st.integers(min_value=-2, max_value=64), st.text(max_size=8), st.none(),
+    st.floats(allow_nan=False), st.lists(U8, max_size=8),
+    st.tuples(U8, U8))
+
+
+@pytest.mark.parametrize("msg", [
+    codec.NormalData(3), codec.SensorData(1, "ab"),
+    codec.MovementControl(0, [0, 9]),
+], ids=repr)
+def test_data_that_is_not_octets_is_a_codec_error(msg):
+    with pytest.raises(codec.InvalidField):
+        codec.encode_message(msg)
+
+
+@pytest.mark.parametrize(
+    "encode, base, error", DATA_FIELDS,
+    ids=[type(base).__name__ for _, base, _ in DATA_FIELDS])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_data_that_is_not_octets_is_a_codec_error(encode, base, error,
+                                                      data):
+    with pytest.raises(error):
+        encode(replace(base, data=data.draw(NOT_OCTETS)))
+    raw = data.draw(octets(8))
+    # bytes-like data still encodes to the octets it holds
+    assert encode(replace(base, data=bytearray(raw))) == \
+        encode(replace(base, data=memoryview(raw))) == \
+        encode(replace(base, data=raw))
 
 
 # -- objects of no codec type -----------------------------------------------------

@@ -12,7 +12,6 @@ from romano.simnet import (
     PORT_APP,
     SimulationLimit,
     Simulator,
-    WireTrace,
 )
 
 
@@ -246,10 +245,8 @@ class TestDeterminism:
     @staticmethod
     def _run(seed: int) -> list[str]:
         sim = Simulator(seed=seed)
-        trace = WireTrace()
-        net = Network(sim, trace=trace,
-                      default_link=LinkModel(latency_us=(5_000, 15_000),
-                                             loss_prob=0.1))
+        net = Network(sim, default_link=LinkModel(latency_us=(5_000, 15_000),
+                                                  loss_prob=0.1))
         net.attach("b", lambda s, d: None)
         net.attach("c", lambda s, d: None)
         for i in range(300):
@@ -257,7 +254,7 @@ class TestDeterminism:
             sim.at(i * 1_000, lambda dst=dst, i=i: net.send(
                 "a", dst, bytes([i % 256]), topic="t"))
         sim.run_until_idle()
-        return trace.lines()
+        return net.trace.lines()
 
     def test_same_seed_identical_trace(self):
         assert self._run(42) == self._run(42)
@@ -294,20 +291,19 @@ class TestDeterminism:
 class TestWireTrace:
     def test_line_format(self):
         sim = Simulator()
-        trace = WireTrace()
-        net = Network(sim, trace=trace, default_link=LinkModel.fixed(1_000))
+        net = Network(sim, default_link=LinkModel.fixed(1_000))
         net.attach("b", lambda s, d: None)
         net.send("a", "b", b"xyz", topic="demo")
         sim.run_until_idle()
-        assert trace.lines() == [
+        assert net.trace.lines() == [
             "0\ta\tb\tsend\t3\tdemo",
             "1000\ta\tb\tdeliver\t3\tdemo",
         ]
 
     def test_query_filters(self):
         sim = Simulator()
-        trace = WireTrace()
-        net = Network(sim, trace=trace, default_link=LinkModel.fixed(1))
+        net = Network(sim, default_link=LinkModel.fixed(1))
+        trace = net.trace
         net.attach("b", lambda s, d: None)
         net.send("a", "b", b"1", topic="t1")
         net.send("a", "b", b"2", topic="t2")
