@@ -7,11 +7,11 @@ to the far end over a reliable, ordered channel (a TCP-like pipe,
 modeled as a lossless FIFO link with fixed latency).  The far end
 republishes into its own network under the same topic.
 
-Relay frames carry a one-octet origin tag ahead of the MQTT-SN data so
-each side knows which network a payload entered first; the tag never
-reaches subscribers.  Echo back into the bridge is cut at the broker:
-relay sessions subscribe with the no-local option, so a relay is never
-fanned its own republication and a message can cross at most once.
+Each relay frame is an ``(origin, topic, data)`` tuple: the origin tag
+says which network a payload entered first and never reaches
+subscribers.  Echo back into the bridge is cut at the broker: relay
+sessions subscribe with the no-local option, so a relay is never fanned
+its own republication and a message can cross at most once.
 """
 
 from __future__ import annotations

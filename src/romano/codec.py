@@ -180,9 +180,6 @@ class MovementControl:
                 "control data is {} octets, expected 2".format(len(self.data)))
         return int.from_bytes(self.data, "big")
 
-    def to_command(self) -> "MovementCommand":
-        return MovementCommand(self.control_type, self.magnitude)
-
 
 @dataclass(frozen=True)
 class SensorData:
@@ -213,14 +210,6 @@ RomanoMessage = Union[
     SensorData,
     CustomData,
 ]
-
-
-@dataclass(frozen=True)
-class MovementCommand:
-    """A parsed built-in movement order, as queued in a node's mailbox."""
-
-    control_type: int
-    magnitude: int
 
 
 def movement_control(control_type: int, magnitude: int) -> MovementControl:

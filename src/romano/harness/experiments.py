@@ -115,8 +115,9 @@ def run_throughput(cfg: ScenarioConfig) -> ThroughputResult:
     if published != cfg.n_messages:
         raise ExperimentError(
             f"commander published {cfg.n_messages}, broker saw {published}")
-    link_dropped = len(world.trace.query(kind="drop-link",
-                                         topic=codec.TOPIC_COMMON))
+    # Fan-out copies only: a robot's lost SUBSCRIBE("common") matches too.
+    link_dropped = len(world.trace.query(
+        kind="drop-link", src=world.broker.addr, topic=codec.TOPIC_COMMON))
     overflow = world.broker.first_overflow
     onset = (overflow["published_so_far"]
              if overflow and overflow["topic"] == codec.TOPIC_COMMON else None)

@@ -9,16 +9,15 @@ the request, indefinitely; only after the ack does it subscribe to
 exchange) drops the node back to Init and the whole sequence reruns.
 
 Incoming ROMANO messages are dispatched by data type regardless of
-which topic delivered them.  MovementControl orders go into a bounded
-mailbox (drop-oldest on overflow) consumed by whatever drive layer the
-application attaches.  Heartbeats are optional; when enabled the node
-publishes its ID on "common" at a fixed period, and remembers the last
-time it heard every peer.
+which topic delivered them.  A built-in MovementControl order goes
+straight to the drive layer's ``on_movement`` callback, any other to the
+MovementControl data handler.  Heartbeats are optional; when enabled
+the node publishes its ID on "common" at a fixed period, and remembers
+the last time it heard every peer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -28,7 +27,6 @@ from .simnet import Simulator, Timer
 
 ACK_WAIT_US = 2_000_000
 DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
-MAILBOX_CAPACITY = 64
 HEARTBEAT_STALE_PERIODS = 3
 
 
@@ -56,15 +54,13 @@ class RomanoNode:
         self.heartbeat_period_us = heartbeat_period_us
         self.heartbeats_sent = 0
         self.neighbors: dict[str, int] = {}  # ROMANO ID -> last heard, us
-        self.mailbox: deque[codec.MovementCommand] = deque()
-        self.mailbox_dropped = 0
         self.unknown_types = 0
         self.unknown_controls = 0
         self.malformed = 0
         self.early_messages = 0
         self.stray_acks = 0
         self.on_ready: Optional[Callable[[], None]] = None
-        self.on_mailbox_push: Optional[Callable[[], None]] = None
+        self.on_movement: Optional[Callable] = None  # MovementControl -> None
         self._data_handlers: dict[int, Callable] = {}
         self._extension_codes: frozenset[int] = frozenset()
         self._ack_timer: Optional[Timer] = None
@@ -142,9 +138,6 @@ class RomanoNode:
         if int(type_code) not in codec.BUILTIN_TYPE_CODES:
             self._extension_codes |= {int(type_code)}
 
-    def pop_command(self) -> Optional[codec.MovementCommand]:
-        return self.mailbox.popleft() if self.mailbox else None
-
     # -- heartbeats --------------------------------------------------------------------
 
     def _schedule_heartbeat(self) -> None:
@@ -205,20 +198,18 @@ class RomanoNode:
             handler(msg)
 
     def enqueue_movement(self, msg: codec.MovementControl) -> None:
-        """Queue a movement order exactly as a received one would be."""
-        if len(msg.data) != 2:
-            handler = self._data_handlers.get(int(codec.DataType.MOVEMENT_CONTROL))
-            if handler is not None:
-                handler(msg)
-            else:
-                self.unknown_controls += 1
+        """Hand a movement order on exactly as a received one would be."""
+        # The built-in control types are 0..5, each with a 2-octet magnitude.
+        if len(msg.data) == 2 and \
+                0 <= msg.control_type <= codec.MovementType.ROTATE_RIGHT:
+            if self.on_movement is not None:
+                self.on_movement(msg)
             return
-        if len(self.mailbox) >= MAILBOX_CAPACITY:
-            self.mailbox.popleft()
-            self.mailbox_dropped += 1
-        self.mailbox.append(msg.to_command())
-        if self.on_mailbox_push is not None:
-            self.on_mailbox_push()
+        handler = self._data_handlers.get(int(codec.DataType.MOVEMENT_CONTROL))
+        if handler is not None:
+            handler(msg)
+        else:
+            self.unknown_controls += 1
 
     # message type -> handler once READY.  ConnectionRequest and
     # RequestConnectedNodesInfo are server business; nodes ignore them.

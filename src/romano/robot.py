@@ -8,9 +8,9 @@ drive layer hides how the wheels achieve that).  Magnitudes are the
 unsigned 16-bit values carried by MovementControl: millimeters for
 translations, degrees for rotations.
 
-The drive controller consumes the node's mailbox strictly in FIFO
-order, records every executed command, and appends a pose-trace row per
-change.  Received-signal strength follows log-distance path loss,
+The drive controller applies each order the node hands it at once,
+records it, and appends a pose-trace row.  Received-signal strength
+follows log-distance path loss,
 
     rssi(d) = P0 - 10 n log10(d / d0)
 
@@ -64,11 +64,12 @@ def _translate(pose: Pose, bearing_deg: float, distance_mm: float) -> Pose:
                    y_mm=pose.y_mm + distance_mm * math.sin(rad))
 
 
-def apply_command(pose: Pose, command: codec.MovementCommand) -> Pose:
-    """Apply one movement order to a pose, returning the new pose.
+def apply_command(pose: Pose, command: codec.MovementControl) -> Pose:
+    """Apply one built-in movement order to a pose, returning the new pose.
 
     Raises:
         UnknownControlType: for control types outside the built-in six.
+        codec.LengthMismatch: for data other than a 2-octet magnitude.
     """
     kind = command.control_type
     magnitude = float(command.magnitude)
@@ -114,11 +115,11 @@ class PathLossModel:
 # -- Drive controller --------------------------------------------------------------
 
 class Robot:
-    """Executes mailbox orders against a pose, each at the tick it arrives.
+    """Executes movement orders against a pose, each at the tick it arrives.
 
-    Every order pushed into the node's mailbox is popped and applied at
-    once, in FIFO order; driving takes no virtual time.  Each executed
-    order is appended to ``executed`` and adds one ``pose_trace`` row.
+    The node hands every built-in order to ``on_movement``, which applies
+    it at once; driving takes no virtual time.  Each executed order is
+    appended to ``executed`` and adds one ``pose_trace`` row.
     """
 
     def __init__(self, sim: Simulator, node: RomanoNode,
@@ -126,21 +127,18 @@ class Robot:
         self.sim = sim
         self.node = node
         self.pose = pose
-        self.executed: list[codec.MovementCommand] = []
+        self.executed: list[codec.MovementControl] = []
         self.pose_trace: list[tuple[int, Pose]] = [(sim.now, pose)]
-        node.on_mailbox_push = self._drain
+        node.on_movement = self.on_movement
 
     @property
     def romano_id(self) -> str:
         return self.node.romano_id
 
-    def _drain(self) -> None:
-        command = self.node.pop_command()
-        while command is not None:
-            self.pose = apply_command(self.pose, command)
-            self.executed.append(command)
-            self.pose_trace.append((self.sim.now, self.pose))
-            command = self.node.pop_command()
+    def on_movement(self, command: codec.MovementControl) -> None:
+        self.pose = apply_command(self.pose, command)
+        self.executed.append(command)
+        self.pose_trace.append((self.sim.now, self.pose))
 
 
 # -- Scripted leader ------------------------------------------------------------------
@@ -155,7 +153,7 @@ class LeaderScript:
     """Drives a robot along a scripted path, publishing each order.
 
     Every ``interval_us`` the next command is executed locally (through
-    the robot's own mailbox, like any other order) and simultaneously
+    the robot's own node, like any other order) and simultaneously
     published as MovementControl on the telemetry topic, so followers
     replay the exact emitted stream.
     """
@@ -169,7 +167,7 @@ class LeaderScript:
         self.script = list(script)
         self.topic = topic
         self.interval_us = interval_us
-        self.emitted: list[codec.MovementCommand] = []
+        self.emitted: list[codec.MovementControl] = []
         self.done = False
         self._index = 0
 
@@ -185,7 +183,7 @@ class LeaderScript:
         msg = codec.movement_control(control_type, magnitude)
         self.robot.node.session.publish(self.topic, codec.encode_message(msg))
         self.robot.node.enqueue_movement(msg)
-        self.emitted.append(msg.to_command())
+        self.emitted.append(msg)
         self.sim.after(self.interval_us, self._tick)
 
 

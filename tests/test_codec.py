@@ -91,7 +91,7 @@ class TestGoldenVectors:
         msg = movement_control(codec.MovementType.ROTATE_LEFT, 90)
         assert msg == MovementControl(0x0004, b"\x00\x5A")
         assert msg.magnitude == 90
-        assert msg.to_command() == codec.MovementCommand(0x0004, 90)
+        assert movement_control(0x0004, 90) == msg
 
 
 class TestRomanoIds:

@@ -134,6 +134,15 @@ class TestWorld:
         world.run_ready()  # raises WorldNotReady past the 10 s default
         assert len(world.server.registry) == 2000
 
+    def test_order_without_kinematics_does_not_abort_the_run(self):
+        world = World(ScenarioConfig(n_robots=2))
+        world.run_ready()
+        world.commander.publish(codec.TOPIC_COMMON, codec.encode_message(
+            codec.MovementControl(0x0100, b"\x00\x05")))
+        world.sim.run_until_idle()
+        assert [r.executed for r in world.robots] == [[], []]
+        assert [n.unknown_controls for n in world.nodes] == [1, 1]
+
     def test_unreachable_deadline(self):
         cfg = ScenarioConfig(n_robots=2, ready_deadline_us=1)
         with pytest.raises(WorldNotReady):
@@ -164,6 +173,17 @@ class TestThroughput:
         res = run_throughput(cfg)
         assert res.link_dropped > 0
         assert res.delivery_ratio < 1.0
+        assert res.conservation_ok
+
+    def test_lost_join_frames_are_not_lost_copies(self):
+        # Robots' SUBSCRIBE("common") frames lost while the swarm joins
+        # are tagged "common" too, but they are not fan-out copies.
+        cfg = ScenarioConfig(n_robots=5, rate_mps=100.0, n_messages=100,
+                             seed=1, loss_prob=0.2,
+                             ready_deadline_us=60_000_000)
+        res = run_throughput(cfg)
+        assert res.delivered == 402 and res.buffer_dropped == 0
+        assert res.link_dropped == 98
         assert res.conservation_ok
 
     def test_same_seed_reproduces_exactly(self):

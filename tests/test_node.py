@@ -1,4 +1,4 @@
-"""Node runtime tests: establishment order, join retries, dispatch, mailbox.
+"""Node runtime tests: establishment order, join retries, dispatch, movement.
 
 Runs real nodes against a real broker and registry over fixed-latency
 links; a wire tap on the broker address decodes everything the node
@@ -9,8 +9,7 @@ import pytest
 from romano import codec
 from romano import mqttsn as sn
 from romano.broker import Broker
-from romano.node import (ACK_WAIT_US, AWAIT_ACK, INIT, MAILBOX_CAPACITY, READY,
-                         RomanoNode)
+from romano.node import ACK_WAIT_US, AWAIT_ACK, INIT, READY, RomanoNode
 from romano.server import RegistryServer
 from romano.session import ClientSession
 from romano.simnet import LinkModel, Network, Simulator
@@ -185,33 +184,26 @@ class TestDispatch:
         rig.ready(node)
         return node
 
-    def test_movement_control_lands_in_mailbox(self):
+    def test_movement_control_reaches_on_movement(self):
         rig = Rig()
         node = self.make_ready(rig)
+        orders = []
+        node.on_movement = orders.append
         rig.publish_to(node, codec.movement_control(
             codec.MovementType.MOVE_FRONT, 120))
         rig.sim.run_until_idle()
-        assert list(node.mailbox) == [codec.MovementCommand(0x0000, 120)]
-        assert node.pop_command() == codec.MovementCommand(0x0000, 120)
-        assert node.pop_command() is None
-
-    def test_mailbox_overflow_drops_oldest(self):
-        rig = Rig()
-        node = self.make_ready(rig)
-        for mm in range(MAILBOX_CAPACITY + 2):
-            rig.publish_to(node, codec.movement_control(0, mm))
-        rig.sim.run_until_idle()
-        assert [c.magnitude for c in node.mailbox] == list(
-            range(2, MAILBOX_CAPACITY + 2))
-        assert node.mailbox_dropped == 2
+        assert orders == [codec.MovementControl(0x0000, b"\x00\x78")]
+        assert node.unknown_controls == 0
 
     def test_odd_sized_control_needs_a_handler(self):
         rig = Rig()
         node = self.make_ready(rig)
+        orders = []
+        node.on_movement = orders.append
         odd = codec.MovementControl(0x0100, b"\x01\x02\x03")
         rig.publish_to(node, odd)
         rig.sim.run_until_idle()
-        assert node.unknown_controls == 1 and not node.mailbox
+        assert node.unknown_controls == 1 and not orders
         seen = []
         node.on_data(int(codec.DataType.MOVEMENT_CONTROL), seen.append)
         rig.publish_to(node, odd)

@@ -2,6 +2,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romano import codec
 from romano.broker import Broker
@@ -18,7 +19,7 @@ SERVER = "fe80::212:4b00:1:2"
 
 
 def cmd(control_type, magnitude):
-    return codec.MovementCommand(int(control_type), magnitude)
+    return codec.movement_control(control_type, magnitude)
 
 
 class TestKinematics:
@@ -144,6 +145,26 @@ class SwarmRig:
         assert self.sim.run_until_true(
             lambda: all(r.node.phase == READY for r in self.robots),
             10_000_000)
+
+
+class TestReceivedOrders:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(control_type=st.integers(0, 0xFFFF),
+           data=st.binary(max_size=4))
+    def test_each_order_is_driven_or_handled(self, control_type, data):
+        rig = SwarmRig(n=1)
+        robot = rig.robots[0]
+        handled = []
+        robot.node.on_data(int(codec.DataType.MOVEMENT_CONTROL),
+                           handled.append)
+        order = codec.MovementControl(control_type, data)
+        rig.server.session.publish(robot.romano_id,
+                                   codec.encode_message(order))
+        rig.sim.run_until_idle()  # raises if the order escapes the node
+        if len(data) == 2 and control_type <= codec.MovementType.ROTATE_RIGHT:
+            assert (robot.executed, handled) == ([order], [])
+        else:
+            assert (robot.executed, handled) == ([], [order])
 
 
 class TestLeaderScript:
