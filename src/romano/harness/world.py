@@ -78,6 +78,7 @@ class Cell:
                                        self.addr)
 
         self.nodes: list[RomanoNode] = []
+        self._unready = 0   # index of the first node ready() saw not READY
         self.robots: list[Robot] = []
         for i in range(1, cfg.n_robots + 1):
             addr = robot_addr(i, cell)
@@ -101,9 +102,16 @@ class Cell:
             node.start()
 
     def ready(self) -> bool:
-        return (self.server.running
-                and self.commander.state == ACTIVE
-                and all(node.phase == READY for node in self.nodes))
+        # Scan on from the first node last seen not READY.  A node can
+        # drop back to INIT, so all are checked again before True.
+        nodes, i = self.nodes, self._unready
+        while i < len(nodes) and nodes[i].phase == READY:
+            i += 1
+        if i == len(nodes):
+            i = next((j for j, n in enumerate(nodes) if n.phase != READY), i)
+        self._unready = i
+        return (i == len(nodes) and self.server.running
+                and self.commander.state == ACTIVE)
 
     def robot_addrs(self) -> list[str]:
         return [r.node.session.client_id for r in self.robots]

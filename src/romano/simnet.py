@@ -15,9 +15,10 @@ A multihop path is modeled as one link with k times the latency.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 US_PER_SEC = 1_000_000
 
@@ -139,19 +140,41 @@ class TraceRecord(NamedTuple):
         return "{}\t{}\t{}\t{}\t{}\t{}".format(*self)
 
 
-# Builds a TraceRecord from a field tuple without the Python-level
-# NamedTuple constructor: one record per send and per delivery.
-_record = tuple.__new__
+class _Names(dict):
+    """Index of each distinct string in ``names``; a lookup adds a new one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, name: str) -> int:
+        self.names.append(name)
+        return self.setdefault(name, len(self.names) - 1)
 
 
 class WireTrace:
+    """Records kept in columns, 28 octets each: ``time_us`` as int64,
+    ``nbytes`` as uint32, and src, dst, kind and topic as uint32 indexes
+    into one table of distinct strings.  ``records`` is a read-only view
+    in record order that rebuilds each :class:`TraceRecord` it yields."""
+
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+        self._codes = _Names()
+        # In TraceRecord's field order; bound appends keep record() cheap.
+        self._columns = tuple(array(t) for t in "qIIIII")
+        self._appends = tuple(column.append for column in self._columns)
+        self.records = _Records(self._columns, self._codes.names)
 
     def record(self, time_us: int, src: str, dst: str, kind: str,
                nbytes: int, topic: Optional[str]) -> None:
-        self.records.append(_record(
-            TraceRecord, (time_us, src, dst, kind, nbytes, topic or "")))
+        code = self._codes
+        t, s, d, k, n, p = self._appends
+        t(time_us)
+        s(code[src])
+        d(code[dst])
+        k(code[kind])
+        n(nbytes)
+        p(code[topic or ""])
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -159,18 +182,36 @@ class WireTrace:
     def query(self, kind: Optional[str] = None, src: Optional[str] = None,
               dst: Optional[str] = None,
               topic: Optional[str] = None) -> list[TraceRecord]:
-        out = []
-        for r in self.records:
-            if kind is not None and r.kind != kind:
-                continue
-            if src is not None and r.src != src:
-                continue
-            if dst is not None and r.dst != dst:
-                continue
-            if topic is not None and r.topic != topic:
-                continue
-            out.append(r)
-        return out
+        _, srcs, dsts, kinds, _, topics = self._columns
+        picked = range(len(self.records))
+        for column, name in ((kinds, kind), (srcs, src), (dsts, dst),
+                             (topics, topic)):
+            if name is not None:
+                # get() adds no name, and None matches no record.
+                code = self._codes.get(name)
+                picked = [i for i in picked if column[i] == code]
+        return [self.records[i] for i in picked]
+
+
+class _Records:
+    def __init__(self, columns: tuple[array, ...], names: list[str]) -> None:
+        self._columns = columns
+        self._name = names.__getitem__
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i: int) -> TraceRecord:
+        name = self._name
+        t, s, d, k, n, p = self._columns
+        return TraceRecord(t[i], name(s[i]), name(d[i]), name(k[i]), n[i],
+                           name(p[i]))
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        name = self._name
+        t, s, d, k, n, p = self._columns
+        return map(TraceRecord, t, map(name, s), map(name, d), map(name, k),
+                   n, map(name, p))
 
 
 # -- Links and network ---------------------------------------------------------
@@ -257,17 +298,14 @@ class Network:
         sim = self.sim
         now = sim.now
         nbytes = len(data)
-        topic = topic or ""
-        records = self.trace.records
+        record = self.trace.record
         self.sent += 1
-        records.append(_record(TraceRecord,
-                               (now, src, dst, "send", nbytes, topic)))
+        record(now, src, dst, "send", nbytes, topic)
 
         if (self._filters and self._scripted_drop(src, dst, data)) or \
                 (link.loss_prob > 0.0 and sim.rng.random() < link.loss_prob):
             self.link_dropped += 1
-            records.append(_record(TraceRecord,
-                                   (now, src, dst, "drop-link", nbytes, topic)))
+            record(now, src, dst, "drop-link", nbytes, topic)
             return
 
         lo, hi = link.latency_us
@@ -284,12 +322,11 @@ class Network:
         return False
 
     def _deliver(self, src: str, dst: str, data: bytes,
-                 topic: str, port: int) -> None:
+                 topic: Optional[str], port: int) -> None:
         endpoint = self._endpoints.get((dst, port))
         if endpoint is None:
             self.no_endpoint += 1
             return
         self.delivered += 1
-        self.trace.records.append(_record(
-            TraceRecord, (self.sim.now, src, dst, "deliver", len(data), topic)))
+        self.trace.record(self.sim.now, src, dst, "deliver", len(data), topic)
         endpoint(src, data)

@@ -127,6 +127,20 @@ class TestWorld:
         assert set(world.broker.subscribers(codec.TOPIC_COMMON)) == {
             robot_addr(i) for i in range(1, 4)}
 
+    def test_ready_sees_a_node_fall_back_after_the_scan_passed_it(self):
+        world = World(ScenarioConfig(n_robots=3, seed=5))
+        world.run_ready()
+        assert world.ready()   # every node has been scanned as READY
+        first = world.nodes[0]
+        world.net.set_connected(robot_addr(1), world.broker.addr, False)
+        # With the link down the SUBSCRIBE exhausts its retries, which
+        # ends the session and sends the node back to INIT.
+        first.session.subscribe("unreachable")
+        assert world.sim.run_until_true(lambda: first.phase != READY,
+                                        world.sim.now + 60 * 10**6)
+        assert all(node.phase == READY for node in world.nodes[1:])
+        assert not world.ready()
+
     def test_two_thousand_robots_form_within_the_default_deadline(self):
         # The broker queues no duplicate reply, so the gate carries
         # little beyond each robot's own join frames.

@@ -3,6 +3,8 @@
 The simulator must be bit-deterministic in its seed: identical seeds
 give identical event orders, delivery times and trace lines.
 """
+import tracemalloc
+
 import pytest
 
 from romano.simnet import (
@@ -12,6 +14,8 @@ from romano.simnet import (
     PORT_APP,
     SimulationLimit,
     Simulator,
+    TraceRecord,
+    WireTrace,
 )
 
 
@@ -311,3 +315,60 @@ class TestWireTrace:
         assert len(trace.query(kind="send")) == 2
         assert len(trace.query(kind="deliver", topic="t1")) == 1
         assert len(trace.query(src="a", dst="b")) == 4
+
+    def test_a_record_costs_under_forty_octets(self):
+        # Columns hold 28 octets a record; a tuple per record took ~140.
+        trace = WireTrace()
+        names = ["fe80::212:4b00:10:{:x}".format(i) for i in range(100)]
+        n = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                trace.record(1_000_000 + i, names[i % 100], names[i % 7],
+                             "deliver", 60 + i % 40, "common")
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == n
+        assert used / n < 40
+
+    def test_large_datagram_and_late_time_record_exactly(self):
+        # A datagram past 65 535 octets and a time past 2**32 us both
+        # overflow narrower columns.
+        late = 2 ** 33 + 7
+        sim = Simulator()
+        net = Network(sim, default_link=LinkModel.fixed(1))
+        net.attach("b", lambda s, d: None)
+        sim.call_at(late, net.send, "a", "b", bytes(70_000))
+        sim.run_until_idle()
+        assert net.trace.lines() == [
+            "{}\ta\tb\tsend\t70000\t".format(late),
+            "{}\ta\tb\tdeliver\t70000\t".format(late + 1),
+        ]
+
+    def test_records_is_a_read_only_view_in_record_order(self):
+        trace = WireTrace()
+        rows = [(5, "a", "b", "send", 3, "t1"),
+                (9, "b", "a", "deliver", 4, ""),
+                (9, "a", "c", "drop-link", 70_000, "t2")]
+        for row in rows:
+            trace.record(*row)
+        trace.record(12, "c", "a", "drop-buffer", 2, None)
+        want = [TraceRecord(*row) for row in rows] + [
+            TraceRecord(12, "c", "a", "drop-buffer", 2, "")]
+        records = trace.records
+        assert len(records) == 4
+        assert list(records) == want
+        assert [records[i] for i in range(4)] == want
+        assert records[-1] == want[-1]
+        assert all(type(r) is TraceRecord for r in records)
+        assert records[1].line() == "9\tb\ta\tdeliver\t4\t"
+        with pytest.raises(TypeError):
+            records[0] = want[1]
+        assert trace.query(src="nobody") == []
+        assert trace.query(kind="send", topic="never") == []
+        assert trace.query(topic="") == [want[1], want[3]]
+        assert trace.query(src="a", kind="drop-link") == [want[2]]
+        # A query adds no name: records still read back unchanged.
+        assert list(records) == want
