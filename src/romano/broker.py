@@ -112,7 +112,6 @@ class Broker:
         self.sessions: dict[str, _Session] = {}
         self.gate = RadioGate(sim, radio_buffer_capacity,
                               radio_tx_interval_us, self._send)
-        self.started = True
         self.bad_packets = 0
         self.unroutable = 0
         self.duplicate_replies = 0
@@ -123,15 +122,6 @@ class Broker:
         # (dest, octets) of every reply waiting in the gate
         self._queued_replies: set[tuple[str, bytes]] = set()
         network.attach(addr, self._on_datagram)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        self.started = True
-
-    def stop(self) -> None:
-        """A stopped broker ignores all traffic (host down or restarting)."""
-        self.started = False
 
     # -- introspection -------------------------------------------------------
 
@@ -165,8 +155,6 @@ class Broker:
     # -- packet handling -----------------------------------------------------
 
     def _on_datagram(self, src: str, data: bytes) -> None:
-        if not self.started:
-            return
         try:
             pkt = sn.decode_packet(data)
         except sn.PacketError:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .. import codec
+from .. import codec, mqttsn as sn
 from . import report
 from .config import (ConfigError, ScenarioConfig, build_config, check_config,
                      load_scenario)
@@ -156,6 +156,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_command(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
+    try:
+        octets = len(args.target.encode("utf-8"))
+    except UnicodeEncodeError:  # argv held octets that are not UTF-8
+        octets = 0
+    if not 0 < octets <= sn.MAX_TOPIC_NAME:
+        raise ConfigError(f"--target must be 1 to {sn.MAX_TOPIC_NAME}"
+                          " octets of UTF-8")
     order = codec.movement_control(CONTROLS[args.control], args.magnitude)
     world = World(cfg)
     world.run_ready()

@@ -28,6 +28,7 @@ from typing import Union
 MAX_PACKET_LEN = 255
 PUBLISH_HEADER_LEN = 7
 MAX_PUBLISH_DATA = MAX_PACKET_LEN - PUBLISH_HEADER_LEN  # 248
+MAX_TOPIC_NAME = MAX_PACKET_LEN - 6  # 249 after a REGISTER's header
 
 PROTOCOL_ID = 0x01
 
@@ -255,7 +256,8 @@ def decode_packet(data: bytes) -> SnPacket:
     Raises:
         TruncatedPacket: buffer shorter than declared or than a fixed
             layout requires.
-        PacketLengthMismatch: trailing octets after the declared length.
+        PacketLengthMismatch: trailing octets after the declared length,
+            or a fixed-size packet declaring more than its fields.
         UnsupportedPacket: message type outside the supported subset.
         MalformedString: a client id or topic name is not valid UTF-8.
     """
@@ -309,7 +311,7 @@ def _decode_subscribe(body: bytes) -> Subscribe:
 
 
 def _decode_suback(body: bytes) -> Suback:
-    flags, topic_id, msg_id, code = _unpack(_BHHB, body, "SUBACK")
+    flags, topic_id, msg_id, code = _exact(_BHHB, body, "SUBACK")
     return Suback(topic_id, msg_id, code, qos=_qos(flags))
 
 
@@ -321,16 +323,16 @@ def _decode_unsubscribe(body: bytes) -> Unsubscribe:
 # message type code -> body decoder, keyed by plain int
 _DECODERS = {int(code): decode for code, decode in (
     (MsgType.CONNECT, _decode_connect),
-    (MsgType.CONNACK, lambda body: Connack(*_unpack(_B, body, "CONNACK"))),
+    (MsgType.CONNACK, lambda body: Connack(*_exact(_B, body, "CONNACK"))),
     (MsgType.REGISTER, _decode_register),
-    (MsgType.REGACK, lambda body: Regack(*_unpack(_HHB, body, "REGACK"))),
+    (MsgType.REGACK, lambda body: Regack(*_exact(_HHB, body, "REGACK"))),
     (MsgType.PUBLISH, _decode_publish),
-    (MsgType.PUBACK, lambda body: Puback(*_unpack(_HHB, body, "PUBACK"))),
+    (MsgType.PUBACK, lambda body: Puback(*_exact(_HHB, body, "PUBACK"))),
     (MsgType.SUBSCRIBE, _decode_subscribe),
     (MsgType.SUBACK, _decode_suback),
     (MsgType.UNSUBSCRIBE, _decode_unsubscribe),
     (MsgType.UNSUBACK,
-     lambda body: Unsuback(*_unpack(_H, body, "UNSUBACK"))),
+     lambda body: Unsuback(*_exact(_H, body, "UNSUBACK"))),
 )}
 
 
@@ -355,3 +357,11 @@ def _unpack(layout: struct.Struct, body: bytes, what: str) -> tuple:
             "{} body of {} octets shorter than its {}-octet layout".format(
                 what, len(body), layout.size))
     return layout.unpack_from(body)
+
+
+def _exact(layout: struct.Struct, body: bytes, what: str) -> tuple:
+    """``_unpack`` for a packet whose body is its fixed fields alone."""
+    if len(body) > layout.size:
+        raise PacketLengthMismatch("{} body of {} octets, layout {}".format(
+            what, len(body), layout.size))
+    return _unpack(layout, body, what)

@@ -13,7 +13,7 @@ evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
 same horizon a node uses to call a peer stale.
 
 The server outlives broker outages: a failed or dropped session is
-retried every RECONNECT_US until stop() is called.
+retried every RECONNECT_US.
 """
 
 from __future__ import annotations
@@ -50,20 +50,12 @@ class RegistryServer:
         self.evicted = 0
         self.ignored = 0
         self.running = False
-        self._want_up = False
         self._sweep_timer: Optional[Timer] = None
-        self._reconnect_timer: Optional[Timer] = None
         session.on_message = self._on_romano
         session.on_disconnect = self._on_session_drop
 
     def start(self) -> None:
-        self._want_up = True
-        self._connect()
-
-    def _connect(self) -> None:
         def subscribed() -> None:
-            if not self._want_up:
-                return  # stopped while the exchanges were in flight
             self.running = True
             if self.heartbeat_period_us:
                 self.session.subscribe(codec.TOPIC_COMMON)
@@ -77,17 +69,11 @@ class RegistryServer:
         # Any exhausted control exchange lands here, including a failed
         # connect, so this is the single recovery path.
         self.running = False
-        if self._want_up:
-            self._reconnect_timer = self.sim.after(RECONNECT_US, self._connect)
+        self.sim.after(RECONNECT_US, self.start)
 
     # -- message handling ------------------------------------------------------
 
     def _on_romano(self, topic: str, data: bytes) -> None:
-        if not self._want_up:
-            # stop() leaves the session subscribed; a stopped server
-            # serves nothing it still hears
-            self.ignored += 1
-            return
         try:
             msg = codec.decode_message(data)
         except codec.CodecError:
@@ -152,11 +138,3 @@ class RegistryServer:
                 del self.registry[romano_id]
                 self.evicted += 1
         self._schedule_sweep()
-
-    def stop(self) -> None:
-        self._want_up = False
-        self.running = False
-        for timer in (self._sweep_timer, self._reconnect_timer):
-            if timer is not None:
-                timer.cancel()
-        self._sweep_timer = self._reconnect_timer = None

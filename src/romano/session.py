@@ -142,22 +142,25 @@ class ClientSession:
     def publish(self, topic: str, data: bytes, qos: int = 0,
                 on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
-        """Publish ``data``; registers the topic name first if needed."""
+        """Publish ``data``; registers the topic name first if needed.
+        A PUBLISH that cannot be encoded raises PacketError here."""
         topic_id = self.topic_ids.get(topic)
-        if topic_id is None:
-            self._register_then(topic,
-                                lambda tid: self._publish_now(
-                                    tid, topic, data, qos, on_ok, on_fail),
-                                on_fail)
+        if topic_id is not None:
+            self._publish_now(topic_id, topic, data, qos, on_ok, on_fail)
             return
-        self._publish_now(topic_id, topic, data, qos, on_ok, on_fail)
+        # Encoded now under topic id 0; the REGACK's id goes in octets 3-4.
+        raw = sn.encode_packet(sn.Publish(0, data, qos=qos))
+        self._register_then(topic, lambda tid: self._publish_now(
+            tid, topic, data, qos, on_ok, on_fail,
+            raw[:3] + tid.to_bytes(2, "big") + raw[5:]), on_fail)
 
     def _publish_now(self, topic_id: int, topic: str, data: bytes, qos: int,
                      on_ok: Optional[Callable],
-                     on_fail: Optional[Callable[[Exception], None]]) -> None:
+                     on_fail: Optional[Callable[[Exception], None]],
+                     raw: Optional[bytes] = None) -> None:
         if qos == 0:
-            raw = sn.encode_packet(sn.Publish(topic_id, data))
-            self._send(raw, topic)
+            self._send(raw or sn.encode_packet(sn.Publish(topic_id, data)),
+                       topic)
             if on_ok is not None:
                 on_ok()
             return
@@ -241,8 +244,9 @@ class ClientSession:
             self._fail(exchange, SessionError(
                 "no free message id for {}".format(exchange)))
             return
-        self._pending[exchange.key] = exchange
+        # An unencodable request raises here and leaves nothing pending.
         self._transmit(exchange)
+        self._pending[exchange.key] = exchange
 
     def _transmit(self, exchange: _Exchange, dup: bool = False) -> None:
         request = exchange.request

@@ -126,7 +126,7 @@ class Simulator:
 # -- Wire trace ---------------------------------------------------------------
 
 # Record kinds: "send" (octets put on a link), "deliver", "drop-link"
-# (loss draw or scripted drop), "drop-buffer" (broker egress overflow).
+# (loss draw), "drop-buffer" (broker egress overflow).
 
 class TraceRecord(NamedTuple):
     time_us: int
@@ -229,12 +229,6 @@ class LinkModel:
         return cls(latency_us=(latency_us, latency_us), **kwargs)
 
 
-@dataclass
-class _Filter:
-    pred: Callable[[str, str, bytes], bool]
-    remaining: int
-
-
 class Network:
     """Address-keyed endpoints joined by per-pair links.
 
@@ -251,7 +245,6 @@ class Network:
         self._endpoints: dict[tuple[str, int], Callable[[str, bytes], None]] = {}
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._last_delivery: dict[tuple[str, str], int] = {}
-        self._filters: list[_Filter] = []
         # sent = delivered + link_dropped + no_endpoint + in flight
         self.sent = 0
         self.delivered = 0
@@ -272,18 +265,6 @@ class Network:
         self._links[(a, b)] = link
         self._links[(b, a)] = link
 
-    def set_connected(self, a: str, b: str, up: bool) -> None:
-        for pair in ((a, b), (b, a)):
-            link = self._links.get(pair)
-            if link is None:
-                raise NoLink("no explicit link between {} and {}".format(a, b))
-            link.connected = up
-
-    def add_drop_filter(self, pred: Callable[[str, str, bytes], bool],
-                        count: int = 1) -> None:
-        """Drop the next ``count`` packets matching ``pred`` (scripted loss)."""
-        self._filters.append(_Filter(pred, count))
-
     def send(self, src: str, dst: str, data: bytes,
              topic: Optional[str] = None, port: int = PORT_MQTTSN) -> None:
         """Put octets on the src->dst link.
@@ -302,8 +283,7 @@ class Network:
         self.sent += 1
         record(now, src, dst, "send", nbytes, topic)
 
-        if (self._filters and self._scripted_drop(src, dst, data)) or \
-                (link.loss_prob > 0.0 and sim.rng.random() < link.loss_prob):
+        if link.loss_prob > 0.0 and sim.rng.random() < link.loss_prob:
             self.link_dropped += 1
             record(now, src, dst, "drop-link", nbytes, topic)
             return
@@ -313,13 +293,6 @@ class Network:
         t = max(t, self._last_delivery.get(pair, 0))
         self._last_delivery[pair] = t
         sim.call_at(t, self._deliver, src, dst, data, topic, port)
-
-    def _scripted_drop(self, src: str, dst: str, data: bytes) -> bool:
-        for f in self._filters:
-            if f.remaining > 0 and f.pred(src, dst, data):
-                f.remaining -= 1
-                return True
-        return False
 
     def _deliver(self, src: str, dst: str, data: bytes,
                  topic: Optional[str], port: int) -> None:

@@ -19,6 +19,7 @@ from romano.harness.experiments import run_scalability, run_throughput
 from romano.harness.world import World, robot_addr
 from romano.node import READY
 
+from faults import Swallow, connection_ack
 from test_codec import EXTENSIONS, random_message
 from test_mqttsn import random_packet
 
@@ -80,11 +81,7 @@ def test_criterion_2_establishment():
 
     perturbed = World(cfg)
     victim = robot_addr(1)
-    perturbed.net.add_drop_filter(
-        lambda src, dst, data: (dst == victim and len(data) > 7
-                                and data[1] == sn.MsgType.PUBLISH
-                                and data[7] == int(codec.DataType.CONNECTION_ACK)),
-        count=1)
+    lost_ack = Swallow(perturbed.net, victim, connection_ack, count=1)
     perturbed.run_ready()
     # On the join topic the node sends one 15-octet topic registration,
     # then a 17-octet publish per join attempt.
@@ -93,6 +90,7 @@ def test_criterion_2_establishment():
         if r.nbytes == 17]
     gap = joins[1] - joins[0] if len(joins) == 2 else None
     ok = (clean_ok and gap == 2_000_000
+          and lost_ack.swallowed == 1
           and perturbed.nodes[0].phase == READY
           and len(perturbed.server.registry) == cfg.n_robots)
     verdict(2, "establishment", ok,

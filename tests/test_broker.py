@@ -304,19 +304,6 @@ class TestSessions:
             99, 5, sn.ReturnCode.REJECTED_INVALID_TOPIC_ID)]
         assert broker.bad_packets == 1
 
-    def test_stopped_broker_ignores_traffic(self):
-        sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        client = Client(sim, net, "c")
-        broker.stop()
-        client.send(sn.Connect("c"))
-        sim.run_until_idle()
-        assert client.inbox == []
-        broker.start()
-        client.send(sn.Connect("c"))
-        sim.run_until_idle()
-        assert any(isinstance(p, sn.Connack) for _, p in client.inbox)
-
     def test_malformed_datagram_counted(self):
         sim, net = make_net()
         broker = Broker(sim, net, BROKER)

@@ -14,6 +14,7 @@ from romano.harness.experiments import (decode_probe, encode_probe,
                                         run_scalability, run_throughput)
 from romano.harness.world import World, WorldNotReady, robot_addr
 from romano.node import READY
+from romano.simnet import LinkModel
 
 
 class TestConfig:
@@ -132,7 +133,8 @@ class TestWorld:
         world.run_ready()
         assert world.ready()   # every node has been scanned as READY
         first = world.nodes[0]
-        world.net.set_connected(robot_addr(1), world.broker.addr, False)
+        world.net.set_link_pair(robot_addr(1), world.broker.addr,
+                                LinkModel(connected=False))
         # With the link down the SUBSCRIBE exhausts its retries, which
         # ends the session and sends the node back to INIT.
         first.session.subscribe("unreachable")
@@ -390,6 +392,23 @@ class TestCli:
         assert code == 2
         assert error in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("target", [
+        "", "x" * 250, "\u00e9" * 125, "\udcff",
+    ], ids=["empty", "250-ascii", "250-octet-utf8", "not-utf8"])
+    def test_bad_target_exits_2_before_the_world_is_built(
+            self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.setattr("romano.harness.cli.World", pytest.fail)
+        code = self.run("command", "--control", "front", "--robots", "1",
+                        "--target", target, "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert "error: --target must be 1 to 249" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_longest_target_is_accepted(self, tmp_path, capsys):
+        code = self.run("command", "--control", "front", "--robots", "1",
+                        "--target", "x" * 249, "--out-dir", str(tmp_path))
+        assert code == 0
 
     @pytest.mark.parametrize("demo, line, error", [
         ("dispersal", "initial_separation_mm = 0",

@@ -14,6 +14,8 @@ from romano.server import RegistryServer
 from romano.session import ClientSession
 from romano.simnet import LinkModel, Network, Simulator
 
+from faults import Swallow, connection_ack
+
 BROKER = "fe80::212:4b00:1:1"
 SERVER = "fe80::212:4b00:1:2"
 NODE_1 = "fe80::212:4b00:10:1"
@@ -108,13 +110,8 @@ class TestEstablishment:
 
     def test_no_common_subscription_before_ack(self):
         rig = Rig()
-        # swallow every ack so the node stays waiting
-        rig.net.add_drop_filter(
-            lambda src, dst, data: dst == NODE_1
-            and data[1] == sn.MsgType.PUBLISH
-            and data[7] == int(codec.DataType.CONNECTION_ACK),
-            count=10**9)
         node = rig.add_node(NODE_1)
+        Swallow(rig.net, NODE_1, connection_ack)  # the node stays waiting
         node.start()
         rig.sim.run_until(10_000_000)
         assert node.phase == AWAIT_ACK
@@ -123,12 +120,8 @@ class TestEstablishment:
 
     def test_join_republish_every_two_seconds(self):
         rig = Rig()
-        rig.net.add_drop_filter(
-            lambda src, dst, data: dst == NODE_1
-            and data[1] == sn.MsgType.PUBLISH
-            and data[7] == int(codec.DataType.CONNECTION_ACK),
-            count=3)
         node = rig.add_node(NODE_1)
+        Swallow(rig.net, NODE_1, connection_ack, count=3)
         node.start()
         rig.ready(node, deadline_us=15_000_000)
         joins = [t for t, p in rig.tap.from_src(NODE_1, sn.Publish)
@@ -140,18 +133,19 @@ class TestEstablishment:
 
     def test_broker_down_at_boot(self):
         rig = Rig()
-        rig.broker.stop()
+        broker_down = Swallow(rig.net, BROKER)
         node = rig.add_node(NODE_1)
         node.start()
         rig.sim.run_until(10_000_000)
         assert node.phase != READY
-        rig.broker.start()
+        broker_down.lift()
         rig.ready(node, deadline_us=20_000_000)
 
     def test_rejected_connect_retries_once_after_ack_wait(self):
         rig = Rig()
-        rig.net.add_drop_filter(
-            lambda src, dst, data: data[1] == sn.MsgType.CONNECT)
+        # the server's CONNECT is in flight too, so match on the source
+        Swallow(rig.net, BROKER, lambda src, data: src == NODE_1
+                and data[1] == sn.MsgType.CONNECT, count=1)
         node = rig.add_node(NODE_1)
         node.start()
         rig.net.send(BROKER, NODE_1, sn.encode_packet(
@@ -167,12 +161,12 @@ class TestEstablishment:
         node.on_ready = lambda: readies.append(rig.sim.now)
         node.start()
         rig.ready(node)
-        rig.broker.stop()
+        broker_down = Swallow(rig.net, BROKER)
         # a control exchange must now exhaust its retries
         node.session.subscribe("anything")
         rig.sim.run_until(rig.sim.now + 2_500_000)
         assert node.phase == INIT
-        rig.broker.start()
+        broker_down.lift()
         rig.ready(node, deadline_us=20_000_000)
         assert len(readies) == 2
 
@@ -293,7 +287,7 @@ class TestHeartbeats:
         assert b.romano_id in a.neighbors
         assert a.neighbor_fresh(b.romano_id)
         # silence the peer: freshness must expire after three periods
-        rig.net.set_connected(NODE_2, BROKER, False)
+        rig.net.set_link_pair(NODE_2, BROKER, LinkModel(connected=False))
         rig.sim.run_until(rig.sim.now + 4_000_000)
         assert not a.neighbor_fresh(b.romano_id)
 

@@ -14,6 +14,8 @@ from romano.server import RegistryServer
 from romano.session import ClientSession
 from romano.simnet import LinkModel, Network, PORT_APP, Simulator
 
+from faults import Swallow
+
 BROKER = "fe80::212:4b00:1:1"
 SERVER = "fe80::212:4b00:1:2"
 
@@ -266,21 +268,18 @@ class TestDispersal:
 
     def test_recovers_from_lost_request(self):
         rig, ctrl_a, ctrl_b = dispersal_pair(300.0)
-        rig.net.add_drop_filter(
-            lambda src, dst, data: src == rig.addrs[0]
-            and len(data) > 7 and data[7] == codec.UDP_SEND_REQ,
-            count=1)
+        lost = Swallow(rig.net, BROKER, lambda src, data: src == rig.addrs[0]
+                       and len(data) > 7 and data[7] == codec.UDP_SEND_REQ,
+                       count=1)
         self.run_rounds(rig, ctrl_a, ctrl_b, 6, 10_000_000)
-        assert rig.net.link_dropped >= 1
+        assert lost.swallowed == 1
         total = ctrl_a.moves + ctrl_b.moves
         assert separation(ctrl_a, ctrl_b) == 300.0 + 50.0 * total
 
     def test_recovers_from_lost_clearance(self):
         rig, ctrl_a, ctrl_b = dispersal_pair(300.0)
-        rig.net.add_drop_filter(
-            lambda src, dst, data: src == rig.addrs[1]
-            and len(data) > 7 and data[7] == codec.UDP_SEND_GO,
-            count=1)
+        Swallow(rig.net, BROKER, lambda src, data: src == rig.addrs[1]
+                and len(data) > 7 and data[7] == codec.UDP_SEND_GO, count=1)
         self.run_rounds(rig, ctrl_a, ctrl_b, 6, 10_000_000)
         total = ctrl_a.moves + ctrl_b.moves
         assert separation(ctrl_a, ctrl_b) == 300.0 + 50.0 * total
@@ -288,10 +287,8 @@ class TestDispersal:
     def test_recovers_from_lost_probe(self):
         rig, ctrl_a, ctrl_b = dispersal_pair(300.0)
         # only probes travel the direct robot-to-robot link
-        rig.net.add_drop_filter(
-            lambda src, dst, data: src == rig.addrs[0]
-            and dst == rig.addrs[1] and len(data) == 8,
-            count=1)
+        Swallow(rig.net, rig.addrs[1], lambda src, data: src == rig.addrs[0]
+                and len(data) == 8, count=1, port=PORT_APP)
         self.run_rounds(rig, ctrl_a, ctrl_b, 6, 10_000_000)
         total = ctrl_a.moves + ctrl_b.moves
         assert separation(ctrl_a, ctrl_b) == 300.0 + 50.0 * total

@@ -94,6 +94,42 @@ def test_largest_packets_fill_the_length_octet(pkt):
     assert sn.decode_packet(raw) == pkt
 
 
+# -- fixed-size packets ------------------------------------------------------------
+
+# type code -> octets of a packet made of fixed fields alone
+FIXED_SIZE = {sn.MsgType.CONNACK: 3, sn.MsgType.REGACK: 7,
+              sn.MsgType.PUBACK: 7, sn.MsgType.SUBACK: 8,
+              sn.MsgType.UNSUBACK: 4}
+
+
+@pytest.mark.parametrize("raw", [
+    bytes([4, sn.MsgType.CONNACK, 0, 0xFF]),
+] + [bytes([size + 1, code]) + bytes(size - 1)
+     for code, size in FIXED_SIZE.items()], ids=lambda raw: raw.hex())
+def test_fixed_size_packet_with_trailing_octets_is_rejected(raw):
+    with pytest.raises(sn.PacketLengthMismatch):
+        sn.decode_packet(raw)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_decodable_fixed_size_frame_re_encodes_to_itself(data):
+    code = data.draw(st.sampled_from(sorted(FIXED_SIZE)))
+    size = FIXED_SIZE[code] - 2
+    body = data.draw(st.one_of(st.binary(min_size=size, max_size=size),
+                               st.binary(max_size=size + 2)))
+    if code == sn.MsgType.SUBACK and body:
+        # Flags other than the granted QoS carry nothing a receiver keeps,
+        # so a frame with them cannot come back octet for octet.
+        body = bytes([body[0] & sn.FLAG_QOS_MASK]) + body[1:]
+    raw = bytes([len(body) + 2, code]) + body
+    try:
+        pkt = sn.decode_packet(raw)
+    except sn.PacketError:
+        return
+    assert sn.encode_packet(pkt) == raw
+
+
 # -- integer fields outside their octets -----------------------------------------
 
 BASES = [sn.Connect("x"), sn.Connack(), sn.Register(1, 1, "a"),

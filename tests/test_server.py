@@ -4,8 +4,10 @@ import pytest
 from romano import codec
 from romano.broker import Broker
 from romano.server import MAX_IDS_PER_INFO, RECONNECT_US, RegistryServer
-from romano.session import ACTIVE, DISCONNECTED, ClientSession
+from romano.session import ACTIVE, N_RETRY, T_RETRY_US, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
+
+from faults import Swallow
 
 BROKER = "fe80::212:4b00:1:1"
 SERVER = "fe80::212:4b00:1:2"
@@ -173,11 +175,14 @@ class TestEviction:
         rig.settle()
         assert rig.server.registry["00100001"].last_heartbeat_us is not None
 
-    def test_stopped_server_stops_sweeping(self):
+    def test_server_cut_off_from_the_broker_stops_sweeping(self):
         rig = Rig(heartbeat_period_us=1_000_000)
         rig.join("00100001")
         rig.settle()
-        rig.server.stop()
+        Swallow(rig.net, BROKER)
+        rig.server.session.subscribe("poke")
+        assert rig.sim.run_until_true(lambda: not rig.server.running,
+                                      rig.sim.now + 2_500_000)
         rig.sim.run_until(rig.sim.now + 10_000_000)
         assert "00100001" in rig.server.registry
 
@@ -185,12 +190,12 @@ class TestEviction:
 class TestRecovery:
     def test_server_outlives_a_broker_outage(self):
         rig = Rig()
-        rig.broker.stop()
+        broker_down = Swallow(rig.net, BROKER)
         # force the server session to notice the outage
         rig.server.session.subscribe("poke")
         rig.sim.run_until(rig.sim.now + 2_500_000)
         assert not rig.server.running
-        rig.broker.start()
+        broker_down.lift()
         assert rig.sim.run_until_true(lambda: rig.server.running,
                                       rig.sim.now + 10_000_000)
         rig.listen_on("00100009")
@@ -198,49 +203,20 @@ class TestRecovery:
         rig.settle()
         assert len(rig.acks()) == 1
 
-    def test_stopped_server_does_not_reconnect(self):
+    def test_a_failed_reconnect_is_retried_a_period_later(self):
         rig = Rig()
-        rig.server.stop()
-        rig.broker.stop()
+        Swallow(rig.net, BROKER)
         rig.server.session.subscribe("poke")
-        rig.sim.run_until(rig.sim.now + 2_500_000)
-        rig.broker.start()
-        rig.sim.run_until(rig.sim.now + 10_000_000)
-        assert not rig.server.running
-
-    def test_stop_cancels_a_pending_reconnect(self):
-        rig = Rig()
-        rig.broker.stop()
-        rig.server.session.subscribe("poke")
-        # The poke exhausts its retries after 2 s and drops the session;
-        # the reconnect is then due RECONNECT_US later.
         assert rig.sim.run_until_true(lambda: not rig.server.running,
                                       rig.sim.now + 2_500_000)
         dropped_at = rig.sim.now
-        rig.sim.run_until(dropped_at + RECONNECT_US // 2)
-        rig.server.stop()
-        rig.broker.start()
-        rig.sim.run_until(dropped_at + 5 * RECONNECT_US)
-        assert not rig.server.running
-        assert rig.server.session.state == DISCONNECTED
-
-    def test_stopped_server_serves_no_joins(self):
-        # stop() leaves the session subscribed to init-info
-        rig = Rig()
-        rig.listen_on("00100009")
-        rig.server.stop()
-        rig.join("00100009")
-        rig.settle()
-        assert rig.acks() == []
-        assert rig.server.registry == {}
-        assert rig.server.ignored == 1
-
-    def test_stop_during_connect_keeps_the_server_down(self):
-        sim = Simulator(seed=0)
-        net = Network(sim, default_link=LinkModel.fixed(1_000))
-        Broker(sim, net, BROKER, local_clients={SERVER})
-        server = RegistryServer(sim, ClientSession(sim, net, SERVER, BROKER))
-        server.start()
-        server.stop()   # the CONNECT is still in flight
-        sim.run_until(2 * RECONNECT_US)
-        assert not server.running
+        rig.sim.run_until(dropped_at + 4 * RECONNECT_US)
+        sends = [r.time_us - dropped_at
+                 for r in rig.net.trace.query(kind="send", src=SERVER)
+                 if r.time_us > dropped_at]
+        # each CONNECT is retried N_RETRY times and then drops the
+        # session, which schedules the next attempt
+        first = [RECONNECT_US + i * T_RETRY_US for i in range(N_RETRY + 1)]
+        again = RECONNECT_US + (N_RETRY + 1) * T_RETRY_US + RECONNECT_US
+        assert sends == first + [again + i * T_RETRY_US
+                                 for i in range(N_RETRY + 1)]

@@ -18,6 +18,8 @@ from romano.session import (
 )
 from romano.simnet import LinkModel, Network, Simulator
 
+from faults import Swallow
+
 BROKER = "fe80::212:4b00:1:1"
 CLIENT = "fe80::212:4b00:10:1"
 
@@ -187,8 +189,8 @@ class TestRetransmission:
         connect(sim, session)
         session.publish("t", b"x")
         sim.run_until_idle()
-        net.add_drop_filter(
-            lambda src, dst, data: data[1] == sn.MsgType.PUBACK, count=1)
+        Swallow(net, CLIENT, lambda src, data: data[1] == sn.MsgType.PUBACK,
+                count=1)
         done = []
         session.publish("t", b"y", qos=1, on_ok=lambda: done.append(sim.now))
         sim.run_until_idle()
@@ -259,6 +261,39 @@ class TestMsgIdExhaustion:
         assert [type(e) for e in errors] == [SessionError] * 4
         assert len(session._pending) == 0xFFFF
         assert session.send_failures == 0xFFFF  # nothing more was sent
+
+
+class TestUnencodableRequests:
+    def test_oversize_subscribe_fails_at_the_call(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        with pytest.raises(sn.OversizePacket):
+            session.subscribe("x" * 300)
+        assert session._pending == {}
+        # A later session drop finds no half-made exchange to cancel.
+        stub.mute.add(sn.Subscribe)
+        session.subscribe("t")
+        sim.run_until_idle()
+        assert session.state == DISCONNECTED and session._pending == {}
+
+    def test_oversize_publish_to_a_fresh_topic_fails_at_the_call(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        with pytest.raises(sn.OversizePacket):
+            session.publish("fresh", b"x" * (sn.MAX_PUBLISH_DATA + 1))
+        assert session._pending == {}
+        sim.run_until_idle()
+        assert stub.sends(sn.Register) == []
+
+    def test_publish_after_register_carries_the_granted_id(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        stub.topic_ids.update(("t{}".format(i), i + 1) for i in range(0x1233))
+        data = b"x" * sn.MAX_PUBLISH_DATA
+        session.publish("fresh", data)
+        sim.run_until_idle()
+        assert [p for _, p in stub.sends(sn.Publish)] == [
+            sn.Publish(0x1234, data)]
 
 
 class TestInbound:

@@ -170,13 +170,15 @@ class TestLinks:
     def test_disconnect_and_reconnect(self):
         sim = Simulator()
         net = Network(sim, default_link=None)
-        net.set_link_pair("a", "b", LinkModel.fixed(10))
+        link = LinkModel.fixed(10)
+        net.set_link_pair("a", "b", link)
         seen, cb = _collector()
         net.attach("b", cb)
-        net.set_connected("a", "b", False)
-        with pytest.raises(NoLink):
-            net.send("a", "b", b"one")
-        net.set_connected("a", "b", True)
+        link.connected = False
+        for src, dst in (("a", "b"), ("b", "a")):
+            with pytest.raises(NoLink):
+                net.send(src, dst, b"one")
+        link.connected = True
         net.send("a", "b", b"two")
         sim.run_until_idle()
         assert seen == [("a", b"two")]
@@ -232,17 +234,6 @@ class TestLinks:
         sim.run_until_idle()
         assert control == [b"c"] and app == [b"p"]
         assert (net.sent, net.delivered, net.no_endpoint) == (3, 2, 1)
-
-    def test_scripted_drop_filter(self):
-        sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(10))
-        seen, cb = _collector()
-        net.attach("b", cb)
-        net.add_drop_filter(lambda src, dst, data: data == b"kill", count=2)
-        for payload in (b"kill", b"ok", b"kill", b"kill"):
-            net.send("a", "b", payload)
-        sim.run_until_idle()
-        assert [d for _, d in seen] == [b"ok", b"kill"]
 
 
 class TestDeterminism:
