@@ -62,22 +62,22 @@ class RadioGate:
             self.dropped += 1
             return False
         self._buf.append(item)
-        self._pump()
+        if not self._pending:
+            self._pending = True
+            sim = self.sim
+            sim.call_at(max(sim.now, self._next_free_us), self._depart)
         return True
-
-    def _pump(self) -> None:
-        if self._pending or not self._buf:
-            return
-        self._pending = True
-        self.sim.call_at(max(self.sim.now, self._next_free_us), self._depart)
 
     def _depart(self) -> None:
         self._pending = False
         item = self._buf.popleft()
-        self._next_free_us = self.sim.now + self.tx_interval_us
+        sim = self.sim
+        self._next_free_us = sim.now + self.tx_interval_us
         self.transmitted += 1
         self.on_transmit(item)
-        self._pump()
+        if self._buf and not self._pending:   # on_transmit may re-arm it
+            self._pending = True
+            sim.call_at(max(sim.now, self._next_free_us), self._depart)
 
 
 @dataclass
@@ -289,7 +289,7 @@ class Broker:
         if topic is None:  # a reply leaving the gate (or a local one)
             self._queued_replies.discard((dest, raw))
         try:
-            self.network.send(self.addr, dest, raw, topic=topic)
+            self.network.send(self.addr, dest, raw, topic)
         except NoLink:
             self.unroutable += 1
 

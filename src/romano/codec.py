@@ -115,7 +115,7 @@ class MalformedAddress(CodecError):
 
 class InvalidField(CodecError):
     """A field of a type the wire cannot carry, such as data that is not
-    octets."""
+    octets or a topic name that UTF-8 cannot encode."""
 
 
 # -- Message types -----------------------------------------------------------
@@ -260,7 +260,8 @@ def encode_message(msg: RomanoMessage) -> bytes:
     Raises:
         OversizePayload: if the total length would exceed 255 octets.
         MalformedAddress: if an embedded ROMANO ID is invalid.
-        InvalidField: if a field has the wrong type.
+        InvalidField: if a field has the wrong type, or UTF-8 cannot
+            encode a topic name.
         CodecError: for other unencodable field values.
     """
     entry = _ENCODERS.get(type(msg))
@@ -276,7 +277,7 @@ def encode_message(msg: RomanoMessage) -> bytes:
                 "of range".format(type_code))
     try:
         payload = encode(msg)
-    except TypeError as exc:
+    except (TypeError, UnicodeEncodeError) as exc:
         raise InvalidField("{}: {}".format(type(msg).__name__, exc)) from exc
     if len(payload) > MAX_PAYLOAD_LEN:
         raise OversizePayload(

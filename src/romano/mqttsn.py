@@ -189,6 +189,7 @@ def encode_packet(pkt: SnPacket) -> bytes:
         OversizePacket: the packet would exceed 255 octets.
         FieldOutOfRange: an id, duration or return code does not fit
             its field, or the data is not bytes-like.
+        MalformedString: UTF-8 cannot encode the client id or topic name.
     """
     entry = _ENCODERS.get(type(pkt))
     if entry is None:
@@ -199,6 +200,9 @@ def encode_packet(pkt: SnPacket) -> bytes:
         body = encode(pkt)
     except (struct.error, TypeError) as exc:
         raise FieldOutOfRange(
+            "{}: {}".format(type(pkt).__name__, exc)) from exc
+    except UnicodeEncodeError as exc:
+        raise MalformedString(
             "{}: {}".format(type(pkt).__name__, exc)) from exc
     total = 2 + len(body)
     if total > MAX_PACKET_LEN:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -36,9 +37,9 @@ class SimulationLimit(Exception):
 
 # -- Event loop ---------------------------------------------------------------
 
-# A heap entry is the list [time_us, seq, fn, args]; seq is unique, so
+# An entry is the list [time_us, seq, fn, args]; seq is unique, so
 # entries never compare past it.  A cancelled entry has fn set to None
-# and stays in the heap until it reaches the head.
+# and stays queued until it reaches the head.
 _FN = 2
 
 
@@ -57,11 +58,14 @@ class Timer:
 
 class Simulator:
     """Runs events in (time, scheduling order), whichever of :meth:`at`
-    and :meth:`call_at` scheduled them."""
+    and :meth:`call_at` scheduled them.  An entry no earlier than the last
+    in the sorted run joins it in O(1), any other the heap; each step
+    takes the smaller head."""
 
     def __init__(self, seed: int = 0):
         self.now = 0
         self.rng = random.Random(seed)
+        self._run: deque[list] = deque()
         self._heap: list[list] = []
         self._next_seq = 0
 
@@ -70,7 +74,11 @@ class Simulator:
         if time_us < self.now:
             raise ValueError("cannot schedule at {} before now {}".format(
                 time_us, self.now))
-        heappush(self._heap, [time_us, self._next_seq, fn, args])
+        run = self._run
+        if not run or time_us >= run[-1][0]:
+            run.append([time_us, self._next_seq, fn, args])
+        else:
+            heappush(self._heap, [time_us, self._next_seq, fn, args])
         self._next_seq += 1
 
     def at(self, time_us: int, fn: Callable[[], None]) -> Timer:
@@ -78,7 +86,11 @@ class Simulator:
             raise ValueError("cannot schedule at {} before now {}".format(
                 time_us, self.now))
         entry = [time_us, self._next_seq, fn, ()]
-        heappush(self._heap, entry)
+        run = self._run
+        if not run or time_us >= run[-1][0]:
+            run.append(entry)
+        else:
+            heappush(self._heap, entry)
         self._next_seq += 1
         return Timer(entry)
 
@@ -87,9 +99,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event; False if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time_us, _, fn, args = heappop(heap)
+        run, heap = self._run, self._heap
+        while run or heap:
+            if run and (not heap or run[0] < heap[0]):
+                time_us, _, fn, args = run.popleft()
+            else:
+                time_us, _, fn, args = heappop(heap)
             if fn is None:
                 continue
             self.now = time_us
@@ -111,12 +126,16 @@ class Simulator:
 
     def run_until_true(self, pred: Callable[[], bool], deadline_us: int) -> bool:
         """Step until ``pred()`` holds; False if the deadline passes first."""
-        heap = self._heap
+        run, heap = self._run, self._heap
         while not pred():
             # A cancelled head must not hide a next event past the deadline.
+            while run and run[0][_FN] is None:
+                run.popleft()
             while heap and heap[0][_FN] is None:
                 heappop(heap)
-            if not heap or heap[0][0] > deadline_us:
+            past = deadline_us + 1   # stands in for a head that is missing
+            if min(run[0][0] if run else past,
+                   heap[0][0] if heap else past) > deadline_us:
                 self.now = max(self.now, deadline_us)
                 return False
             self.step()
@@ -229,12 +248,25 @@ class LinkModel:
         return cls(latency_us=(latency_us, latency_us), **kwargs)
 
 
+class _Pair:
+    """One direction: its link, FIFO horizon (latest delivery scheduled)
+    and the trace codes of its addresses."""
+
+    __slots__ = ("link", "horizon", "src", "dst", "src_code", "dst_code")
+
+    def __init__(self, link: Optional[LinkModel], src: str, dst: str,
+                 codes: _Names) -> None:
+        self.link, self.horizon, self.src, self.dst = link, 0, src, dst
+        self.src_code, self.dst_code = codes[src], codes[dst]
+
+
 class Network:
     """Address-keyed endpoints joined by per-pair links.
 
-    Endpoints attach a receive callback per (address, port).  A link is
-    looked up by (src, dst) address pair, falling back to the default
-    model; ports share the pair's link.
+    Endpoints attach a receive callback per (address, port).  Each
+    (src, dst) address pair has one entry, made at its first send, that
+    holds its link (``default_link`` unless one was set), FIFO horizon
+    and trace codes; ports share the pair's link.
     """
 
     def __init__(self, sim: Simulator,
@@ -244,7 +276,11 @@ class Network:
         self.default_link = default_link
         self._endpoints: dict[tuple[str, int], Callable[[str, bytes], None]] = {}
         self._links: dict[tuple[str, str], LinkModel] = {}
-        self._last_delivery: dict[tuple[str, str], int] = {}
+        self._pairs: dict[tuple[str, str], _Pair] = {}
+        # The trace's name table and column appends, for rows written here.
+        self._codes, self._row = self.trace._codes, self.trace._appends
+        self._send_code = self._codes["send"]
+        self._deliver_code = self._codes["deliver"]
         # sent = delivered + link_dropped + no_endpoint + in flight
         self.sent = 0
         self.delivered = 0
@@ -262,8 +298,10 @@ class Network:
 
     def set_link_pair(self, a: str, b: str, link: LinkModel) -> None:
         # Each direction keeps independent FIFO state but shares the model.
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
+        for pair in ((a, b), (b, a)):
+            self._links[pair] = link
+            if pair in self._pairs:
+                self._pairs[pair].link = link
 
     def send(self, src: str, dst: str, data: bytes,
              topic: Optional[str] = None, port: int = PORT_MQTTSN) -> None:
@@ -272,34 +310,55 @@ class Network:
         Raises:
             NoLink: if no link exists or it is disconnected.
         """
-        pair = (src, dst)
-        link = self._links.get(pair, self.default_link)
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._pairs[(src, dst)] = _Pair(
+                self._links.get((src, dst), self.default_link), src, dst,
+                self._codes)
+        link = pair.link
         if link is None or not link.connected:
             raise NoLink("no connected link from {} to {}".format(src, dst))
         sim = self.sim
         now = sim.now
         nbytes = len(data)
-        record = self.trace.record
+        topic_code = self._codes[topic or ""]
         self.sent += 1
-        record(now, src, dst, "send", nbytes, topic)
+        t, s, d, k, n, p = self._row
+        t(now)
+        s(pair.src_code)
+        d(pair.dst_code)
+        k(self._send_code)
+        n(nbytes)
+        p(topic_code)
 
         if link.loss_prob > 0.0 and sim.rng.random() < link.loss_prob:
             self.link_dropped += 1
-            record(now, src, dst, "drop-link", nbytes, topic)
+            self.trace.record(now, src, dst, "drop-link", nbytes, topic)
             return
 
         lo, hi = link.latency_us
-        t = now + (lo if lo == hi else sim.rng.randint(lo, hi))
-        t = max(t, self._last_delivery.get(pair, 0))
-        self._last_delivery[pair] = t
-        sim.call_at(t, self._deliver, src, dst, data, topic, port)
+        due = now + lo
+        if lo != hi:   # rng.randint(lo, hi) without its 3 Python frames
+            span = hi - lo + 1
+            r = sim.rng.getrandbits(span.bit_length())
+            while r >= span:   # CPython's randrange rejects the same way
+                r = sim.rng.getrandbits(span.bit_length())
+            due += r
+        due = pair.horizon = max(due, pair.horizon)
+        sim.call_at(due, self._deliver, pair, data, topic_code, port)
 
-    def _deliver(self, src: str, dst: str, data: bytes,
-                 topic: Optional[str], port: int) -> None:
-        endpoint = self._endpoints.get((dst, port))
+    def _deliver(self, pair: _Pair, data: bytes, topic_code: int,
+                 port: int) -> None:
+        endpoint = self._endpoints.get((pair.dst, port))
         if endpoint is None:
             self.no_endpoint += 1
             return
         self.delivered += 1
-        self.trace.record(self.sim.now, src, dst, "deliver", len(data), topic)
-        endpoint(src, data)
+        t, s, d, k, n, p = self._row
+        t(self.sim.now)
+        s(pair.src_code)
+        d(pair.dst_code)
+        k(self._deliver_code)
+        n(len(data))
+        p(topic_code)
+        endpoint(pair.src, data)

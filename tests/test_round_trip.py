@@ -173,6 +173,19 @@ def test_any_out_of_range_int_is_a_packet_error(base, field, top, data):
     sn.encode_packet(replace(base, **{field: top}))  # the edge still fits
 
 
+# A lone surrogate: a str that UTF-8 cannot encode.
+UNENCODABLE = "\udcff"
+
+
+@pytest.mark.parametrize("pkt", [
+    sn.Connect(UNENCODABLE), sn.Register(0, 1, UNENCODABLE),
+    sn.Subscribe(1, UNENCODABLE), sn.Unsubscribe(1, "t" + UNENCODABLE),
+], ids=repr)
+def test_name_utf8_cannot_encode_is_a_packet_error(pkt):
+    with pytest.raises(sn.MalformedString):
+        sn.encode_packet(pkt)
+
+
 # -- ROMANO messages -------------------------------------------------------------
 
 ROMANO_ID = st.text(alphabet="0123456789abcdef", min_size=8, max_size=8)
@@ -290,6 +303,15 @@ def test_any_data_that_is_not_octets_is_a_codec_error(encode, base, error,
     assert encode(replace(base, data=bytearray(raw))) == \
         encode(replace(base, data=memoryview(raw))) == \
         encode(replace(base, data=raw))
+
+
+@pytest.mark.parametrize("msg", [
+    codec.MqttSubscribe(UNENCODABLE),
+    codec.MqttPublishRequest("t" + UNENCODABLE, b"x"),
+], ids=repr)
+def test_topic_utf8_cannot_encode_is_a_codec_error(msg):
+    with pytest.raises(codec.InvalidField):
+        codec.encode_message(msg)
 
 
 # -- objects of no codec type -----------------------------------------------------

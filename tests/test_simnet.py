@@ -3,9 +3,11 @@
 The simulator must be bit-deterministic in its seed: identical seeds
 give identical event orders, delivery times and trace lines.
 """
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romano.simnet import (
     LinkModel,
@@ -17,6 +19,73 @@ from romano.simnet import (
     TraceRecord,
     WireTrace,
 )
+
+
+# A drawn event: (scheduled with at, delay from the scheduling time,
+# index of a timer from at to cancel when it runs or None, the events
+# it schedules when it runs).
+DELAYS = st.one_of(st.integers(0, 3), st.sampled_from([10, 1_000]))
+SCHEDULES = st.recursive(
+    st.just([]),
+    lambda children: st.lists(st.tuples(
+        st.booleans(), DELAYS, st.none() | st.integers(0, 40), children),
+        max_size=4),
+    max_leaves=40)
+
+
+class _Scheduled:
+    """Runs a drawn schedule on a Simulator, labelling each event in the
+    order it was scheduled."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.log: list[tuple[int, int]] = []
+        self.timers: list = []
+        self.made = 0
+
+    def schedule(self, events: list) -> None:
+        sim = self.sim
+        for use_at, delay, pick, children in events:
+            args = (self.made, pick, children)
+            self.made += 1
+            if use_at:
+                self.timers.append(sim.at(sim.now + delay,
+                                          lambda args=args: self.fire(*args)))
+            else:
+                sim.call_at(sim.now + delay, self.fire, *args)
+
+    def fire(self, label: int, pick, children: list) -> None:
+        self.log.append((self.sim.now, label))
+        if pick is not None and self.timers:
+            self.timers[pick % len(self.timers)].cancel()
+        self.schedule(children)
+
+
+class _Reference:
+    """The same schedule, run by taking the least (time, label) left."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.log: list[tuple[int, int]] = []
+        self.pending: dict[int, tuple] = {}   # label -> (time, pick, children)
+        self.timers: list[int] = []
+        self.made = 0
+
+    def schedule(self, events: list) -> None:
+        for use_at, delay, pick, children in events:
+            self.pending[self.made] = (self.now + delay, pick, children)
+            if use_at:
+                self.timers.append(self.made)
+            self.made += 1
+
+    def run(self) -> None:
+        while self.pending:
+            label = min(self.pending, key=lambda k: (self.pending[k][0], k))
+            self.now, pick, children = self.pending.pop(label)
+            self.log.append((self.now, label))
+            if pick is not None and self.timers:
+                self.pending.pop(self.timers[pick % len(self.timers)], None)
+            self.schedule(children)
 
 
 class TestEventLoop:
@@ -117,6 +186,47 @@ class TestEventLoop:
         assert sim.run_until_true(lambda: bool(seen), 50)
         assert seen == ["past the deadline"] and sim.now == 50
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(first=SCHEDULES, cancels=st.lists(st.integers(0, 40), max_size=3))
+    def test_any_schedule_runs_in_time_then_scheduling_order(self, first,
+                                                             cancels):
+        # Events schedule more events, some at equal times, some earlier
+        # than others already queued, and cancel timers from at.
+        got, want = _Scheduled(), _Reference()
+        for run in (got, want):
+            run.schedule(first)
+        for pick in cancels:
+            if got.timers:
+                got.timers[pick % len(got.timers)].cancel()
+                want.pending.pop(want.timers[pick % len(want.timers)], None)
+        got.sim.run_until_idle()
+        want.run()
+        assert got.log == want.log
+        assert got.sim.now == want.now
+
+    @pytest.mark.parametrize("cancelled_in", ["run", "heap"])
+    def test_cancelled_head_never_lets_a_step_pass_the_deadline(
+            self, cancelled_in):
+        # Timers scheduled in time order join a sorted run and the rest a
+        # heap; the cancelled head sits in one and the next live event
+        # in the other.
+        sim = Simulator()
+        seen = []
+        if cancelled_in == "run":
+            sim.at(5, lambda: seen.append(5)).cancel()
+            sim.call_at(100, seen.append, 100)
+            sim.call_at(50, seen.append, 50)
+        else:
+            sim.call_at(50, seen.append, 50)
+            sim.call_at(100, seen.append, 100)
+            sim.at(5, lambda: seen.append(5)).cancel()
+        assert not sim.run_until_true(lambda: False, 10)
+        assert seen == [] and sim.now == 10
+        assert sim.run_until_true(lambda: bool(seen), 60)
+        assert seen == [50] and sim.now == 50
+        sim.run_until_idle()
+        assert seen == [50, 100]
+
     def test_recurring_timer_trips_the_event_budget(self):
         sim = Simulator()
 
@@ -182,6 +292,79 @@ class TestLinks:
         net.send("a", "b", b"two")
         sim.run_until_idle()
         assert seen == [("a", b"two")]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (10, 10), (0, 1), (1, 7), (10_000, 20_000), (5, 4_100),
+        (0, 2 ** 16 - 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 99])
+    def test_latency_draws_are_randint_draws(self, seed, lo, hi):
+        sim = Simulator(seed=seed)
+        net = Network(sim, default_link=LinkModel(latency_us=(lo, hi)))
+        arrivals = []
+        net.attach("b", lambda s, d: arrivals.append(sim.now))
+        gap = hi + 1    # no send waits behind the one before it
+        for i in range(300):
+            sim.call_at(i * gap, net.send, "a", "b", b"x")
+        sim.run_until_idle()
+        want = random.Random(seed)
+        # An exact link draws nothing from the stream.
+        draws = [lo if lo == hi else want.randint(lo, hi) for _ in range(300)]
+        assert [t - i * gap for i, t in enumerate(arrivals)] == draws
+        assert sim.rng.getstate() == want.getstate()
+
+    def test_new_link_applies_to_later_sends_each_direction_keeps_fifo(self):
+        sim = Simulator()
+        net = Network(sim, default_link=None)
+        net.set_link_pair("a", "b", LinkModel.fixed(50_000))
+        arrivals = []
+        for addr in "ab":
+            net.attach(addr, lambda s, d: arrivals.append((d, sim.now)))
+        sim.call_at(0, net.send, "a", "b", b"ab slow")
+        sim.call_at(30_000, net.send, "b", "a", b"ba slow")
+        sim.call_at(40_000, net.set_link_pair, "a", "b", LinkModel.fixed(10))
+        for t in (40_000, 100_000):
+            sim.call_at(t, net.send, "a", "b", b"ab %d" % t)
+            sim.call_at(t, net.send, "b", "a", b"ba %d" % t)
+        sim.run_until_idle()
+        # A fast frame waits behind its own direction's slow one only.
+        assert sorted(arrivals, key=lambda a: (a[1], a[0])) == [
+            (b"ab 40000", 50_000), (b"ab slow", 50_000),
+            (b"ba 40000", 80_000), (b"ba slow", 80_000),
+            (b"ab 100000", 100_010), (b"ba 100000", 100_010)]
+        assert arrivals.index((b"ab slow", 50_000)) < \
+            arrivals.index((b"ab 40000", 50_000))
+
+    def test_disconnecting_a_link_in_use_raises(self):
+        sim = Simulator()
+        link = LinkModel.fixed(10)
+        net = Network(sim, default_link=link)
+        seen, cb = _collector()
+        net.attach("b", cb)
+        net.send("a", "b", b"one")
+        link.connected = False
+        with pytest.raises(NoLink):
+            net.send("a", "b", b"two")
+        link.connected = True
+        net.send("a", "b", b"three")
+        sim.run_until_idle()
+        assert seen == [("a", b"one"), ("a", b"three")]
+        assert net.sent == 2
+
+    def test_pairs_on_the_default_link_keep_separate_fifos(self):
+        sim = Simulator()
+        default = LinkModel.fixed(50_000)
+        net = Network(sim, default_link=default)
+        arrivals = {}
+        for addr in "abc":
+            net.attach(addr, lambda s, d: arrivals.setdefault(d, sim.now))
+        net.send("a", "b", b"a-b first")
+        default.latency_us = (10, 10)
+        sim.call_at(10, net.send, "a", "b", b"a-b second")
+        for src, dst in ("ac", "ba", "ca"):
+            sim.call_at(10, net.send, src, dst, src.encode() + dst.encode())
+        sim.run_until_idle()
+        assert arrivals == {b"a-b first": 50_000, b"a-b second": 50_000,
+                            b"ac": 20, b"ba": 20, b"ca": 20}
 
     def test_loss_probability_one_drops_everything(self):
         sim = Simulator(seed=1)
