@@ -20,21 +20,22 @@ from typing import Optional
 
 from .broker import Broker
 from .session import ACTIVE, ClientSession
-from .simnet import Simulator
 
 
 class BridgeEnd:
-    """One side of the bridge; see :class:`Bridge` for pairing."""
+    """One side of the bridge.  Its owner pairs two ends by setting each
+    one's ``peer`` to the other, then starts both."""
 
-    def __init__(self, sim: Simulator, session: ClientSession, broker: Broker,
-                 origin_tag: int, topics: tuple[str, ...]) -> None:
-        self.sim = sim
+    def __init__(self, session: ClientSession, broker: Broker,
+                 origin_tag: int, topics: tuple[str, ...],
+                 latency_us: int) -> None:
+        self.sim = session.sim
         self.session = session
         self.broker = broker
         self.origin_tag = origin_tag
         self.topics = topics
-        self.peer: Optional["BridgeEnd"] = None  # paired by Bridge
-        self.latency_us = 0                      # set by Bridge
+        self.latency_us = latency_us
+        self.peer: Optional["BridgeEnd"] = None  # set by the owner
         self.forwarded = 0
         self.republished = 0
         self.crossings: list[tuple[int, str, bytes]] = []  # origin, topic, data
@@ -69,23 +70,3 @@ class BridgeEnd:
         self.crossings.append((origin, topic, data))
         self.republished += 1
         self.session.publish(topic, data)
-
-
-class Bridge:
-    """Pairs two ends and wires the relay channel between them."""
-
-    def __init__(self, end_a: BridgeEnd, end_b: BridgeEnd,
-                 latency_us: int) -> None:
-        self.end_a = end_a
-        self.end_b = end_b
-        end_a.peer = end_b
-        end_b.peer = end_a
-        end_a.latency_us = latency_us
-        end_b.latency_us = latency_us
-
-    def start(self) -> None:
-        self.end_a.start()
-        self.end_b.start()
-
-    def ready(self) -> bool:
-        return self.end_a.ready() and self.end_b.ready()

@@ -99,18 +99,18 @@ class _Session:
 
 
 class Broker:
-    def __init__(self, sim: Simulator, network: Network, addr: str, *,
+    def __init__(self, network: Network, addr: str, *,
                  dispatch_interval_us: int = DEFAULT_DISPATCH_INTERVAL_US,
                  radio_tx_interval_us: int = DEFAULT_RADIO_TX_INTERVAL_US,
                  radio_buffer_capacity: int = DEFAULT_RADIO_BUFFER_CAPACITY,
                  local_clients: Iterable[str] = ()) -> None:
-        self.sim = sim
+        self.sim = network.sim
         self.network = network
         self.addr = addr
         self.dispatch_interval_us = dispatch_interval_us
         self.local_clients = set(local_clients)
         self.sessions: dict[str, _Session] = {}
-        self.gate = RadioGate(sim, radio_buffer_capacity,
+        self.gate = RadioGate(self.sim, radio_buffer_capacity,
                               radio_tx_interval_us, self._send)
         self.bad_packets = 0
         self.unroutable = 0

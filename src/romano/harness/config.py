@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .. import broker
+from .. import broker, codec
 from ..mqttsn import MAX_PUBLISH_DATA
 from ..simnet import US_PER_SEC
 
@@ -139,10 +139,22 @@ def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if last_probe_us >= 1 << 64:
         raise ConfigError("rate_mps is too low: the last probe's send time"
                           " overflows its 64-bit field")
-    for key in ("rssi_d0_mm", "rssi_exponent", "initial_separation_mm",
-                "dispersal_interval_us"):
+    for key in ("n_messages", "rssi_d0_mm", "rssi_exponent",
+                "initial_separation_mm", "dispersal_interval_us"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    stride = cfg.dispersal_stride_mm
+    if not (1 <= stride <= 0xFFFF and stride == int(stride)):
+        # a stride is the 2-octet magnitude of a movement order
+        raise ConfigError(
+            "dispersal_stride_mm must be a whole number in [1, 65535]")
     if not cfg.bridge_topic_list():
         raise ConfigError("bridge_topics must name at least one topic")
+    # The bridge demo orders a subscription to each topic with an
+    # MqttSubscribe, which rides in the data of one PUBLISH.
+    longest = MAX_PUBLISH_DATA - codec.HEADER_LEN
+    if any(len(t.encode("utf-8")) > longest
+           for t in cfg.bridge_topic_list()):
+        raise ConfigError(
+            f"each bridge topic must be at most {longest} octets of UTF-8")
     return cfg

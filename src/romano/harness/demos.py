@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import codec
-from ..robot import (DispersalController, LeaderScript, PathLossModel, Pose,
-                     Robot, SQUARE_PATH)
-from ..bridge import Bridge, BridgeEnd
+from ..robot import (LEADER_TOPIC, DispersalController, LeaderScript,
+                     PathLossModel, Pose, Robot)
+from ..bridge import BridgeEnd
 from ..session import ClientSession
 from ..simnet import LinkModel, WireTrace
 from .config import ScenarioConfig
@@ -103,7 +103,7 @@ def run_path_copy(cfg: ScenarioConfig) -> DemoResult:
     result = DemoResult("path-copy", world.trace, world.robots)
     leader, followers = world.robots[0], world.robots[1:]
 
-    topic = "telemetry"
+    topic = LEADER_TOPIC
     for follower in followers:
         _publish_romano(world.commander, follower.romano_id,
                         codec.MqttSubscribe(topic))
@@ -112,7 +112,7 @@ def run_path_copy(cfg: ScenarioConfig) -> DemoResult:
             world.sim.now + 5_000_000):
         raise DemoError("followers never subscribed to the leader topic")
 
-    script = LeaderScript(world.sim, leader, SQUARE_PATH, topic=topic)
+    script = LeaderScript(leader)
     script.start()
     world.sim.run_until_idle()
 
@@ -151,20 +151,16 @@ def run_dispersal(cfg: ScenarioConfig) -> DemoResult:
     result = DemoResult("dispersal", world.trace, world.robots)
 
     a, b = world.robots
-    addr_a = a.node.session.client_id
-    addr_b = b.node.session.client_id
-    world.net.set_link_pair(addr_a, addr_b,
+    world.net.set_link_pair(a.node.session.client_id,
+                            b.node.session.client_id,
                             LinkModel.fixed(PROBE_LINK_LATENCY_US))
-    positions = {addr_a: a, addr_b: b}
     path_loss = PathLossModel(p0_dbm=sub.rssi_p0_dbm, d0_mm=sub.rssi_d0_mm,
                               exponent=sub.rssi_exponent)
     kw = dict(path_loss=path_loss, threshold_dbm=sub.rssi_threshold_dbm,
               stride_mm=int(sub.dispersal_stride_mm),
               interval_us=sub.dispersal_interval_us)
-    ctrl_a = DispersalController(world.sim, world.net, a, addr_b,
-                                 b.romano_id, positions, **kw)
-    ctrl_b = DispersalController(world.sim, world.net, b, addr_a,
-                                 a.romano_id, positions, **kw)
+    ctrl_a = DispersalController(a, b, **kw)
+    ctrl_b = DispersalController(b, a, **kw)
 
     def separation() -> float:
         return math.hypot(b.pose.x_mm - a.pose.x_mm,
@@ -211,24 +207,23 @@ class BridgedWorld(World):
     def __init__(self, cfg: ScenarioConfig) -> None:
         super().__init__(cfg)
         self.cell_a = self.cell
-        self.cell_b = Cell(self.sim, self.net, cfg, cell=2)
+        self.cell_b = Cell(self.net, cfg, cell=2)
         self.cells.append(self.cell_b)
         topics = cfg.bridge_topic_list()
         self.end_a, self.end_b = (
-            BridgeEnd(self.sim,
-                      ClientSession(self.sim, self.net, relay_addr(c.cell),
-                                    c.addr),
-                      c.broker, origin_tag=c.cell, topics=topics)
+            BridgeEnd(ClientSession(self.net, relay_addr(c.cell), c.addr),
+                      c.broker, origin_tag=c.cell, topics=topics,
+                      latency_us=cfg.bridge_latency_us)
             for c in self.cells)
-        self.bridge = Bridge(self.end_a, self.end_b,
-                             latency_us=cfg.bridge_latency_us)
+        self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
 
     def start(self) -> None:
         super().start()
-        self.bridge.start()
+        self.end_a.start()
+        self.end_b.start()
 
     def ready(self) -> bool:
-        return super().ready() and self.bridge.ready()
+        return super().ready() and self.end_a.ready() and self.end_b.ready()
 
 
 def _count_crossed_seqs(end: BridgeEnd) -> dict[int, int]:

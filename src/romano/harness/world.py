@@ -53,8 +53,7 @@ def robot_addr(index: int, cell: int = 1) -> str:
 class Cell:
     """One broker domain with its registry, commander and robots."""
 
-    def __init__(self, sim: Simulator, net: Network, cfg: ScenarioConfig,
-                 cell: int = 1,
+    def __init__(self, net: Network, cfg: ScenarioConfig, cell: int = 1,
                  poses: Optional[list[Pose]] = None) -> None:
         self.cfg = cfg
         self.cell = cell
@@ -62,7 +61,7 @@ class Cell:
 
         wired = (server_addr(cell), commander_addr(cell), relay_addr(cell))
         self.broker = Broker(
-            sim, net, self.addr,
+            net, self.addr,
             dispatch_interval_us=cfg.dispatch_interval_us,
             radio_tx_interval_us=cfg.radio_tx_interval_us,
             radio_buffer_capacity=cfg.radio_buffer_capacity,
@@ -72,10 +71,9 @@ class Cell:
 
         heartbeat_period_us = cfg.heartbeat_period_us or None
         self.server = RegistryServer(
-            sim, ClientSession(sim, net, server_addr(cell), self.addr),
+            ClientSession(net, server_addr(cell), self.addr),
             heartbeat_period_us=heartbeat_period_us)
-        self.commander = ClientSession(sim, net, commander_addr(cell),
-                                       self.addr)
+        self.commander = ClientSession(net, commander_addr(cell), self.addr)
 
         self.nodes: list[RomanoNode] = []
         self._unready = 0   # index of the first node ready() saw not READY
@@ -84,12 +82,11 @@ class Cell:
             addr = robot_addr(i, cell)
             net.set_link_pair(addr, self.addr, LinkModel(
                 (cfg.latency_lo_us, cfg.latency_hi_us), cfg.loss_prob))
-            session = ClientSession(sim, net, addr, self.addr)
-            node = RomanoNode(sim, session,
+            node = RomanoNode(ClientSession(net, addr, self.addr),
                               heartbeat_period_us=heartbeat_period_us)
             pose = poses[i - 1] if poses else Pose()
             self.nodes.append(node)
-            self.robots.append(Robot(sim, node, pose))
+            self.robots.append(Robot(node, pose))
 
     def start(self) -> None:
         # The registry must hold its init-info subscription before any
@@ -129,7 +126,7 @@ class World:
         self.sim = Simulator(seed=cfg.seed)
         self.net = Network(self.sim)
         self.trace = self.net.trace
-        self.cell = Cell(self.sim, self.net, cfg, cell=1, poses=poses)
+        self.cell = Cell(self.net, cfg, cell=1, poses=poses)
         self.cells = [self.cell]
         self.broker = self.cell.broker
         self.server = self.cell.server

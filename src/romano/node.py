@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from . import codec
 from .session import DECODE_MEMO_SIZE, ClientSession
-from .simnet import Simulator, Timer
+from .simnet import Timer
 
 ACK_WAIT_US = 2_000_000
 DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
@@ -44,9 +44,9 @@ READY = "ready"
 
 
 class RomanoNode:
-    def __init__(self, sim: Simulator, session: ClientSession, *,
+    def __init__(self, session: ClientSession, *,
                  heartbeat_period_us: Optional[int] = None) -> None:
-        self.sim = sim
+        self.sim = session.sim
         self.session = session
         self.romano_id = codec.derive_romano_id(session.client_id)
         self.phase = INIT

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from . import codec
 from .node import RomanoNode
-from .simnet import Network, NoLink, Simulator, PORT_APP
+from .simnet import NoLink, PORT_APP
 
 
 class RobotError(Exception):
@@ -122,13 +122,12 @@ class Robot:
     appended to ``executed`` and adds one ``pose_trace`` row.
     """
 
-    def __init__(self, sim: Simulator, node: RomanoNode,
-                 pose: Pose = Pose()) -> None:
-        self.sim = sim
+    def __init__(self, node: RomanoNode, pose: Pose = Pose()) -> None:
+        self.sim = node.sim
         self.node = node
         self.pose = pose
         self.executed: list[codec.MovementControl] = []
-        self.pose_trace: list[tuple[int, Pose]] = [(sim.now, pose)]
+        self.pose_trace: list[tuple[int, Pose]] = [(self.sim.now, pose)]
         node.on_movement = self.on_movement
 
     @property
@@ -147,44 +146,41 @@ SQUARE_PATH: tuple[tuple[int, int], ...] = (
     (codec.MovementType.MOVE_FRONT, 100),
     (codec.MovementType.ROTATE_LEFT, 90),
 ) * 4
+LEADER_TOPIC = "telemetry"
+LEADER_INTERVAL_US = 200_000
 
 
 class LeaderScript:
-    """Drives a robot along a scripted path, publishing each order.
+    """Drives a robot along :data:`SQUARE_PATH`, publishing each order.
 
-    Every ``interval_us`` the next command is executed locally (through
-    the robot's own node, like any other order) and simultaneously
-    published as MovementControl on the telemetry topic, so followers
-    replay the exact emitted stream.
+    Every ``LEADER_INTERVAL_US`` the next command is executed locally
+    (through the robot's own node, like any other order) and
+    simultaneously published as MovementControl on ``LEADER_TOPIC``, so
+    followers replay the exact emitted stream.
     """
 
-    def __init__(self, sim: Simulator, robot: Robot,
-                 script=SQUARE_PATH, *,
-                 topic: str = "telemetry",
-                 interval_us: int = 200_000) -> None:
-        self.sim = sim
+    def __init__(self, robot: Robot) -> None:
+        self.sim = robot.sim
         self.robot = robot
-        self.script = list(script)
-        self.topic = topic
-        self.interval_us = interval_us
         self.emitted: list[codec.MovementControl] = []
         self.done = False
         self._index = 0
 
     def start(self) -> None:
-        self.sim.after(self.interval_us, self._tick)
+        self.sim.after(LEADER_INTERVAL_US, self._tick)
 
     def _tick(self) -> None:
-        if self._index >= len(self.script):
+        if self._index >= len(SQUARE_PATH):
             self.done = True
             return
-        control_type, magnitude = self.script[self._index]
+        control_type, magnitude = SQUARE_PATH[self._index]
         self._index += 1
         msg = codec.movement_control(control_type, magnitude)
-        self.robot.node.session.publish(self.topic, codec.encode_message(msg))
+        self.robot.node.session.publish(LEADER_TOPIC,
+                                        codec.encode_message(msg))
         self.robot.node.enqueue_movement(msg)
         self.emitted.append(msg)
-        self.sim.after(self.interval_us, self._tick)
+        self.sim.after(LEADER_INTERVAL_US, self._tick)
 
 
 # -- Dispersal ---------------------------------------------------------------------------
@@ -204,33 +200,32 @@ class DispersalController:
     threshold, toward if below, and holds exactly at it.  Roles then
     swap, so the robots alternate single strides.  A robot waiting for
     a reply repeats its last message every ``interval_us``; movement is
-    restricted to the line through both robots.
+    restricted to the line through both robots.  The probe's RSSI comes
+    from the distance to ``peer``'s pose; a datagram on the probe port
+    from any other address is ignored.
     """
 
-    def __init__(self, sim: Simulator, network: Network, robot: Robot,
-                 peer_addr: str, peer_id: str, positions: dict, *,
+    def __init__(self, robot: Robot, peer: Robot, *,
                  path_loss: PathLossModel = PathLossModel(),
                  threshold_dbm: float = -70.0,
                  stride_mm: int = 50,
                  interval_us: int = 200_000) -> None:
-        self.sim = sim
-        self.network = network
+        self.sim = robot.sim
         self.robot = robot
-        self.peer_addr = peer_addr
-        self.peer_id = peer_id
+        self.peer = peer
         self.path_loss = path_loss
         self.threshold_dbm = threshold_dbm
         self.stride_mm = stride_mm
         self.interval_us = interval_us
-        self.positions = positions  # addr -> Robot, for probe geometry
         self.state = DISP_IDLE
         self.rounds = 0  # probes this robot measured
         self.moves = 0
         self.rssi_log: list[tuple[int, float]] = []
         self.on_round: Optional[Callable[[float], None]] = None
         self._retry_timer = None
-        addr = robot.node.session.client_id
-        network.attach(addr, self._on_probe, port=PORT_APP)
+        session = robot.node.session
+        session.network.attach(session.client_id, self._on_probe,
+                               port=PORT_APP)
         robot.node.on_data(codec.UDP_SEND_REQ, self._on_req)
         robot.node.on_data(codec.UDP_SEND_GO, self._on_go)
 
@@ -253,11 +248,12 @@ class DispersalController:
             self._broadcast_probe()
 
     def _broadcast_probe(self) -> None:
-        addr = self.robot.node.session.client_id
+        session = self.robot.node.session
         try:
-            self.network.send(addr, self.peer_addr,
-                              self.robot.romano_id.encode("ascii"),
-                              port=PORT_APP)
+            session.network.send(session.client_id,
+                                 self.peer.node.session.client_id,
+                                 self.robot.romano_id.encode("ascii"),
+                                 port=PORT_APP)
         except NoLink:
             pass  # peer out of range; it will re-request
 
@@ -271,11 +267,12 @@ class DispersalController:
         self._arm_retry()
 
     def _on_probe(self, src: str, data: bytes) -> None:
-        if self.state != DISP_AWAIT_PROBE:
+        if (self.state != DISP_AWAIT_PROBE
+                or src != self.peer.node.session.client_id):
             return
         self.state = DISP_IDLE
         self._disarm_retry()
-        rssi = self._measure(src)
+        rssi = self._measure()
         self.rounds += 1
         self.rssi_log.append((self.sim.now, rssi))
         if rssi > self.threshold_dbm:
@@ -287,10 +284,9 @@ class DispersalController:
             self.on_round(rssi)
         self.sim.after(self.interval_us, self.initiate)
 
-    def _measure(self, src: str) -> float:
-        peer = self.positions[src]
-        dx = peer.pose.x_mm - self.robot.pose.x_mm
-        dy = peer.pose.y_mm - self.robot.pose.y_mm
+    def _measure(self) -> float:
+        dx = self.peer.pose.x_mm - self.robot.pose.x_mm
+        dy = self.peer.pose.y_mm - self.robot.pose.y_mm
         return self.path_loss.rssi(math.hypot(dx, dy))
 
     def _step(self, control_type: int) -> None:
@@ -305,7 +301,7 @@ class DispersalController:
     def _publish(self, type_code: int) -> None:
         payload = self.robot.romano_id.encode("ascii")
         raw = codec.encode_message(codec.CustomData(type_code, payload))
-        self.robot.node.session.publish(self.peer_id, raw)
+        self.robot.node.session.publish(self.peer.romano_id, raw)
 
     def _arm_retry(self) -> None:
         self._disarm_retry()

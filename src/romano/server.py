@@ -24,7 +24,7 @@ from typing import Optional
 from . import codec
 from .node import HEARTBEAT_STALE_PERIODS
 from .session import ClientSession
-from .simnet import Simulator, Timer
+from .simnet import Timer
 
 # 30 ids make a 242-octet message; the frame itself could hold 31, but
 # 2 + 31*8 = 250 octets would not fit the 248-octet publish data cap.
@@ -40,9 +40,9 @@ class NodeRecord:
 
 
 class RegistryServer:
-    def __init__(self, sim: Simulator, session: ClientSession, *,
+    def __init__(self, session: ClientSession, *,
                  heartbeat_period_us: Optional[int] = None) -> None:
-        self.sim = sim
+        self.sim = session.sim
         self.session = session
         self.heartbeat_period_us = heartbeat_period_us
         self.registry: dict[str, NodeRecord] = {}

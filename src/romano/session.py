@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import mqttsn as sn
-from .simnet import Network, NoLink, Simulator, Timer
+from .simnet import Network, NoLink, Timer
 
 T_RETRY_US = 500_000
 N_RETRY = 3
@@ -91,9 +91,9 @@ class _Exchange:
 
 
 class ClientSession:
-    def __init__(self, sim: Simulator, network: Network, client_id: str,
+    def __init__(self, network: Network, client_id: str,
                  broker_addr: str) -> None:
-        self.sim = sim
+        self.sim = network.sim
         self.network = network
         self.client_id = client_id
         self.broker_addr = broker_addr

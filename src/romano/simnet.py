@@ -69,30 +69,23 @@ class Simulator:
         self._heap: list[list] = []
         self._next_seq = 0
 
-    def call_at(self, time_us: int, fn: Callable[..., None], *args) -> None:
-        """Run ``fn(*args)`` at ``time_us``; for callbacks nobody cancels."""
+    def call_at(self, time_us: int, fn: Callable[..., None], *args) -> list:
+        """Run ``fn(*args)`` at ``time_us``; returns the queued entry, which
+        :meth:`at` wraps in a :class:`Timer`."""
         if time_us < self.now:
             raise ValueError("cannot schedule at {} before now {}".format(
                 time_us, self.now))
-        run = self._run
-        if not run or time_us >= run[-1][0]:
-            run.append([time_us, self._next_seq, fn, args])
-        else:
-            heappush(self._heap, [time_us, self._next_seq, fn, args])
-        self._next_seq += 1
-
-    def at(self, time_us: int, fn: Callable[[], None]) -> Timer:
-        if time_us < self.now:
-            raise ValueError("cannot schedule at {} before now {}".format(
-                time_us, self.now))
-        entry = [time_us, self._next_seq, fn, ()]
+        entry = [time_us, self._next_seq, fn, args]
         run = self._run
         if not run or time_us >= run[-1][0]:
             run.append(entry)
         else:
             heappush(self._heap, entry)
         self._next_seq += 1
-        return Timer(entry)
+        return entry
+
+    def at(self, time_us: int, fn: Callable[[], None]) -> Timer:
+        return Timer(self.call_at(time_us, fn))
 
     def after(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         return self.at(self.now + delay_us, fn)
@@ -265,15 +258,13 @@ class Network:
 
     Endpoints attach a receive callback per (address, port).  Each
     (src, dst) address pair has one entry, made at its first send, that
-    holds its link (``default_link`` unless one was set), FIFO horizon
-    and trace codes; ports share the pair's link.
+    holds its link (none unless :meth:`set_link_pair` set one), FIFO
+    horizon and trace codes; ports share the pair's link.
     """
 
-    def __init__(self, sim: Simulator,
-                 default_link: Optional[LinkModel] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self.trace = WireTrace()
-        self.default_link = default_link
         self._endpoints: dict[tuple[str, int], Callable[[str, bytes], None]] = {}
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._pairs: dict[tuple[str, str], _Pair] = {}
@@ -313,8 +304,7 @@ class Network:
         pair = self._pairs.get((src, dst))
         if pair is None:
             pair = self._pairs[(src, dst)] = _Pair(
-                self._links.get((src, dst), self.default_link), src, dst,
-                self._codes)
+                self._links.get((src, dst)), src, dst, self._codes)
         link = pair.link
         if link is None or not link.connected:
             raise NoLink("no connected link from {} to {}".format(src, dst))

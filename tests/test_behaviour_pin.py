@@ -24,12 +24,6 @@ from romano.harness.cli import main
 ARTIFACTS = ("report.csv", "wire_trace.log", "pose_trace.csv")
 
 CASES = {
-    "sweep": (
-        "a62040283b85a113e5da3e97cc8b1165385c669e21e6c7f46e0e2e333e16d7ba",
-        "69708a377dcef9f2be5b1df6871644df564ba10e8567002619fd75b5a35f3484",
-        "ab97694bf0fdd83fcd96f158065a1a342697b5280dfd904cd224193d961a6506",
-        "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
-    ),
     "throughput-clean": (
         ["throughput", "--rate", "200", "--messages", "500", "--seed", "1"],
         ""),
@@ -39,16 +33,6 @@ CASES = {
     "throughput-lossy": (
         ["throughput", "--rate", "100", "--messages", "300", "--seed", "3"],
         "loss_prob = 0.05\n"),
-    "demo-group-control": (
-        "f800dc8292aed678aed48b4c0d528242288e369b060d44a588cf6c6d1ed30b16",
-        "40c2d4b8b4cb647b23b7e52de44353517feab2cf885044d076c9534e4a06fd82",
-        "10c03f1f71fcf56af95100a13513e1089e5ec3824d4bcda8107434f5552b8821",
-    ),
-    "demo-path-copy": (
-        "6e0add636a1c52eb3d2570364a8c9279b87b69a2490a0e4bf50d1be4d33c8cde",
-        "98dd6921c0286cc54940e2b22fbaba42ff3a3f63e609c3f7afe739d4b13f8194",
-        "8abc5e513767772c59dcea2e75571105bfb30728af6ea2c94a78c448febfc5bb",
-    ),
     "scalability": (
         ["scalability", "--robots", "4", "--messages", "50"],
         ""),
@@ -163,3 +147,7 @@ def test_artifacts_match_pin(tmp_path, case):
     assert len(got) == len(PINS[case])
     for name, want, have in zip(files, PINS[case], got):
         assert have == want, "{} of {} moved".format(name, case)
+
+
+def test_every_case_has_a_pin():
+    assert CASES.keys() == PINS.keys()

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from romano.bridge import Bridge, BridgeEnd
+from romano.bridge import BridgeEnd
 from romano.broker import Broker
 from romano.session import ACTIVE, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
@@ -23,25 +23,22 @@ class BridgeRig:
 
     def __init__(self, topics=(TOPIC,), latency_us=50_000):
         self.sim = Simulator(seed=0)
-        self.net = Network(self.sim, default_link=None)
-        self.broker_a = Broker(self.sim, self.net, BROKER_A,
-                               local_clients={RELAY_A})
-        self.broker_b = Broker(self.sim, self.net, BROKER_B,
-                               local_clients={RELAY_B})
+        self.net = Network(self.sim)
+        self.broker_a = Broker(self.net, BROKER_A, local_clients={RELAY_A})
+        self.broker_b = Broker(self.net, BROKER_B, local_clients={RELAY_B})
         self.net.set_link_pair(RELAY_A, BROKER_A, LinkModel.fixed(0))
         self.net.set_link_pair(RELAY_B, BROKER_B, LinkModel.fixed(0))
         self.net.set_link_pair(CLIENT_A, BROKER_A, LinkModel.fixed(5_000))
         self.net.set_link_pair(CLIENT_B, BROKER_B, LinkModel.fixed(5_000))
-        self.end_a = BridgeEnd(
-            self.sim, ClientSession(self.sim, self.net, RELAY_A, BROKER_A),
-            self.broker_a, 0, tuple(topics))
-        self.end_b = BridgeEnd(
-            self.sim, ClientSession(self.sim, self.net, RELAY_B, BROKER_B),
-            self.broker_b, 1, tuple(topics))
-        self.bridge = Bridge(self.end_a, self.end_b, latency_us)
-        self.bridge.start()
-        self.client_a = ClientSession(self.sim, self.net, CLIENT_A, BROKER_A)
-        self.client_b = ClientSession(self.sim, self.net, CLIENT_B, BROKER_B)
+        self.end_a = BridgeEnd(ClientSession(self.net, RELAY_A, BROKER_A),
+                               self.broker_a, 0, tuple(topics), latency_us)
+        self.end_b = BridgeEnd(ClientSession(self.net, RELAY_B, BROKER_B),
+                               self.broker_b, 1, tuple(topics), latency_us)
+        self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
+        self.end_a.start()
+        self.end_b.start()
+        self.client_a = ClientSession(self.net, CLIENT_A, BROKER_A)
+        self.client_b = ClientSession(self.net, CLIENT_B, BROKER_B)
         self.inbox_a: list[tuple[str, bytes]] = []
         self.inbox_b: list[tuple[str, bytes]] = []
         self.client_a.on_message = lambda t, d: self.inbox_a.append((t, d))
@@ -51,7 +48,7 @@ class BridgeRig:
         assert self.sim.run_until_true(lambda: self.ready(), 5_000_000)
 
     def ready(self) -> bool:
-        return (self.bridge.ready()
+        return (self.end_a.ready() and self.end_b.ready()
                 and CLIENT_A in self.broker_a.subscribers(TOPIC)
                 and CLIENT_B in self.broker_b.subscribers(TOPIC))
 

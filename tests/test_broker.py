@@ -9,23 +9,23 @@ from romano.simnet import LinkModel, Network, Simulator
 BROKER = "fe80::212:4b00:1:1"
 
 
-def make_net(seed: int = 0, latency_us: int = 0):
+def make_net(seed: int = 0):
     sim = Simulator(seed=seed)
-    net = Network(sim, default_link=LinkModel.fixed(latency_us))
-    return sim, net
+    return sim, Network(sim)
 
 
 class Client:
     """Raw packet endpoint; drives the broker without a session layer."""
 
-    def __init__(self, sim, net, addr, broker_addr=BROKER):
-        self.sim = sim
+    def __init__(self, net, addr, broker_addr=BROKER):
+        self.sim = net.sim
         self.net = net
         self.addr = addr
         self.broker_addr = broker_addr
         self.inbox: list[tuple[int, sn.SnPacket]] = []
+        net.set_link_pair(addr, broker_addr, LinkModel.fixed(0))
         net.attach(addr, lambda src, data: self.inbox.append(
-            (sim.now, sn.decode_packet(data))))
+            (net.sim.now, sn.decode_packet(data))))
 
     def send(self, pkt: sn.SnPacket) -> None:
         self.net.send(self.addr, self.broker_addr, sn.encode_packet(pkt))
@@ -131,11 +131,11 @@ class TestRadioGate:
 class TestFanOut:
     def test_dispatch_offsets_follow_subscription_order(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        subs = [Client(sim, net, f"s{i}") for i in range(3)]
+        broker = Broker(net, BROKER)
+        subs = [Client(net, f"s{i}") for i in range(3)]
         for client in subs:
             client.join(["common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         pub.send(sn.Register(0, 1, "common"))
         sim.run_until_idle()
@@ -151,11 +151,11 @@ class TestFanOut:
         # A second publish 1 ms after the first keeps its own offsets;
         # the windows interleave rather than queue behind each other.
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        subs = [Client(sim, net, f"s{i}") for i in range(3)]
+        broker = Broker(net, BROKER)
+        subs = [Client(net, f"s{i}") for i in range(3)]
         for client in subs:
             client.join(["common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         pub.send(sn.Register(0, 1, "common"))
         sim.run_until_idle()
@@ -175,10 +175,10 @@ class TestFanOut:
 
     def test_fanout_copies_are_qos0(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
         sub.join(["common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         pub.send(sn.Register(0, 1, "common"))
         sim.run_until_idle()
@@ -191,9 +191,9 @@ class TestFanOut:
 
     def test_no_local_skips_only_the_publisher(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        relay = Client(sim, net, "relay")
-        other = Client(sim, net, "other")
+        broker = Broker(net, BROKER)
+        relay = Client(net, "relay")
+        other = Client(net, "other")
         ids = relay.join(["common"])
         other.join(["common"])
         broker.set_no_local("relay")
@@ -204,10 +204,10 @@ class TestFanOut:
 
     def test_duplicate_subscription_delivers_once(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
         ids = sub.join(["common", "common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         pub.send(sn.Publish(ids["common"], b"x"))
         sim.run_until_idle()
@@ -215,12 +215,12 @@ class TestFanOut:
 
     def test_unsubscribe_stops_delivery(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
         ids = sub.join(["common"])
         sub.send(sn.Unsubscribe(9, "common"))
         sim.run_until_idle()
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         pub.send(sn.Publish(ids["common"], b"x"))
         sim.run_until_idle()
@@ -231,8 +231,8 @@ class TestFanOut:
 class TestSessions:
     def test_subscribe_without_connect_is_rejected(self):
         sim, net = make_net()
-        Broker(sim, net, BROKER)
-        client = Client(sim, net, "s")
+        Broker(net, BROKER)
+        client = Client(net, "s")
         client.send(sn.Subscribe(1, "common"))
         sim.run_until_idle()
         (_, pkt), = client.inbox
@@ -241,8 +241,8 @@ class TestSessions:
 
     def test_clean_session_wipes_subscriptions(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
         sub.join(["common"])
         assert broker.subscribers("common") == ["s"]
         sub.send(sn.Connect("s", clean_session=True))
@@ -251,8 +251,8 @@ class TestSessions:
 
     def test_register_interns_stable_ids(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        client = Client(sim, net, "c")
+        broker = Broker(net, BROKER)
+        client = Client(net, "c")
         client.send(sn.Connect("c"))
         client.send(sn.Register(0, 1, "alpha"))
         client.send(sn.Register(0, 2, "beta"))
@@ -264,7 +264,7 @@ class TestSessions:
 
     def test_topic_id_exhaustion_is_rejected_with_congestion(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER, local_clients={"local"})
+        broker = Broker(net, BROKER, local_clients={"local"})
         replies = []  # local replies leave through Network.send at once
         net.send = lambda src, dst, data, topic=None: replies.append(data)
         broker.handle("local", sn.Connect("local"))
@@ -283,7 +283,8 @@ class TestSessions:
         assert broker.topic_id("fresh") is None
         # A session hears the reject as BrokerReject and stays connected.
         del net.send
-        session = ClientSession(sim, net, "c", BROKER)
+        net.set_link_pair("c", BROKER, LinkModel.fixed(0))
+        session = ClientSession(net, "c", BROKER)
         session.connect()
         errors = []
         session.publish("late", b"x", on_fail=errors.append)
@@ -294,8 +295,8 @@ class TestSessions:
 
     def test_publish_to_unknown_topic_id(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        client = Client(sim, net, "c")
+        broker = Broker(net, BROKER)
+        client = Client(net, "c")
         client.send(sn.Connect("c"))
         client.send(sn.Publish(99, b"x", msg_id=5, qos=1))
         sim.run_until_idle()
@@ -306,7 +307,8 @@ class TestSessions:
 
     def test_malformed_datagram_counted(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
+        broker = Broker(net, BROKER)
+        net.set_link_pair("x", BROKER, LinkModel.fixed(0))
         net.send("x", BROKER, b"\xff")
         sim.run_until_idle()
         assert broker.bad_packets == 1
@@ -315,12 +317,12 @@ class TestSessions:
 class TestGatedEgress:
     def test_local_clients_bypass_the_gate(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER, local_clients={"local"})
-        local = Client(sim, net, "local")
-        radio = Client(sim, net, "radio")
+        broker = Broker(net, BROKER, local_clients={"local"})
+        local = Client(net, "local")
+        radio = Client(net, "radio")
         ids = local.join(["common"])
         radio.join(["common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         sim.run_until_idle()
         held = []  # radio frames leaving the gate, replayed below
@@ -338,10 +340,10 @@ class TestGatedEgress:
 
     def test_overflow_capture_and_conservation(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER, radio_buffer_capacity=3)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER, radio_buffer_capacity=3)
+        sub = Client(net, "s")
         ids = sub.join(["common"])
-        pub = Client(sim, net, "p")
+        pub = Client(net, "p")
         pub.send(sn.Connect("p"))
         sim.run_until_idle()
         # At zero latency all five publishes arrive in one tick, before
@@ -360,8 +362,8 @@ class TestGatedEgress:
 
     def _registered(self, **broker_kw):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER, **broker_kw)
-        client = Client(sim, net, "c")
+        broker = Broker(net, BROKER, **broker_kw)
+        client = Client(net, "c")
         client.join()
         return sim, broker, client
 
@@ -408,8 +410,8 @@ class TestGatedEgress:
 
     def test_equal_fanout_copies_are_all_queued(self):
         sim, net = make_net()
-        broker = Broker(sim, net, BROKER)
-        sub = Client(sim, net, "s")
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
         ids = sub.join(["common"])
         broker.handle("p", sn.Connect("p"))
         broker.handle("p", sn.Publish(ids["common"], b"beat"))

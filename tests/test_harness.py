@@ -73,6 +73,13 @@ class TestConfig:
         {"initial_separation_mm": 0.0},
         {"dispersal_interval_us": 0},
         {"bridge_topics": ","},
+        {"n_messages": 0},
+        {"dispersal_stride_mm": 0.0},
+        {"dispersal_stride_mm": 0.5},
+        {"dispersal_stride_mm": -50.0},
+        {"dispersal_stride_mm": 70_000.0},
+        {"bridge_topics": "squad-remote," + "x" * 247},
+        {"bridge_topics": "\u00e9" * 124},
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -417,6 +424,17 @@ class TestCli:
         ("dispersal", "rssi_exponent = 0", "rssi_exponent must be positive"),
         ("bridge", "bridge_topics = ,",
          "bridge_topics must name at least one topic"),
+        ("dispersal", "dispersal_stride_mm = 70000",
+         "dispersal_stride_mm must be a whole number in [1, 65535]"),
+        ("dispersal", "dispersal_stride_mm = -50",
+         "dispersal_stride_mm must be a whole number in [1, 65535]"),
+        ("dispersal", "dispersal_stride_mm = 0.5",
+         "dispersal_stride_mm must be a whole number in [1, 65535]"),
+        ("group-control", "n_messages = 0", "n_messages must be positive"),
+        pytest.param(
+            "bridge", "bridge_topics = " + "x" * 247,
+            "each bridge topic must be at most 246 octets of UTF-8",
+            id="bridge-bridge_topics = 247 octets"),
     ])
     def test_bad_demo_value_exits_2(self, tmp_path, capsys, demo, line,
                                     error):
@@ -427,6 +445,13 @@ class TestCli:
         assert code == 2
         assert error in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    def test_longest_bridge_topic_is_accepted(self, tmp_path):
+        scenario = tmp_path / "long.scenario"
+        scenario.write_text("bridge_topics = {}\n".format("x" * 246))
+        code = self.run("demo", "--demo", "bridge", "--scenario",
+                        str(scenario), "--out-dir", str(tmp_path / "run"))
+        assert code == 0
 
     def test_bad_scenario_key_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "bad.scenario"

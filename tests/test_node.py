@@ -49,13 +49,12 @@ class Rig:
     def __init__(self, seed: int = 0, latency_us: int = LATENCY_US,
                  heartbeat_period_us=None):
         self.sim = Simulator(seed=seed)
-        self.net = Network(self.sim, default_link=None)
-        self.broker = Broker(self.sim, self.net, BROKER,
+        self.net = Network(self.sim)
+        self.broker = Broker(self.net, BROKER,
                              local_clients={SERVER})
         self.tap = WireTap(self.net, BROKER)
         self.net.set_link_pair(SERVER, BROKER, LinkModel.fixed(0))
-        self.server = RegistryServer(
-            self.sim, ClientSession(self.sim, self.net, SERVER, BROKER))
+        self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER))
         self.server.start()
         self.latency_us = latency_us
         self.heartbeat_period_us = heartbeat_period_us
@@ -64,8 +63,8 @@ class Rig:
     def add_node(self, addr: str, **kw) -> RomanoNode:
         self.net.set_link_pair(addr, BROKER,
                                LinkModel.fixed(self.latency_us))
-        session = ClientSession(self.sim, self.net, addr, BROKER)
-        node = RomanoNode(self.sim, session,
+        session = ClientSession(self.net, addr, BROKER)
+        node = RomanoNode(session,
                           heartbeat_period_us=self.heartbeat_period_us, **kw)
         self.nodes.append(node)
         return node
@@ -294,7 +293,6 @@ class TestHeartbeats:
 
 def test_node_ids_follow_the_address():
     sim = Simulator()
-    net = Network(sim, default_link=LinkModel.fixed(0))
-    session = ClientSession(sim, net, "fe80::212:4b00:ab:cd", BROKER)
-    node = RomanoNode(sim, session)
+    session = ClientSession(Network(sim), "fe80::212:4b00:ab:cd", BROKER)
+    node = RomanoNode(session)
     assert node.romano_id == "00ab00cd"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from romano import codec
 from romano.broker import Broker
 from romano.node import READY, RomanoNode
-from romano.robot import (DispersalController, LeaderScript,
+from romano.robot import (DISP_AWAIT_PROBE, DispersalController, LeaderScript,
                           NonpositiveDistance, PathLossModel, Pose, Robot,
                           SQUARE_PATH, UnknownControlType, apply_command)
 from romano.server import RegistryServer
@@ -104,9 +104,8 @@ class TestPathLoss:
 
 def bare_robot(sim):
     """A robot whose node never talks: drive-layer tests only."""
-    net = Network(sim, default_link=LinkModel.fixed(0))
-    session = ClientSession(sim, net, "fe80::212:4b00:10:1", BROKER)
-    return Robot(sim, RomanoNode(sim, session))
+    session = ClientSession(Network(sim), "fe80::212:4b00:10:1", BROKER)
+    return Robot(RomanoNode(session))
 
 
 class TestRobotDrive:
@@ -127,22 +126,19 @@ class SwarmRig:
 
     def __init__(self, n=2, latency_us=5_000, poses=None):
         self.sim = Simulator(seed=0)
-        self.net = Network(self.sim, default_link=None)
-        self.broker = Broker(self.sim, self.net, BROKER,
-                             local_clients={SERVER})
+        self.net = Network(self.sim)
+        self.broker = Broker(self.net, BROKER, local_clients={SERVER})
         self.net.set_link_pair(SERVER, BROKER, LinkModel.fixed(0))
-        self.server = RegistryServer(
-            self.sim, ClientSession(self.sim, self.net, SERVER, BROKER))
+        self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER))
         self.server.start()
         self.addrs = ["fe80::212:4b00:10:{:x}".format(i + 1)
                       for i in range(n)]
         self.robots = []
         for i, addr in enumerate(self.addrs):
             self.net.set_link_pair(addr, BROKER, LinkModel.fixed(latency_us))
-            node = RomanoNode(self.sim,
-                              ClientSession(self.sim, self.net, addr, BROKER))
+            node = RomanoNode(ClientSession(self.net, addr, BROKER))
             pose = poses[i] if poses else Pose()
-            self.robots.append(Robot(self.sim, node, pose))
+            self.robots.append(Robot(node, pose))
             node.start()
         assert self.sim.run_until_true(
             lambda: all(r.node.phase == READY for r in self.robots),
@@ -177,7 +173,7 @@ class TestLeaderScript:
         assert rig.sim.run_until_true(
             lambda: rig.addrs[1] in rig.broker.subscribers("telemetry"),
             rig.sim.now + 5_000_000)
-        script = LeaderScript(rig.sim, leader)
+        script = LeaderScript(leader)
         script.start()
         assert rig.sim.run_until_true(
             lambda: script.done and len(follower.executed) == len(SQUARE_PATH),
@@ -192,7 +188,7 @@ class TestLeaderScript:
     def test_orders_are_evenly_paced(self):
         rig = SwarmRig(n=1)
         leader = rig.robots[0]
-        script = LeaderScript(rig.sim, leader, interval_us=200_000)
+        script = LeaderScript(leader)
         script.start()
         assert rig.sim.run_until_true(lambda: script.done,
                                       rig.sim.now + 5_000_000)
@@ -206,13 +202,9 @@ def dispersal_pair(separation_mm, latency_us=5_000, **ctrl_kw):
     poses = [Pose(0.0, 0.0, 180.0), Pose(separation_mm, 0.0, 0.0)]
     rig = SwarmRig(n=2, latency_us=latency_us, poses=poses)
     a, b = rig.robots
-    addr_a, addr_b = rig.addrs
-    rig.net.set_link_pair(addr_a, addr_b, LinkModel.fixed(latency_us))
-    positions = {addr_a: a, addr_b: b}
-    ctrl_a = DispersalController(rig.sim, rig.net, a, addr_b, b.romano_id,
-                                 positions, **ctrl_kw)
-    ctrl_b = DispersalController(rig.sim, rig.net, b, addr_a, a.romano_id,
-                                 positions, **ctrl_kw)
+    rig.net.set_link_pair(*rig.addrs, LinkModel.fixed(latency_us))
+    ctrl_a = DispersalController(a, b, **ctrl_kw)
+    ctrl_b = DispersalController(b, a, **ctrl_kw)
     return rig, ctrl_a, ctrl_b
 
 
@@ -292,3 +284,22 @@ class TestDispersal:
         self.run_rounds(rig, ctrl_a, ctrl_b, 6, 10_000_000)
         total = ctrl_a.moves + ctrl_b.moves
         assert separation(ctrl_a, ctrl_b) == 300.0 + 50.0 * total
+
+    def test_a_datagram_from_a_third_robot_is_not_a_probe(self):
+        poses = [Pose(0.0, 0.0, 180.0), Pose(5_000.0, 0.0, 0.0), Pose()]
+        rig = SwarmRig(n=3, poses=poses)
+        a, b, _ = rig.robots
+        addr_a, addr_b, addr_c = rig.addrs
+        rig.net.set_link_pair(addr_a, addr_b, LinkModel.fixed(5_000))
+        rig.net.set_link_pair(addr_c, addr_a, LinkModel.fixed(0))
+        ctrl_a = DispersalController(a, b)
+        DispersalController(b, a).initiate()
+        assert rig.sim.run_until_true(
+            lambda: ctrl_a.state == DISP_AWAIT_PROBE, rig.sim.now + 1_000_000)
+        # Arrives while A waits for B's probe, and before it.
+        rig.net.send(addr_c, addr_a, bytes(8), port=PORT_APP)
+        assert rig.sim.run_until_true(lambda: ctrl_a.rounds == 1,
+                                      rig.sim.now + 1_000_000)
+        probes = rig.net.trace.query(kind="deliver", src=addr_b, dst=addr_a)
+        assert ctrl_a.rssi_log == [(r.time_us, PathLossModel().rssi(5_000.0))
+                                   for r in probes]

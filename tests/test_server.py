@@ -19,14 +19,14 @@ class Rig:
 
     def __init__(self, **server_kw):
         self.sim = Simulator(seed=0)
-        self.net = Network(self.sim, default_link=LinkModel.fixed(1_000))
-        self.broker = Broker(self.sim, self.net, BROKER,
-                             local_clients={SERVER})
-        self.server = RegistryServer(
-            self.sim, ClientSession(self.sim, self.net, SERVER, BROKER),
-            **server_kw)
+        self.net = Network(self.sim)
+        for addr in (SERVER, PROBE):
+            self.net.set_link_pair(addr, BROKER, LinkModel.fixed(1_000))
+        self.broker = Broker(self.net, BROKER, local_clients={SERVER})
+        self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER),
+                                     **server_kw)
         self.server.start()
-        self.probe = ClientSession(self.sim, self.net, PROBE, BROKER)
+        self.probe = ClientSession(self.net, PROBE, BROKER)
         self.inbox: list[tuple[str, codec.RomanoMessage]] = []
         self.probe.on_message = lambda topic, data: self.inbox.append(
             (topic, codec.decode_message(data)))

@@ -27,8 +27,8 @@ CLIENT = "fe80::212:4b00:10:1"
 class StubBroker:
     """Replies like a broker, but only when told to."""
 
-    def __init__(self, sim, net, addr=BROKER):
-        self.sim = sim
+    def __init__(self, net, addr=BROKER):
+        self.sim = net.sim
         self.net = net
         self.addr = addr
         self.log: list[tuple[int, sn.SnPacket]] = []
@@ -67,9 +67,10 @@ class StubBroker:
 
 def make_session(latency_us: int = 0):
     sim = Simulator()
-    net = Network(sim, default_link=LinkModel.fixed(latency_us))
-    stub = StubBroker(sim, net)
-    session = ClientSession(sim, net, CLIENT, BROKER)
+    net = Network(sim)
+    net.set_link_pair(CLIENT, BROKER, LinkModel.fixed(latency_us))
+    stub = StubBroker(net)
+    session = ClientSession(net, CLIENT, BROKER)
     return sim, net, stub, session
 
 
@@ -245,10 +246,12 @@ class TestRetransmission:
 class TestMsgIdExhaustion:
     def test_every_entry_point_fails_through_on_fail(self):
         sim, net, stub, session = make_session()
+        link = LinkModel.fixed(0)
+        net.set_link_pair(CLIENT, BROKER, link)
         connect(sim, session)
         session.publish("known", b"x")
         sim.run_until_idle()
-        net.default_link.connected = False  # no request reaches the broker
+        link.connected = False  # no request reaches the broker
         for i in range(0xFFFF):
             session.subscribe("t{}".format(i))
         assert len(session._pending) == 0xFFFF
@@ -345,6 +348,7 @@ class TestInbound:
     def test_packets_from_strangers_are_ignored(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
+        net.set_link_pair("intruder", CLIENT, LinkModel.fixed(0))
         net.send("intruder", CLIENT, sn.encode_packet(sn.Connack()))
         sim.run_until_idle()
         assert session.state == ACTIVE

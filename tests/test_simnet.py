@@ -125,7 +125,7 @@ class TestEventLoop:
         sim = Simulator()
         seen = []
         sim.call_at(4, lambda *args: seen.append((sim.now, args)), 1, "x")
-        assert sim.call_at(4, seen.append, "one argument") is None
+        sim.call_at(4, seen.append, "one argument")
         sim.run_until_idle()
         assert seen == [(4, (1, "x")), "one argument"]
 
@@ -250,7 +250,8 @@ def _collector():
 class TestLinks:
     def test_fixed_latency_is_exact(self):
         sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(20_000))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(20_000))
         seen, cb = _collector()
         net.attach("b", cb)
         net.send("a", "b", b"hi")
@@ -260,7 +261,8 @@ class TestLinks:
 
     def test_uniform_latency_within_bounds(self):
         sim = Simulator(seed=7)
-        net = Network(sim, default_link=LinkModel(latency_us=(10_000, 20_000)))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel(latency_us=(10_000, 20_000)))
         arrivals = []
         net.attach("b", lambda s, d: arrivals.append(sim.now))
         for i in range(200):
@@ -272,14 +274,14 @@ class TestLinks:
 
     def test_no_link_raises(self):
         sim = Simulator()
-        net = Network(sim, default_link=None)
+        net = Network(sim)
         net.attach("b", lambda s, d: None)
         with pytest.raises(NoLink):
             net.send("a", "b", b"x")
 
     def test_disconnect_and_reconnect(self):
         sim = Simulator()
-        net = Network(sim, default_link=None)
+        net = Network(sim)
         link = LinkModel.fixed(10)
         net.set_link_pair("a", "b", link)
         seen, cb = _collector()
@@ -299,7 +301,8 @@ class TestLinks:
     @pytest.mark.parametrize("seed", [0, 1, 99])
     def test_latency_draws_are_randint_draws(self, seed, lo, hi):
         sim = Simulator(seed=seed)
-        net = Network(sim, default_link=LinkModel(latency_us=(lo, hi)))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel(latency_us=(lo, hi)))
         arrivals = []
         net.attach("b", lambda s, d: arrivals.append(sim.now))
         gap = hi + 1    # no send waits behind the one before it
@@ -314,7 +317,7 @@ class TestLinks:
 
     def test_new_link_applies_to_later_sends_each_direction_keeps_fifo(self):
         sim = Simulator()
-        net = Network(sim, default_link=None)
+        net = Network(sim)
         net.set_link_pair("a", "b", LinkModel.fixed(50_000))
         arrivals = []
         for addr in "ab":
@@ -337,7 +340,8 @@ class TestLinks:
     def test_disconnecting_a_link_in_use_raises(self):
         sim = Simulator()
         link = LinkModel.fixed(10)
-        net = Network(sim, default_link=link)
+        net = Network(sim)
+        net.set_link_pair("a", "b", link)
         seen, cb = _collector()
         net.attach("b", cb)
         net.send("a", "b", b"one")
@@ -350,15 +354,17 @@ class TestLinks:
         assert seen == [("a", b"one"), ("a", b"three")]
         assert net.sent == 2
 
-    def test_pairs_on_the_default_link_keep_separate_fifos(self):
+    def test_pairs_sharing_a_link_keep_separate_fifos(self):
         sim = Simulator()
-        default = LinkModel.fixed(50_000)
-        net = Network(sim, default_link=default)
+        shared = LinkModel.fixed(50_000)
+        net = Network(sim)
+        net.set_link_pair("a", "b", shared)
+        net.set_link_pair("a", "c", shared)
         arrivals = {}
         for addr in "abc":
             net.attach(addr, lambda s, d: arrivals.setdefault(d, sim.now))
         net.send("a", "b", b"a-b first")
-        default.latency_us = (10, 10)
+        shared.latency_us = (10, 10)
         sim.call_at(10, net.send, "a", "b", b"a-b second")
         for src, dst in ("ac", "ba", "ca"):
             sim.call_at(10, net.send, src, dst, src.encode() + dst.encode())
@@ -368,7 +374,8 @@ class TestLinks:
 
     def test_loss_probability_one_drops_everything(self):
         sim = Simulator(seed=1)
-        net = Network(sim, default_link=LinkModel.fixed(10, loss_prob=1.0))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(10, loss_prob=1.0))
         seen, cb = _collector()
         net.attach("b", cb)
         for _ in range(50):
@@ -380,7 +387,8 @@ class TestLinks:
 
     def test_loss_rate_tracks_probability(self):
         sim = Simulator(seed=3)
-        net = Network(sim, default_link=LinkModel.fixed(10, loss_prob=0.3))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(10, loss_prob=0.3))
         count = [0]
         net.attach("b", lambda s, d: count.__setitem__(0, count[0] + 1))
         for i in range(2000):
@@ -392,7 +400,8 @@ class TestLinks:
         # Jittered links must not reorder: a later send never overtakes
         # an earlier one on the same (src, dst) pair.
         sim = Simulator(seed=11)
-        net = Network(sim, default_link=LinkModel(latency_us=(0, 50_000)))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel(latency_us=(0, 50_000)))
         order = []
         net.attach("b", lambda s, d: order.append(d))
         for i in range(100):
@@ -402,7 +411,8 @@ class TestLinks:
 
     def test_ports_are_independent_endpoints(self):
         sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(10))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(10))
         control, app = [], []
         net.attach("b", lambda s, d: control.append(d))
         net.attach("b", lambda s, d: app.append(d), port=PORT_APP)
@@ -423,8 +433,10 @@ class TestDeterminism:
     @staticmethod
     def _run(seed: int) -> list[str]:
         sim = Simulator(seed=seed)
-        net = Network(sim, default_link=LinkModel(latency_us=(5_000, 15_000),
-                                                  loss_prob=0.1))
+        net = Network(sim)
+        link = LinkModel(latency_us=(5_000, 15_000), loss_prob=0.1)
+        net.set_link_pair("a", "b", link)
+        net.set_link_pair("a", "c", link)
         net.attach("b", lambda s, d: None)
         net.attach("c", lambda s, d: None)
         for i in range(300):
@@ -446,7 +458,10 @@ class TestDeterminism:
 
     def test_counters_balance(self):
         sim = Simulator(seed=5)
-        net = Network(sim, default_link=LinkModel.fixed(10, loss_prob=0.2))
+        net = Network(sim)
+        link = LinkModel.fixed(10, loss_prob=0.2)
+        net.set_link_pair("a", "b", link)
+        net.set_link_pair("a", "nobody", link)
         net.attach("b", lambda s, d: None)
         for i in range(500):
             # every fifth frame goes to an address nothing is attached at
@@ -469,7 +484,8 @@ class TestDeterminism:
 class TestWireTrace:
     def test_line_format(self):
         sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(1_000))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(1_000))
         net.attach("b", lambda s, d: None)
         net.send("a", "b", b"xyz", topic="demo")
         sim.run_until_idle()
@@ -480,7 +496,8 @@ class TestWireTrace:
 
     def test_query_filters(self):
         sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(1))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(1))
         trace = net.trace
         net.attach("b", lambda s, d: None)
         net.send("a", "b", b"1", topic="t1")
@@ -512,7 +529,8 @@ class TestWireTrace:
         # overflow narrower columns.
         late = 2 ** 33 + 7
         sim = Simulator()
-        net = Network(sim, default_link=LinkModel.fixed(1))
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(1))
         net.attach("b", lambda s, d: None)
         sim.call_at(late, net.send, "a", "b", bytes(70_000))
         sim.run_until_idle()

@@ -32,9 +32,10 @@ def test_invalid_utf8_is_a_packet_error():
 
 def test_bad_string_neither_aborts_the_loop_nor_reaches_a_handler():
     sim = Simulator()
-    net = Network(sim, default_link=LinkModel.fixed(1_000))
-    broker = Broker(sim, net, BROKER)
-    session = ClientSession(sim, net, CLIENT, BROKER)
+    net = Network(sim)
+    net.set_link_pair(CLIENT, BROKER, LinkModel.fixed(1_000))
+    broker = Broker(net, BROKER)
+    session = ClientSession(net, CLIENT, BROKER)
     net.send(CLIENT, BROKER, BAD_UTF8_TOPIC)
     net.send(BROKER, CLIENT, BAD_UTF8_TOPIC)
     sim.run_until_idle()
