@@ -18,6 +18,9 @@ A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
 been lost on the link.  Fan-out copies are never suppressed.
+Each is a plain QoS 0 PUBLISH (flags octet 0x00, msg id 0); a PUBLISH
+that arrived in that form is forwarded as its received octets, and any
+other, or one handed to ``handle`` without them, is encoded anew.
 """
 
 from __future__ import annotations
@@ -160,16 +163,16 @@ class Broker:
         except sn.PacketError:
             self.bad_packets += 1
             return
-        self.handle(src, pkt)
+        self.handle(src, pkt, data)
 
-    def handle(self, src: str, pkt: sn.SnPacket) -> None:
+    def handle(self, src: str, pkt: sn.SnPacket, raw=None) -> None:
         handler = self._HANDLERS.get(type(pkt))
         if handler is None:
             self.bad_packets += 1
         else:
-            handler(self, src, pkt)
+            handler(self, src, pkt, raw)
 
-    def _on_connect(self, src: str, pkt: sn.Connect) -> None:
+    def _on_connect(self, src: str, pkt: sn.Connect, raw) -> None:
         session = self.sessions.get(pkt.client_id)
         if session is not None and pkt.clean_session:
             for tid in session.subscriptions:
@@ -179,13 +182,13 @@ class Broker:
             self.sessions[pkt.client_id] = _Session(pkt.client_id)
         self._reply(src, sn.Connack(sn.ReturnCode.ACCEPTED))
 
-    def _on_register(self, src: str, pkt: sn.Register) -> None:
+    def _on_register(self, src: str, pkt: sn.Register, raw) -> None:
         tid = self._intern_topic(pkt.topic_name)
         code = (sn.ReturnCode.ACCEPTED if tid
                 else sn.ReturnCode.REJECTED_CONGESTION)
         self._reply(src, sn.Regack(tid, pkt.msg_id, code))
 
-    def _on_subscribe(self, src: str, pkt: sn.Subscribe) -> None:
+    def _on_subscribe(self, src: str, pkt: sn.Subscribe, raw) -> None:
         if src not in self.sessions:
             self._reply(src, sn.Suback(0, pkt.msg_id,
                                        sn.ReturnCode.REJECTED_NOT_SUPPORTED))
@@ -202,7 +205,7 @@ class Broker:
             session.subscriptions.append(tid)
         self._reply(src, sn.Suback(tid, pkt.msg_id, qos=pkt.qos))
 
-    def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe) -> None:
+    def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe, raw) -> None:
         tid = self._topic_ids.get(pkt.topic_name)
         if tid is not None:
             self._topics[tid].subscribers.pop(src, None)
@@ -211,7 +214,7 @@ class Broker:
                 session.subscriptions.remove(tid)
         self._reply(src, sn.Unsuback(pkt.msg_id))
 
-    def _on_publish(self, src: str, pkt: sn.Publish) -> None:
+    def _on_publish(self, src: str, pkt: sn.Publish, raw) -> None:
         topic = self._topics.get(pkt.topic_id)
         if topic is None:
             if pkt.qos > 0:
@@ -223,8 +226,8 @@ class Broker:
         if pkt.qos > 0:
             self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
-        copy = sn.Publish(pkt.topic_id, pkt.data)  # fan-out copies are QoS 0
-        raw = sn.encode_packet(copy)
+        if raw is None or raw[2] or pkt.msg_id:  # not already the copy
+            raw = sn.encode_packet(sn.Publish(pkt.topic_id, pkt.data))
         sender = self.sessions.get(src)
         skip = src if sender is not None and sender.no_local else None
         now = self.sim.now
@@ -240,7 +243,8 @@ class Broker:
             else:
                 call_at(now + offset, self._dispatch, client_id, raw, topic)
 
-    # packet type -> handler; any other type is a bad packet
+    # packet type -> handler(self, src, pkt, raw), where raw is the octets
+    # the packet arrived in or None; any other type is a bad packet
     _HANDLERS = {
         sn.Connect: _on_connect,
         sn.Register: _on_register,
@@ -248,7 +252,7 @@ class Broker:
         sn.Unsubscribe: _on_unsubscribe,
         sn.Publish: _on_publish,
         # subscriber-side acks are not tracked at QoS 0/1 fan-out
-        sn.Puback: lambda self, src, pkt: None,
+        sn.Puback: lambda self, src, pkt, raw: None,
     }
 
     # -- egress ---------------------------------------------------------------

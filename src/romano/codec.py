@@ -120,54 +120,54 @@ class InvalidField(CodecError):
 
 # -- Message types -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectionRequest:
     romano_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectionAck:
     """Join acknowledgement; carries no payload."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestConnectedNodesInfo:
     romano_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectedNodesInfo:
     romano_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heartbeat:
     romano_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalData:
     type_code: ClassVar[int] = DataType.NORMAL_DATA
     data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MqttSubscribe:
     topic: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MqttUnsubscribe:
     topic: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MqttPublishRequest:
     topic: str
     data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MovementControl:
     control_type: int
     data: bytes = b""
@@ -181,14 +181,14 @@ class MovementControl:
         return int.from_bytes(self.data, "big")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorData:
     type_code: ClassVar[int] = DataType.SENSOR_DATA
     sensor_type: int
     data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CustomData:
     """Message of a registered application-defined type."""
 

@@ -13,7 +13,8 @@ therefore carries at most 248 octets of data after its 7-octet header:
     octets 7-n  data
 
 Topic names are registered for 16-bit topic ids with REGISTER, or
-resolved through the SUBACK of a by-name SUBSCRIBE.
+resolved through the SUBACK of a by-name SUBSCRIBE.  No other TopicIdType
+is supported: a PUBLISH, SUBSCRIBE or UNSUBSCRIBE with one raises.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ FLAG_QOS_MASK = 0x60
 FLAG_QOS_SHIFT = 5
 FLAG_CLEAN_SESSION = 0x04
 
+FLAG_TOPIC_TYPE_MASK = 0x03
 TOPIC_TYPE_NORMAL = 0x00  # registered 16-bit topic id (name in SUBSCRIBE)
 
 
@@ -94,33 +96,33 @@ class MalformedString(PacketError):
 
 # -- Packet types ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connect:
     client_id: str
     clean_session: bool = True
     duration: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connack:
     return_code: int = ReturnCode.ACCEPTED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Register:
     topic_id: int
     msg_id: int
     topic_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regack:
     topic_id: int
     msg_id: int
     return_code: int = ReturnCode.ACCEPTED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publish:
     topic_id: int
     data: bytes
@@ -129,14 +131,14 @@ class Publish:
     dup: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Puback:
     topic_id: int
     msg_id: int
     return_code: int = ReturnCode.ACCEPTED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscribe:
     msg_id: int
     topic_name: str
@@ -144,7 +146,7 @@ class Subscribe:
     dup: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Suback:
     topic_id: int
     msg_id: int
@@ -152,13 +154,13 @@ class Suback:
     qos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsubscribe:
     msg_id: int
     topic_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsuback:
     msg_id: int
 
@@ -262,7 +264,7 @@ def decode_packet(data: bytes) -> SnPacket:
             layout requires.
         PacketLengthMismatch: trailing octets after the declared length,
             or a fixed-size packet declaring more than its fields.
-        UnsupportedPacket: message type outside the supported subset.
+        UnsupportedPacket: message type, QoS or TopicIdType unsupported.
         MalformedString: a client id or topic name is not valid UTF-8.
     """
     size = len(data)
@@ -304,23 +306,24 @@ def _decode_register(body: bytes) -> Register:
 
 def _decode_publish(body: bytes) -> Publish:
     flags, topic_id, msg_id = _unpack(_BHH, body, "PUBLISH")
-    return Publish(topic_id, body[5:], msg_id,
-                   qos=_qos(flags), dup=bool(flags & FLAG_DUP))
+    return Publish(topic_id, body[5:], msg_id, _qos(flags),
+                   bool(flags & FLAG_DUP))
 
 
 def _decode_subscribe(body: bytes) -> Subscribe:
     flags, msg_id = _unpack(_BH, body, "SUBSCRIBE")
-    return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"),
-                     qos=_qos(flags), dup=bool(flags & FLAG_DUP))
+    return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"), _qos(flags),
+                     bool(flags & FLAG_DUP))
 
 
 def _decode_suback(body: bytes) -> Suback:
     flags, topic_id, msg_id, code = _exact(_BHHB, body, "SUBACK")
-    return Suback(topic_id, msg_id, code, qos=_qos(flags))
+    return Suback(topic_id, msg_id, code, _qos(flags & FLAG_QOS_MASK))
 
 
 def _decode_unsubscribe(body: bytes) -> Unsubscribe:
-    _, msg_id = _unpack(_BH, body, "UNSUBSCRIBE")
+    flags, msg_id = _unpack(_BH, body, "UNSUBSCRIBE")
+    _qos(flags & FLAG_TOPIC_TYPE_MASK)  # TopicIdType: its only flag
     return Unsubscribe(msg_id, _text(body[3:], "UNSUBSCRIBE"))
 
 
@@ -341,9 +344,11 @@ _DECODERS = {int(code): decode for code, decode in (
 
 
 def _qos(flags: int) -> int:
+    """The QoS of a flags octet whose QoS and TopicIdType are supported."""
     qos = (flags & FLAG_QOS_MASK) >> FLAG_QOS_SHIFT
-    if qos not in (0, 1):
-        raise UnsupportedPacket("QoS {} not supported".format(qos))
+    if qos > 1 or flags & FLAG_TOPIC_TYPE_MASK != TOPIC_TYPE_NORMAL:
+        raise UnsupportedPacket("QoS {} or TopicIdType {} unsupported".format(
+            qos, flags & FLAG_TOPIC_TYPE_MASK))
     return qos
 
 

@@ -1,8 +1,11 @@
 """Broker behavior: fan-out spacing, radio gate, session handling."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romano import mqttsn as sn
 from romano.broker import Broker, RadioGate
+from romano.harness.config import ScenarioConfig
+from romano.harness.world import World, commander_addr
 from romano.session import ACTIVE, BrokerReject, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
 
@@ -188,6 +191,30 @@ class TestFanOut:
         assert any(isinstance(p, sn.Puback) for _, p in pub.inbox)
         (_, copy), = sub.publishes()
         assert copy.qos == 0 and copy.msg_id == 0
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(qos=st.integers(0, 1), dup=st.booleans(), retain=st.booleans(),
+           msg_id=st.one_of(st.just(0), st.integers(1, 0xFFFF)),
+           data=st.binary(max_size=sn.MAX_PUBLISH_DATA))
+    def test_every_copy_is_the_plain_qos0_frame(self, qos, dup, retain,
+                                                msg_id, data):
+        # A plain QoS 0 frame goes out as received, any other re-encoded;
+        # either way each copy has flags 0x00 and msg id 0.
+        sim, net = make_net()
+        Broker(net, BROKER)
+        got = []
+        for addr in ("s0", "s1"):
+            ids = Client(net, addr).join(["common"])
+            net.attach(addr, lambda src, raw: got.append(raw))
+        Client(net, "p")
+        flags = (qos << sn.FLAG_QOS_SHIFT | dup * sn.FLAG_DUP
+                 | retain * 0x10)  # the RETAIN flag
+        frame = (bytes([7 + len(data), sn.MsgType.PUBLISH, flags])
+                 + ids["common"].to_bytes(2, "big")
+                 + msg_id.to_bytes(2, "big") + data)
+        net.send("p", BROKER, frame)
+        sim.run_until_idle()
+        assert got == [sn.encode_packet(sn.Publish(ids["common"], data))] * 2
 
     def test_no_local_skips_only_the_publisher(self):
         sim, net = make_net()
@@ -420,3 +447,34 @@ class TestGatedEgress:
         sim.run_until_idle()
         assert [p.data for _, p in sub.publishes()] == [b"beat", b"beat"]
         assert broker.duplicate_replies == 0
+
+
+class TestTopicIdType:
+    """Only the normal TopicIdType is supported; any other is a bad packet."""
+
+    def ready_world(self):
+        world = World(ScenarioConfig(n_robots=2))
+        world.run_ready()
+        return world, world.cells[0].broker
+
+    @pytest.mark.parametrize("flags", [0x01, 0x02])
+    def test_publish_is_not_fanned_out(self, flags):
+        world, broker = self.ready_world()
+        tid = broker.topic_id("common")
+        assert tid == 4 and len(broker.subscribers("common")) == 2
+        published = broker.topic_stats("common")
+        bad = broker.bad_packets
+        frame = bytes([9, sn.MsgType.PUBLISH, flags, 0, 4, 0, 0]) + b"hi"
+        world.net.send(commander_addr(), broker.addr, frame)
+        world.sim.run_until_idle()
+        assert broker.topic_stats("common") == published
+        assert broker.bad_packets == bad + 1
+
+    def test_subscribe_to_predefined_id_registers_nothing(self):
+        world, broker = self.ready_world()
+        bad = broker.bad_packets
+        frame = bytes([7, sn.MsgType.SUBSCRIBE, 0x01, 0, 9, 0, 4])
+        world.net.send(commander_addr(), broker.addr, frame)
+        world.sim.run_until_idle()
+        assert broker.topic_id("\x00\x04") is None
+        assert broker.bad_packets == bad + 1

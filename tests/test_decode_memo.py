@@ -33,6 +33,7 @@ def test_every_decoded_class_is_a_frozen_dataclass(encoders):
     for cls in encoders:
         assert dataclasses.is_dataclass(cls), cls
         assert cls.__dataclass_params__.frozen, cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls  # slotted
 
 
 def ready_pair() -> tuple:

@@ -145,3 +145,22 @@ class TestMalformed:
         wire = bytes([13, 0x04, 0x04, 0x7F, 0x00, 30]) + b"fe80::1"
         with pytest.raises(sn.UnsupportedPacket):
             sn.decode_packet(wire)
+
+
+# a frame of each packet type that names its topic, with flags octet 0x00
+TOPIC_FRAMES = {
+    "PUBLISH": sn.encode_packet(sn.Publish(4, b"x")),
+    "SUBSCRIBE": sn.encode_packet(sn.Subscribe(1, "common")),
+    "UNSUBSCRIBE": sn.encode_packet(sn.Unsubscribe(1, "common")),
+}
+
+
+@pytest.mark.parametrize("topic_type", [0b01, 0b10, 0b11],
+                         ids=["predefined", "short", "reserved"])
+@pytest.mark.parametrize("name", sorted(TOPIC_FRAMES))
+def test_topic_id_type_other_than_normal_is_unsupported(name, topic_type):
+    raw = bytearray(TOPIC_FRAMES[name])
+    sn.decode_packet(bytes(raw))  # the normal form decodes
+    raw[2] |= topic_type
+    with pytest.raises(sn.UnsupportedPacket):
+        sn.decode_packet(bytes(raw))
