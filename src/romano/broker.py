@@ -21,6 +21,11 @@ been lost on the link.  Fan-out copies are never suppressed.
 Each is a plain QoS 0 PUBLISH (flags octet 0x00, msg id 0); a PUBLISH
 that arrived in that form is forwarded as its received octets, and any
 other, or one handed to ``handle`` without them, is encoded anew.
+
+A client's identity is its address: sessions are keyed by the sender,
+and fan-out is routed to it.  A CONNECT whose client id is not its
+sender's address is answered with REJECTED_NOT_SUPPORTED, counted as a
+bad packet, and changes no session.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class _Topic:
 
 @dataclass
 class _Session:
-    client_id: str
     no_local: bool = False
     subscriptions: list[int] = field(default_factory=list)
 
@@ -173,13 +177,15 @@ class Broker:
             handler(self, src, pkt, raw)
 
     def _on_connect(self, src: str, pkt: sn.Connect, raw) -> None:
-        session = self.sessions.get(pkt.client_id)
-        if session is not None and pkt.clean_session:
+        if pkt.client_id != src:
+            self.bad_packets += 1
+            self._reply(src, sn.Connack(sn.ReturnCode.REJECTED_NOT_SUPPORTED))
+            return
+        session = self._session(src)
+        if pkt.clean_session:
             for tid in session.subscriptions:
-                self._topics[tid].subscribers.pop(pkt.client_id, None)
+                self._topics[tid].subscribers.pop(src, None)
             session.subscriptions.clear()
-        elif session is None:
-            self.sessions[pkt.client_id] = _Session(pkt.client_id)
         self._reply(src, sn.Connack(sn.ReturnCode.ACCEPTED))
 
     def _on_register(self, src: str, pkt: sn.Register, raw) -> None:
@@ -302,8 +308,7 @@ class Broker:
     def _session(self, client_id: str) -> _Session:
         session = self.sessions.get(client_id)
         if session is None:
-            session = _Session(client_id)
-            self.sessions[client_id] = session
+            session = self.sessions[client_id] = _Session()
         return session
 
     def _intern_topic(self, name: str) -> int:

@@ -223,20 +223,25 @@ def movement_control(control_type: int, magnitude: int) -> MovementControl:
 # -- ROMANO IDs --------------------------------------------------------------
 
 def derive_romano_id(ipv6_address: str) -> str:
-    """Last 8 hex digits of the expanded IPv6 address, lowercase.
+    """The address's last 4 octets as 8 lowercase hex digits, from one
+    parse; an embedded IPv4 part ("::ffff:192.0.2.1") gives its octets.
 
     >>> derive_romano_id("fe80::212:4b00:abcd:1234")
     'abcd1234'
 
     Raises:
-        MalformedAddress: if the string is not a valid IPv6 address.
+        MalformedAddress: if the string is not a valid IPv6 address, or
+            it names a scope ("fe80::1%eth0").
     """
     try:
-        expanded = ipaddress.IPv6Address(ipv6_address).exploded
+        address = ipaddress.IPv6Address(ipv6_address)
     except (ValueError, TypeError) as exc:
         raise MalformedAddress(
             "not an IPv6 address: {!r}".format(ipv6_address)) from exc
-    return expanded.replace(":", "")[-ROMANO_ID_LEN:]
+    if address.scope_id is not None:
+        raise MalformedAddress(
+            "scoped IPv6 address: {!r}".format(ipv6_address))
+    return address.packed[-4:].hex()
 
 
 def is_valid_romano_id(romano_id: str) -> bool:

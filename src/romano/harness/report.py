@@ -3,7 +3,8 @@
 Every run directory gets the same three files.  All values derive from
 simulated time and seeded randomness, so a repeated run with the same
 seed produces byte-identical artifacts; nothing here reads the wall
-clock.
+clock.  The wire trace log is streamed line by line from the trace's
+columns, so no record object or list of lines is built for it.
 """
 from __future__ import annotations
 
@@ -126,7 +127,6 @@ def write_run_dir(out_dir, header: Sequence[str],
         for heading, trace in traces.items():
             if heading:
                 fh.write(heading + "\n")
-            for record in trace.records:
-                fh.write(record.line() + "\n")
+            trace.write(fh)
     write_csv(out / "pose_trace.csv", POSE_HEADER, pose_rows(robots))
     return out

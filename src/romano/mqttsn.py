@@ -287,59 +287,60 @@ def decode_packet(data: bytes) -> SnPacket:
         raise UnsupportedPacket(
             "message type {:#04x} outside the supported subset".format(
                 msg_type))
-    return decode(data[2:length])
+    return decode(data)
 
 
-def _decode_connect(body: bytes) -> Connect:
-    flags, proto, duration = _unpack(_BBH, body, "CONNECT")
-    client_id = _text(body[4:], "CONNECT")
+def _decode_connect(data: bytes) -> Connect:
+    flags, proto, duration = _unpack(_BBH, data, "CONNECT")
+    client_id = _text(data[6:], "CONNECT")
     if proto != PROTOCOL_ID:
         raise UnsupportedPacket(
             "protocol id {:#04x} is not MQTT-SN".format(proto))
     return Connect(client_id, bool(flags & FLAG_CLEAN_SESSION), duration)
 
 
-def _decode_register(body: bytes) -> Register:
-    topic_id, msg_id = _unpack(_HH, body, "REGISTER")
-    return Register(topic_id, msg_id, _text(body[4:], "REGISTER"))
+def _decode_register(data: bytes) -> Register:
+    topic_id, msg_id = _unpack(_HH, data, "REGISTER")
+    return Register(topic_id, msg_id, _text(data[6:], "REGISTER"))
 
 
-def _decode_publish(body: bytes) -> Publish:
-    flags, topic_id, msg_id = _unpack(_BHH, body, "PUBLISH")
-    return Publish(topic_id, body[5:], msg_id, _qos(flags),
+def _decode_publish(data: bytes) -> Publish:
+    flags, topic_id, msg_id = _unpack(_BHH, data, "PUBLISH")
+    return Publish(topic_id, data[7:], msg_id, _qos(flags),
                    bool(flags & FLAG_DUP))
 
 
-def _decode_subscribe(body: bytes) -> Subscribe:
-    flags, msg_id = _unpack(_BH, body, "SUBSCRIBE")
-    return Subscribe(msg_id, _text(body[3:], "SUBSCRIBE"), _qos(flags),
+def _decode_subscribe(data: bytes) -> Subscribe:
+    flags, msg_id = _unpack(_BH, data, "SUBSCRIBE")
+    return Subscribe(msg_id, _text(data[5:], "SUBSCRIBE"), _qos(flags),
                      bool(flags & FLAG_DUP))
 
 
-def _decode_suback(body: bytes) -> Suback:
-    flags, topic_id, msg_id, code = _exact(_BHHB, body, "SUBACK")
+def _decode_suback(data: bytes) -> Suback:
+    flags, topic_id, msg_id, code = _exact(_BHHB, data, "SUBACK")
     return Suback(topic_id, msg_id, code, _qos(flags & FLAG_QOS_MASK))
 
 
-def _decode_unsubscribe(body: bytes) -> Unsubscribe:
-    flags, msg_id = _unpack(_BH, body, "UNSUBSCRIBE")
+def _decode_unsubscribe(data: bytes) -> Unsubscribe:
+    flags, msg_id = _unpack(_BH, data, "UNSUBSCRIBE")
     _qos(flags & FLAG_TOPIC_TYPE_MASK)  # TopicIdType: its only flag
-    return Unsubscribe(msg_id, _text(body[3:], "UNSUBSCRIBE"))
+    return Unsubscribe(msg_id, _text(data[5:], "UNSUBSCRIBE"))
 
 
-# message type code -> body decoder, keyed by plain int
+# message type code -> decoder of the whole frame (the body from offset
+# 2, so each field is sliced once), keyed by plain int
 _DECODERS = {int(code): decode for code, decode in (
     (MsgType.CONNECT, _decode_connect),
-    (MsgType.CONNACK, lambda body: Connack(*_exact(_B, body, "CONNACK"))),
+    (MsgType.CONNACK, lambda data: Connack(*_exact(_B, data, "CONNACK"))),
     (MsgType.REGISTER, _decode_register),
-    (MsgType.REGACK, lambda body: Regack(*_exact(_HHB, body, "REGACK"))),
+    (MsgType.REGACK, lambda data: Regack(*_exact(_HHB, data, "REGACK"))),
     (MsgType.PUBLISH, _decode_publish),
-    (MsgType.PUBACK, lambda body: Puback(*_exact(_HHB, body, "PUBACK"))),
+    (MsgType.PUBACK, lambda data: Puback(*_exact(_HHB, data, "PUBACK"))),
     (MsgType.SUBSCRIBE, _decode_subscribe),
     (MsgType.SUBACK, _decode_suback),
     (MsgType.UNSUBSCRIBE, _decode_unsubscribe),
     (MsgType.UNSUBACK,
-     lambda body: Unsuback(*_exact(_H, body, "UNSUBACK"))),
+     lambda data: Unsuback(*_exact(_H, data, "UNSUBACK"))),
 )}
 
 
@@ -360,17 +361,18 @@ def _text(raw: bytes, what: str) -> str:
             "{} string is not valid UTF-8".format(what)) from exc
 
 
-def _unpack(layout: struct.Struct, body: bytes, what: str) -> tuple:
-    if len(body) < layout.size:
+def _unpack(layout: struct.Struct, data: bytes, what: str) -> tuple:
+    """The fixed fields that open the body of the frame ``data``."""
+    if len(data) - 2 < layout.size:
         raise TruncatedPacket(
             "{} body of {} octets shorter than its {}-octet layout".format(
-                what, len(body), layout.size))
-    return layout.unpack_from(body)
+                what, len(data) - 2, layout.size))
+    return layout.unpack_from(data, 2)
 
 
-def _exact(layout: struct.Struct, body: bytes, what: str) -> tuple:
+def _exact(layout: struct.Struct, data: bytes, what: str) -> tuple:
     """``_unpack`` for a packet whose body is its fixed fields alone."""
-    if len(body) > layout.size:
+    if len(data) - 2 > layout.size:
         raise PacketLengthMismatch("{} body of {} octets, layout {}".format(
-            what, len(body), layout.size))
-    return _unpack(layout, body, what)
+            what, len(data) - 2, layout.size))
+    return _unpack(layout, data, what)

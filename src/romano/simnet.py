@@ -19,7 +19,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 US_PER_SEC = 1_000_000
 
@@ -138,7 +138,10 @@ class Simulator:
 # -- Wire trace ---------------------------------------------------------------
 
 # Record kinds: "send" (octets put on a link), "deliver", "drop-link"
-# (loss draw), "drop-buffer" (broker egress overflow).
+# (loss draw), "drop-buffer" (broker egress overflow).  A record's line
+# in wire_trace.log is its fields in TraceRecord's order, tab-separated.
+_LINE = "%d\t%s\t%s\t%s\t%d\t%s"
+
 
 class TraceRecord(NamedTuple):
     time_us: int
@@ -149,7 +152,7 @@ class TraceRecord(NamedTuple):
     topic: str = ""
 
     def line(self) -> str:
-        return "{}\t{}\t{}\t{}\t{}\t{}".format(*self)
+        return _LINE % self
 
 
 class _Names(dict):
@@ -188,8 +191,19 @@ class WireTrace:
         n(nbytes)
         p(code[topic or ""])
 
+    def _format(self, layout: str) -> Iterator[str]:
+        """Each record through ``layout``, read straight from the columns."""
+        name = self._codes.names.__getitem__
+        t, s, d, k, n, p = self._columns
+        return map(layout.__mod__, zip(t, map(name, s), map(name, d),
+                                       map(name, k), n, map(name, p)))
+
     def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
+        return list(self._format(_LINE))
+
+    def write(self, fh: TextIO) -> None:
+        """Stream every record's line to ``fh``, each ended by a newline."""
+        fh.writelines(self._format(_LINE + "\n"))
 
     def query(self, kind: Optional[str] = None, src: Optional[str] = None,
               dst: Optional[str] = None,

@@ -276,6 +276,26 @@ class TestSessions:
         sim.run_until_idle()
         assert broker.subscribers("common") == []
 
+    def test_connect_naming_another_client_changes_no_session(self):
+        # The commander names robot 1 in a clean-session CONNECT; robot 1
+        # never learns of it, so its subscriptions must stay.
+        world = World(ScenarioConfig(n_robots=2, seed=1))
+        world.run_ready()
+        broker, robot = world.broker, world.cell.robot_addrs()[0]
+        subscribers = broker.subscribers("common")
+        assert robot in subscribers
+        sessions, bad = set(broker.sessions), broker.bad_packets
+        replies = []
+        world.net.attach(commander_addr(), lambda src, data: replies.append(
+            sn.decode_packet(data)))
+        world.net.send(commander_addr(), broker.addr, sn.encode_packet(
+            sn.Connect(robot, clean_session=True)))
+        world.sim.run_until_idle()
+        assert broker.subscribers("common") == subscribers
+        assert broker.bad_packets == bad + 1
+        assert replies == [sn.Connack(sn.ReturnCode.REJECTED_NOT_SUPPORTED)]
+        assert set(broker.sessions) == sessions
+
     def test_register_interns_stable_ids(self):
         sim, net = make_net()
         broker = Broker(net, BROKER)

@@ -4,9 +4,11 @@ Golden vectors are written out octet by octet from the layout rules
 (type, total length, big-endian fields) rather than produced by the
 encoder under test.
 """
+import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romano import codec
 from romano.codec import (
@@ -31,6 +33,7 @@ from romano.codec import (
     decode_message,
     derive_romano_id,
     encode_message,
+    is_valid_romano_id,
     movement_control,
 )
 
@@ -94,6 +97,28 @@ class TestGoldenVectors:
         assert movement_control(0x0004, 90) == msg
 
 
+ADDRESS_ALPHABET = "0123456789abcdefABCDEF:.%"
+
+
+@st.composite
+def address_text(draw):
+    """An IPv6 address written compressed, exploded or with an embedded
+    IPv4 part, maybe with a scope, then with up to two characters
+    replaced or deleted: about half of these are valid addresses."""
+    address = draw(st.ip_addresses(v=6))
+    ipv4 = ipaddress.IPv4Address(address.packed[-4:])
+    text = draw(st.sampled_from([
+        str(address), address.exploded,
+        "{}:{}".format(address.exploded.rsplit(":", 2)[0], ipv4)]))
+    if draw(st.booleans()):
+        text += "%" + draw(st.text(ADDRESS_ALPHABET, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["", *ADDRESS_ALPHABET]))
+        text = text[:i] + edit + text[i + 1:]
+    return text
+
+
 class TestRomanoIds:
     def test_derived_from_expanded_ipv6_tail(self):
         assert derive_romano_id("fe80::212:4b00:0:1") == "00000001"
@@ -115,6 +140,41 @@ class TestRomanoIds:
         for bad in ("", "192.168.0.1", "not-an-address", "fe80::1::2"):
             with pytest.raises(MalformedAddress):
                 derive_romano_id(bad)
+
+    def test_embedded_ipv4_gives_its_four_octets(self):
+        # The exploded text of such an address differs across Python
+        # releases; the ID is read from the octets.
+        assert derive_romano_id("::ffff:192.0.2.1") == "c0000201"
+        assert derive_romano_id("::1.2.3.4") == "01020304"
+
+    def test_rejects_scoped_address(self):
+        for bad in ("fe80::1%eth0", "fe80::212:4b00:0:1%1"):
+            with pytest.raises(MalformedAddress):
+                derive_romano_id(bad)
+
+    def test_int_address_is_accepted(self):
+        assert derive_romano_id(5) == "00000005"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.ip_addresses(v=6))
+    def test_id_is_the_last_four_octets_in_any_spelling(self, address):
+        want = address.packed[-4:].hex()
+        for text in (str(address), address.exploded, str(address).upper()):
+            got = derive_romano_id(text)
+            assert got == want and is_valid_romano_id(got)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.one_of(st.text(ADDRESS_ALPHABET, max_size=45), address_text()))
+    def test_refuses_exactly_invalid_or_scoped_text(self, text):
+        try:
+            address = ipaddress.IPv6Address(text)
+        except ValueError:
+            address = None
+        if address is None or address.scope_id is not None:
+            with pytest.raises(MalformedAddress):
+                derive_romano_id(text)
+        else:
+            assert derive_romano_id(text) == address.packed[-4:].hex()
 
     def test_encode_rejects_bad_ids(self):
         for bad in ("ABCD1234", "abcd123", "abcd12345", "ghijklmn", ""):

@@ -14,7 +14,7 @@ from romano.harness.experiments import (decode_probe, encode_probe,
                                         run_scalability, run_throughput)
 from romano.harness.world import World, WorldNotReady, robot_addr
 from romano.node import READY
-from romano.simnet import LinkModel
+from romano.simnet import LinkModel, WireTrace
 
 
 class TestConfig:
@@ -272,6 +272,37 @@ class TestReport:
         res = run_group_control(ScenarioConfig(n_robots=3))
         assert res.passed
         assert res.trace is not None and res.robots
+
+
+def _every_kind_trace(offset: int) -> WireTrace:
+    trace = WireTrace()
+    for row in [(offset, "a", "b", "send", 3, "common"),
+                (offset + 9, "a", "b", "deliver", 3, "common"),
+                (offset + 9, "b", "a", "drop-link", 70_000, ""),
+                (2 ** 33, "a", "c", "drop-buffer", 2, None),
+                (2 ** 33, "c", "a", "send", 0, "capteur/température")]:
+        trace.record(*row)
+    return trace
+
+
+class TestTraceLog:
+    """The log is written from the trace columns; each line must read as
+    the record it came from, field by field."""
+
+    def test_lines_match_records(self):
+        trace = _every_kind_trace(5)
+        assert trace.lines() == [r.line() for r in trace.records]
+        assert trace.lines()[2:4] == ["14\tb\ta\tdrop-link\t70000\t",
+                                      "8589934592\ta\tc\tdrop-buffer\t2\t"]
+
+    def test_run_dir_log_holds_every_record_under_its_heading(self, tmp_path):
+        traces = {"cell 1": _every_kind_trace(5), "": _every_kind_trace(7)}
+        out = report.write_run_dir(tmp_path, ["x"], [], traces, [])
+        want = "".join(
+            (heading + "\n" if heading else "")
+            + "".join("\t".join(map(str, r)) + "\n" for r in trace.records)
+            for heading, trace in traces.items())
+        assert (out / "wire_trace.log").read_text(encoding="utf-8") == want
 
 
 class TestCli:
