@@ -17,10 +17,12 @@ listed as local (collocated server-side processes) bypass the gate.
 A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
-been lost on the link.  Fan-out copies are never suppressed.
-Each is a plain QoS 0 PUBLISH (flags octet 0x00, msg id 0); a PUBLISH
-that arrived in that form is forwarded as its received octets, and any
-other, or one handed to ``handle`` without them, is encoded anew.
+been lost on the link.  Fan-out copies are never suppressed.  Each is a
+plain QoS 0 PUBLISH (flags octet 0x00, msg id 0); a PUBLISH that arrived
+in that form is forwarded as its received octets, and any other, or one
+handed to ``handle`` without them, is framed anew.  Inbound frames
+decode through ``mqttsn.decode_shared``, so a frame the broker forwards
+is parsed once in the process.
 
 A client's identity is its address: sessions are keyed by the sender,
 and fan-out is routed to it.  A CONNECT whose client id is not its
@@ -163,7 +165,7 @@ class Broker:
 
     def _on_datagram(self, src: str, data: bytes) -> None:
         try:
-            pkt = sn.decode_packet(data)
+            pkt = sn.decode_shared(data)
         except sn.PacketError:
             self.bad_packets += 1
             return
@@ -233,7 +235,7 @@ class Broker:
             self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
         if raw is None or raw[2] or pkt.msg_id:  # not already the copy
-            raw = sn.encode_packet(sn.Publish(pkt.topic_id, pkt.data))
+            raw = sn.encode_publish(pkt.topic_id, pkt.data)
         sender = self.sessions.get(src)
         skip = src if sender is not None and sender.no_local else None
         now = self.sim.now

@@ -36,7 +36,10 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import ClassVar, Union
+
+from .mqttsn import DECODE_MEMO_SIZE
 
 # -- Protocol constants ------------------------------------------------------
 
@@ -386,6 +389,13 @@ def decode_message(data: bytes,
     if type_code in extension_codes:
         return CustomData(type_code, payload)
     raise UnknownType("unrecognized data type code {:#04x}".format(type_code))
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def decode_shared(data: bytes,
+                  extension_codes: frozenset[int]) -> RomanoMessage:
+    """``mqttsn.decode_shared`` for ROMANO messages, per extension codes."""
+    return decode_message(data, extension_codes)
 
 
 def _decode_connection_ack(payload: bytes) -> ConnectionAck:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from functools import lru_cache, partial
+from typing import Callable, Union
 
 # -- Packet and flag constants -----------------------------------------------
 
@@ -197,15 +198,18 @@ def encode_packet(pkt: SnPacket) -> bytes:
     if entry is None:
         raise PacketError("cannot encode object of type {}".format(
             type(pkt).__name__))
-    msg_type, encode = entry
+    return _frame(*entry, pkt)
+
+
+def _frame(msg_type: int, encode: Callable[..., bytes], *fields) -> bytes:
     try:
-        body = encode(pkt)
+        body = encode(*fields)
     except (struct.error, TypeError) as exc:
         raise FieldOutOfRange(
-            "{}: {}".format(type(pkt).__name__, exc)) from exc
+            "{}: {}".format(MsgType(msg_type).name, exc)) from exc
     except UnicodeEncodeError as exc:
         raise MalformedString(
-            "{}: {}".format(type(pkt).__name__, exc)) from exc
+            "{}: {}".format(MsgType(msg_type).name, exc)) from exc
     total = 2 + len(body)
     if total > MAX_PACKET_LEN:
         raise OversizePacket(
@@ -233,6 +237,14 @@ def _encode_ack(pkt: Union[Regack, Puback]) -> bytes:
     return _HHB.pack(pkt.topic_id, pkt.msg_id, pkt.return_code)
 
 
+def _publish(topic_id: int, data: bytes, flags=0, msg_id=0) -> bytes:
+    return _BHH.pack(flags, topic_id, msg_id) + data
+
+
+# encode_publish(topic_id, data, flags=0, msg_id=0): a PUBLISH frame, plain
+# QoS 0 by default, with the octets and errors encode_packet gives a Publish
+encode_publish = partial(_frame, MsgType.PUBLISH, _publish)
+
 # packet class -> (message type code, body encoder), keyed by exact type;
 # ``+ pkt.data`` takes bytes-like data only, where bytes(3) gives 3 zeros
 _ENCODERS = {
@@ -241,8 +253,8 @@ _ENCODERS = {
     Register: (MsgType.REGISTER, lambda pkt: _HH.pack(
         pkt.topic_id, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
     Regack: (MsgType.REGACK, _encode_ack),
-    Publish: (MsgType.PUBLISH, lambda pkt: _BHH.pack(
-        _flags(pkt.qos, pkt.dup), pkt.topic_id, pkt.msg_id) + pkt.data),
+    Publish: (MsgType.PUBLISH, lambda pkt: _publish(
+        pkt.topic_id, pkt.data, _flags(pkt.qos, pkt.dup), pkt.msg_id)),
     Puback: (MsgType.PUBACK, _encode_ack),
     Subscribe: (MsgType.SUBSCRIBE, lambda pkt: _BH.pack(
         _flags(pkt.qos, pkt.dup), pkt.msg_id) + pkt.topic_name.encode("utf-8")),
@@ -288,6 +300,18 @@ def decode_packet(data: bytes) -> SnPacket:
             "message type {:#04x} outside the supported subset".format(
                 msg_type))
     return decode(data)
+
+
+# Entries of each codec's decode memo, about 0.4 MB.  A frame must stay
+# while its copies fly: a dozen on a 16-robot broadcast, 40 if 40 heartbeat.
+DECODE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def decode_shared(data: bytes) -> SnPacket:
+    """``decode_packet`` memoized on the octets, for receivers.  Errors are
+    not cached; a miss calls the decoder through the module attribute."""
+    return decode_packet(data)
 
 
 def _decode_connect(data: bytes) -> Connect:

@@ -18,25 +18,15 @@ the last time it heard every peer.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import codec
-from .session import DECODE_MEMO_SIZE, ClientSession
+from .session import ClientSession
 from .simnet import Timer
 
 ACK_WAIT_US = 2_000_000
 DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
 HEARTBEAT_STALE_PERIODS = 3
-
-
-@lru_cache(maxsize=DECODE_MEMO_SIZE)
-def _decode_message(data: bytes,
-                    extension_codes: frozenset[int]) -> codec.RomanoMessage:
-    # Shared by every node that gets the same octets and registered the
-    # same codes; as in ``session._decode_packet``, errors are not cached.
-    return codec.decode_message(data, extension_codes=extension_codes)
-
 
 INIT = "init"
 AWAIT_ACK = "await-ack"
@@ -163,7 +153,7 @@ class RomanoNode:
 
     def _on_romano(self, topic: str, data: bytes) -> None:
         try:
-            msg = _decode_message(data, self._extension_codes)
+            msg = codec.decode_shared(data, self._extension_codes)
         except codec.UnknownType:
             self.unknown_types += 1
             return

@@ -1,12 +1,13 @@
 """ROMANO registry server.
 
-The server is an ordinary MQTT-SN client collocated with the broker.
-It subscribes to "init-info"; every ConnectionRequest heard there is
+The server is an ordinary MQTT-SN client collocated with the broker.  It
+subscribes to "init-info"; every ConnectionRequest heard there is
 recorded (idempotently — a rejoin refreshes the join time) and answered
-with a ConnectionAck published to the joiner's ID topic.  A
+with the ConnectionAck, encoded once, on the joiner's ID topic.  A
 RequestConnectedNodesInfo on "init-info" is answered on the requester's
 ID topic with the roster, split across messages of at most 30 IDs so
-each stays within the 255-octet frame.
+each stays within the 255-octet frame.  Messages decode through
+``codec.decode_shared``, as at the nodes.
 
 Given a heartbeat period, the server also subscribes to "common" and
 evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
@@ -30,6 +31,7 @@ from .simnet import Timer
 # 2 + 31*8 = 250 octets would not fit the 248-octet publish data cap.
 MAX_IDS_PER_INFO = 30
 RECONNECT_US = 2_000_000
+CONNECTION_ACK = codec.encode_message(codec.ConnectionAck())
 
 
 @dataclass
@@ -75,7 +77,7 @@ class RegistryServer:
 
     def _on_romano(self, topic: str, data: bytes) -> None:
         try:
-            msg = codec.decode_message(data)
+            msg = codec.decode_shared(data, frozenset())
         except codec.CodecError:
             self.ignored += 1
             return
@@ -93,8 +95,7 @@ class RegistryServer:
             self.registry[romano_id] = NodeRecord(romano_id, self.sim.now)
         else:
             record.join_time_us = self.sim.now
-        ack = codec.encode_message(codec.ConnectionAck())
-        self.session.publish(romano_id, ack)
+        self.session.publish(romano_id, CONNECTION_ACK)
         self.acks_sent += 1
 
     def _on_roster_request(self, topic: str, requester_id: str) -> None:

@@ -2,10 +2,11 @@
 
 Owns the topic name/id map and every in-flight exchange.  Exchanges
 that expect a reply (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, and
-QoS 1 PUBLISH) retransmit every ``T_RETRY_US`` up to ``N_RETRY`` times;
-an exhausted control exchange or a rejected CONNECT drops the session,
-which is the only in-band failure signal a QoS 0 deployment gets.  A
-request that finds every msg id in flight fails at once, unsent.
+QoS 1 PUBLISH) resend their frame every ``T_RETRY_US`` up to ``N_RETRY``
+times, a SUBSCRIBE or PUBLISH with its DUP flag set; an exhausted
+control exchange or a rejected CONNECT drops the session, which is the
+only in-band failure signal a QoS 0 deployment gets.  A request that
+finds every msg id in flight fails at once, unsent.
 
 The client identifier is the node's IPv6 address string, which is also
 its transport address on the simulated network.
@@ -13,8 +14,7 @@ its transport address on the simulated network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import mqttsn as sn
@@ -44,24 +44,6 @@ class BrokerReject(SessionError):
 # id; CONNECT has none, so it takes 0, which no msg id (1..0xFFFF) uses.
 CONNECT_KEY = 0
 
-# Entries of each receive-path decode memo.  A fan-out sends one frame
-# as the same octets to every subscriber, so a frame is worth keeping
-# while its copies are in flight: about rate x subscribers x the 8 ms
-# dispatch offset distinct frames, a dozen on a 16-robot broadcast and
-# 40 when 40 robots heartbeat.  256 covers that with room to spare and
-# holds about 0.4 MB; a frame evicted early is only decoded again.
-DECODE_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=DECODE_MEMO_SIZE)
-def _decode_packet(data: bytes) -> sn.SnPacket:
-    # Packets are frozen, so every receiver may share one.  An error is
-    # never cached: each receiver counts its own stray packets.  The
-    # decoder is looked up at call time, so a wrapper put on the module
-    # attribute sees every miss.
-    return sn.decode_packet(data)
-
-
 # reply type -> kind of the exchange it completes
 _REPLY_KINDS = {
     sn.Connack: "connect",
@@ -76,13 +58,13 @@ _REPLY_KINDS = {
 class _Exchange:
     kind: str
     key: Optional[int]                # msg id or CONNECT_KEY; None: no id free
-    request: sn.SnPacket
     topic: Optional[str]
     on_ok: Optional[Callable]
     on_fail: Optional[Callable[[Exception], None]]
     retries_left: int = N_RETRY
     timer: Optional[Timer] = None
     waiters: Optional[list] = None    # register: (proceed, on_fail) pairs
+    frame: bytes = b""                # the request's octets, once sent
 
     def __str__(self) -> str:
         if self.topic is None:
@@ -104,6 +86,7 @@ class ClientSession:
         self.on_disconnect: Optional[Callable[[], None]] = None
         self.send_failures = 0
         self.stray_packets = 0
+        self.retransmits = 0
         self._pending: dict[int, _Exchange] = {}
         self._next_msg_id = 1
         network.attach(client_id, self._on_datagram)
@@ -116,8 +99,8 @@ class ClientSession:
             return
         self.state = CONNECTING
         request = sn.Connect(self.client_id)
-        self._start(_Exchange("connect", CONNECT_KEY, request, None, on_ok,
-                              on_fail))
+        self._start(_Exchange("connect", CONNECT_KEY, None, on_ok, on_fail),
+                    request)
 
     # -- subscriptions ----------------------------------------------------------
 
@@ -126,16 +109,16 @@ class ClientSession:
                   ) -> None:
         msg_id = self._take_msg_id()
         request = sn.Subscribe(msg_id, topic)
-        self._start(_Exchange("subscribe", msg_id, request, topic, on_ok,
-                              on_fail))
+        self._start(_Exchange("subscribe", msg_id, topic, on_ok, on_fail),
+                    request)
 
     def unsubscribe(self, topic: str, on_ok: Optional[Callable] = None,
                     on_fail: Optional[Callable[[Exception], None]] = None,
                     ) -> None:
         msg_id = self._take_msg_id()
         request = sn.Unsubscribe(msg_id, topic)
-        self._start(_Exchange("unsubscribe", msg_id, request, topic, on_ok,
-                              on_fail))
+        self._start(_Exchange("unsubscribe", msg_id, topic, on_ok, on_fail),
+                    request)
 
     # -- publishing --------------------------------------------------------------
 
@@ -159,15 +142,14 @@ class ClientSession:
                      on_fail: Optional[Callable[[Exception], None]],
                      raw: Optional[bytes] = None) -> None:
         if qos == 0:
-            self._send(raw or sn.encode_packet(sn.Publish(topic_id, data)),
-                       topic)
+            self._send(raw or sn.encode_publish(topic_id, data), topic)
             if on_ok is not None:
                 on_ok()
             return
         msg_id = self._take_msg_id()
         request = sn.Publish(topic_id, data, msg_id, qos=1)
-        self._start(_Exchange("publish", msg_id, request, topic, on_ok,
-                              on_fail))
+        self._start(_Exchange("publish", msg_id, topic, on_ok, on_fail),
+                    request)
 
     def _register_then(self, topic: str, proceed: Callable[[int], None],
                        on_fail: Optional[Callable[[Exception], None]]) -> None:
@@ -177,8 +159,8 @@ class ClientSession:
                 return
         msg_id = self._take_msg_id()
         request = sn.Register(0, msg_id, topic)
-        self._start(_Exchange("register", msg_id, request, topic, None, None,
-                              waiters=[(proceed, on_fail)]))
+        self._start(_Exchange("register", msg_id, topic, None, None,
+                              waiters=[(proceed, on_fail)]), request)
 
     # -- inbound -----------------------------------------------------------------
 
@@ -186,7 +168,7 @@ class ClientSession:
         if src != self.broker_addr:
             return  # direct node-to-node traffic uses a different port
         try:
-            pkt = _decode_packet(data)
+            pkt = sn.decode_shared(data)
         except sn.PacketError:
             self.stray_packets += 1
             return
@@ -239,26 +221,28 @@ class ClientSession:
 
     # -- retransmission -------------------------------------------------------------
 
-    def _start(self, exchange: _Exchange) -> None:
+    def _start(self, exchange: _Exchange, request: sn.SnPacket) -> None:
         if exchange.key is None:
             self._fail(exchange, SessionError(
                 "no free message id for {}".format(exchange)))
             return
         # An unencodable request raises here and leaves nothing pending.
+        exchange.frame = sn.encode_packet(request)
         self._transmit(exchange)
         self._pending[exchange.key] = exchange
 
     def _transmit(self, exchange: _Exchange, dup: bool = False) -> None:
-        request = exchange.request
-        if dup and isinstance(request, (sn.Subscribe, sn.Publish)):
-            request = replace(request, dup=True)
-        self._send(sn.encode_packet(request), exchange.topic)
+        frame = exchange.frame
+        if dup and exchange.kind in ("subscribe", "publish"):
+            frame = frame[:2] + bytes((frame[2] | sn.FLAG_DUP,)) + frame[3:]
+        self._send(frame, exchange.topic)
         exchange.timer = self.sim.after(
             T_RETRY_US, lambda: self._on_retry_timeout(exchange))
 
     def _on_retry_timeout(self, exchange: _Exchange) -> None:
         if exchange.retries_left > 0:
             exchange.retries_left -= 1
+            self.retransmits += 1
             self._transmit(exchange, dup=True)
             return
         del self._pending[exchange.key]

@@ -310,11 +310,12 @@ class Network:
 
     def send(self, src: str, dst: str, data: bytes,
              topic: Optional[str] = None, port: int = PORT_MQTTSN) -> None:
-        """Put octets on the src->dst link.
+        """Put octets on the src->dst link, as immutable ``bytes``.
 
         Raises:
             NoLink: if no link exists or it is disconnected.
         """
+        data = data if type(data) is bytes else bytes(data)
         pair = self._pairs.get((src, dst))
         if pair is None:
             pair = self._pairs[(src, dst)] = _Pair(

@@ -1,16 +1,18 @@
-"""The receive-path decode memos in ``session`` and ``node``.
+"""The receive-path decode memos, ``mqttsn.decode_shared`` and
+``codec.decode_shared``.
 
-A fan-out delivers one frame as the same octets to every subscriber, so
-each distinct frame is decoded once and the result shared.  That is
-sound only while every decoded object is immutable and every receiver
-still sees its own errors and its own extension codes.
+A fan-out delivers one frame as the same octets to every subscriber, and
+the broker forwards a plain QoS 0 PUBLISH as the octets it received, so
+each distinct frame is decoded once in the process and the result shared.
+That is sound only while every decoded object is immutable and every
+receiver still sees its own errors and its own extension codes.
 """
 import dataclasses
 from collections import Counter
 
 import pytest
 
-from romano import codec, node, session
+from romano import codec
 from romano import mqttsn as sn
 from romano.harness.config import ScenarioConfig
 from romano.harness.experiments import encode_probe
@@ -23,8 +25,8 @@ CUSTOM = 0x42
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    session._decode_packet.cache_clear()
-    node._decode_message.cache_clear()
+    sn.decode_shared.cache_clear()
+    codec.decode_shared.cache_clear()
 
 
 @pytest.mark.parametrize("encoders", [sn._ENCODERS, codec._ENCODERS],
@@ -72,18 +74,13 @@ def test_broadcast_decodes_each_fanout_frame_once(monkeypatch):
     world = World(ScenarioConfig(n_robots=16))
     world.run_ready()
     net = world.net
-    delivered = Counter()   # octets -> copies delivered to client sessions
-    broker_frames = 0
+    delivered = Counter()   # octets -> copies delivered, broker included
 
     def tap(addr: str) -> None:
         inner = net.endpoint(addr)
 
         def wrapped(src: str, data: bytes) -> None:
-            nonlocal broker_frames
-            if addr == world.cell.addr:
-                broker_frames += 1
-            else:
-                delivered[data] += 1
+            delivered[data] += 1
             inner(src, data)
 
         net.attach(addr, wrapped)
@@ -99,12 +96,15 @@ def test_broadcast_decodes_each_fanout_frame_once(monkeypatch):
         calls += 1
         return decode(data)
 
+    sn.decode_shared.cache_clear()
     monkeypatch.setattr(sn, "decode_packet", counting)
     for seq in range(20):
         world.commander.publish(codec.TOPIC_COMMON,
                                 encode_probe(seq, world.sim.now, 32))
     world.sim.run_until_idle()
-    # 16 copies of each probe, and the commander's REGACK for "common"
-    assert sorted(delivered.values()) == [1] + [16] * 20
-    # the broker decodes what it receives itself, once per frame
-    assert calls - broker_frames == len(delivered)
+    # The broker gets the commander's REGISTER for "common" and each
+    # probe, the commander its REGACK, and 16 robots each probe as the
+    # octets the broker got.
+    assert sorted(delivered.values()) == [1, 1] + [17] * 20
+    # Each distinct frame is decoded once in the whole process.
+    assert calls == len(delivered) == 22

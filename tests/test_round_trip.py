@@ -305,6 +305,37 @@ def test_any_data_that_is_not_octets_is_a_codec_error(encode, base, error,
         encode(replace(base, data=raw))
 
 
+# -- the plain QoS 0 PUBLISH framing ------------------------------------------
+
+PUBLISH_DATA = st.one_of(
+    st.builds(lambda raw, as_buffer: as_buffer(raw),
+              st.binary(max_size=sn.MAX_PUBLISH_DATA + 2),
+              st.sampled_from((bytes, bytearray, memoryview))),
+    NOT_OCTETS)
+
+
+def _outcome(encode):
+    """The frame ``encode()`` returns, or the type of its PacketError."""
+    try:
+        return encode()
+    except sn.PacketError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(topic_id=st.one_of(U16, st.integers(min_value=-2, max_value=0x10001),
+                          st.integers()),
+       data=PUBLISH_DATA)
+def test_encode_publish_is_encode_packet_of_a_plain_publish(topic_id, data):
+    got = _outcome(lambda: sn.encode_publish(topic_id, data))
+    assert got == _outcome(
+        lambda: sn.encode_packet(sn.Publish(topic_id, data)))
+    fits = (0 <= topic_id <= 0xFFFF
+            and isinstance(data, (bytes, bytearray, memoryview))
+            and len(data) <= sn.MAX_PUBLISH_DATA)
+    assert isinstance(got, bytes) == fits
+
+
 @pytest.mark.parametrize("msg", [
     codec.MqttSubscribe(UNENCODABLE),
     codec.MqttPublishRequest("t" + UNENCODABLE, b"x"),

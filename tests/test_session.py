@@ -3,9 +3,14 @@
 A scripted stub stands in for the broker so tests can withhold or
 corrupt individual replies and observe exact wire timing.
 """
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romano import mqttsn as sn
+from romano.harness.config import ScenarioConfig
+from romano.harness.world import World
 from romano.session import (
     ACTIVE,
     BrokerReject,
@@ -242,6 +247,61 @@ class TestRetransmission:
         # the last retransmission still gets a full reply window
         assert lost == [(N_RETRY + 1) * T_RETRY_US]
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from([sn.Connect, sn.Register, sn.Subscribe,
+                                 sn.Unsubscribe, sn.Publish]),
+           topic=st.text(max_size=20),
+           data=st.binary(max_size=sn.MAX_PUBLISH_DATA))
+    def test_a_retransmission_resends_the_first_frame(self, kind, topic,
+                                                      data):
+        # MQTT-SN v1.2: a resent SUBSCRIBE or PUBLISH differs from the
+        # first only in its DUP flag; any other request is resent as is.
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        if kind is sn.Publish:
+            session.publish(topic, b"")  # learn the topic id first
+            sim.run_until_idle()
+        code, start = {
+            sn.Connect: (sn.MsgType.CONNECT, session.connect),
+            sn.Register: (sn.MsgType.REGISTER,
+                          lambda: session.publish(topic, data)),
+            sn.Subscribe: (sn.MsgType.SUBSCRIBE,
+                           lambda: session.subscribe(topic)),
+            sn.Unsubscribe: (sn.MsgType.UNSUBSCRIBE,
+                             lambda: session.unsubscribe(topic)),
+            sn.Publish: (sn.MsgType.PUBLISH,
+                         lambda: session.publish(topic, data, qos=1)),
+        }[kind]
+        stub.mute.add(kind)
+        frames = []
+        inner = net.endpoint(BROKER)
+
+        def tap(src, raw):
+            if raw[1] == code:
+                frames.append(raw)
+            inner(src, raw)
+
+        net.attach(BROKER, tap)
+        start()
+        sim.run_until_idle()
+        first, *resent = frames
+        request = sn.decode_packet(first)
+        if kind in (sn.Subscribe, sn.Publish):
+            again = sn.encode_packet(replace(request, dup=True))
+        else:
+            again = first
+        assert resent == [again] * N_RETRY
+        assert session.retransmits == N_RETRY
+
+    def test_join_1000_retransmissions_match_the_traced_count(self):
+        # 3 370 is session.retransmits of `bench/run.py --workload
+        # join-1000 --seed 1 --trace 1`, counted there at each resend
+        world = World(ScenarioConfig(seed=1, n_robots=1000))
+        world.run_ready()
+        sessions = [world.commander, world.server.session,
+                    *(node.session for node in world.nodes)]
+        assert sum(s.retransmits for s in sessions) == 3370
+
 
 class TestMsgIdExhaustion:
     def test_every_entry_point_fails_through_on_fail(self):
@@ -352,3 +412,11 @@ class TestInbound:
         net.send("intruder", CLIENT, sn.encode_packet(sn.Connack()))
         sim.run_until_idle()
         assert session.state == ACTIVE
+
+    def test_a_frame_sent_as_a_bytearray_is_received(self):
+        sim, net, stub, session = make_session()
+        stub.mute.add(sn.Connect)
+        session.connect()
+        net.send(BROKER, CLIENT, bytearray(sn.encode_packet(sn.Connack())))
+        sim.run_until_idle()
+        assert session.state == ACTIVE and session.stray_packets == 0

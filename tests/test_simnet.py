@@ -259,6 +259,23 @@ class TestLinks:
         assert seen == [("a", b"hi")]
         assert sim.now == 20_000
 
+    def test_a_frame_in_flight_is_the_bytes_sent(self):
+        sim = Simulator()
+        net = Network(sim)
+        net.set_link_pair("a", "b", LinkModel.fixed(20_000))
+        seen, cb = _collector()
+        net.attach("b", cb)
+        frame = b"as sent"
+        buffer = bytearray(b"buffer")
+        net.send("a", "b", frame)
+        net.send("a", "b", buffer)
+        net.send("a", "b", memoryview(b"view"))
+        buffer[:] = b"changed after send"
+        sim.run_until_idle()
+        assert seen == [("a", b"as sent"), ("a", b"buffer"), ("a", b"view")]
+        assert [type(data) for _, data in seen] == [bytes] * 3
+        assert seen[0][1] is frame  # a bytes frame is not copied
+
     def test_uniform_latency_within_bounds(self):
         sim = Simulator(seed=7)
         net = Network(sim)
