@@ -238,18 +238,17 @@ class Broker:
             raw = sn.encode_publish(pkt.topic_id, pkt.data)
         sender = self.sessions.get(src)
         skip = src if sender is not None and sender.no_local else None
-        now = self.sim.now
-        call_at = self.sim.call_at
-        position = 0
+        dispatch, call_at = self._dispatch, self.sim.call_at
+        interval = self.dispatch_interval_us
+        now = due = self.sim.now
         for client_id in topic.subscribers:
             if client_id == skip:
                 continue
-            offset = position * self.dispatch_interval_us
-            position += 1
-            if offset == 0:
-                self._dispatch(client_id, raw, topic)
+            if due == now:
+                dispatch(client_id, raw, topic)
             else:
-                call_at(now + offset, self._dispatch, client_id, raw, topic)
+                call_at(due, dispatch, client_id, raw, topic)
+            due += interval
 
     # packet type -> handler(self, src, pkt, raw), where raw is the octets
     # the packet arrived in or None; any other type is a bad packet
@@ -265,36 +264,38 @@ class Broker:
 
     # -- egress ---------------------------------------------------------------
 
+    # Each frame goes to a local client at once, or is offered to the
+    # gate, which tail-drops it with a drop-buffer trace row when full.
+
     def _reply(self, dest: str, pkt: sn.SnPacket) -> None:
         raw = sn.encode_packet(pkt)
         key = (dest, raw)
         if key in self._queued_replies:
             self.duplicate_replies += 1  # the queued copy answers this too
-        elif self._egress(dest, raw, None) and dest not in self.local_clients:
+        elif dest in self.local_clients:
+            self._send((dest, raw, None))
+        elif self.gate.offer((dest, raw, None)):
             self._queued_replies.add(key)
+        else:
+            self.network.trace.record(self.sim.now, self.addr, dest,
+                                      "drop-buffer", len(raw), None)
 
     def _dispatch(self, dest: str, raw: bytes, topic: _Topic) -> None:
-        if self._egress(dest, raw, topic.name):
-            topic.copies_enqueued += 1
-            return
-        topic.copies_dropped += 1
-        if self.first_overflow is None:
-            self.first_overflow = {
-                "time_us": self.sim.now,
-                "topic": topic.name,
-                "published_so_far": topic.published,
-            }
-
-    def _egress(self, dest: str, raw: bytes, topic: Optional[str]) -> bool:
-        """Send to a local client or offer to the gate; False on a drop."""
-        frame = (dest, raw, topic)
+        frame = (dest, raw, topic.name)
         if dest in self.local_clients:
             self._send(frame)
         elif not self.gate.offer(frame):
             self.network.trace.record(self.sim.now, self.addr, dest,
-                                      "drop-buffer", len(raw), topic)
-            return False
-        return True
+                                      "drop-buffer", len(raw), topic.name)
+            topic.copies_dropped += 1
+            if self.first_overflow is None:
+                self.first_overflow = {
+                    "time_us": self.sim.now,
+                    "topic": topic.name,
+                    "published_so_far": topic.published,
+                }
+            return
+        topic.copies_enqueued += 1
 
     def _send(self, frame: tuple) -> None:
         dest, raw, topic = frame

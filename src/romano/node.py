@@ -32,6 +32,10 @@ INIT = "init"
 AWAIT_ACK = "await-ack"
 READY = "ready"
 
+# message classes that go to the handler registered for their type code
+_DATA_CLASSES = frozenset((codec.NormalData, codec.SensorData,
+                           codec.CustomData))
+
 
 class RomanoNode:
     def __init__(self, session: ClientSession, *,
@@ -171,6 +175,11 @@ class RomanoNode:
         if self.phase != READY:
             self.early_messages += 1
             return
+        if cls in _DATA_CLASSES:
+            handler = self._data_handlers.get(msg.type_code)
+            if handler is not None:
+                handler(msg)
+            return
         handler = self._HANDLERS.get(cls)
         if handler is not None:
             handler(self, msg)
@@ -181,11 +190,6 @@ class RomanoNode:
     def _on_roster(self, msg: codec.ConnectedNodesInfo) -> None:
         for romano_id in msg.romano_ids:
             self.neighbors.setdefault(romano_id, self.sim.now)
-
-    def _on_data_message(self, msg) -> None:
-        handler = self._data_handlers.get(msg.type_code)
-        if handler is not None:
-            handler(msg)
 
     def enqueue_movement(self, msg: codec.MovementControl) -> None:
         """Hand a movement order on exactly as a received one would be."""
@@ -201,7 +205,7 @@ class RomanoNode:
         else:
             self.unknown_controls += 1
 
-    # message type -> handler once READY.  ConnectionRequest and
+    # control message type -> handler once READY.  ConnectionRequest and
     # RequestConnectedNodesInfo are server business; nodes ignore them.
     _HANDLERS = {
         codec.Heartbeat: _on_heartbeat,
@@ -213,7 +217,4 @@ class RomanoNode:
         codec.MqttPublishRequest:
             lambda self, msg: self.session.publish(msg.topic, msg.data),
         codec.MovementControl: enqueue_movement,
-        codec.NormalData: _on_data_message,
-        codec.SensorData: _on_data_message,
-        codec.CustomData: _on_data_message,
     }

@@ -126,26 +126,37 @@ class ClientSession:
                 on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
         """Publish ``data``; registers the topic name first if needed.
-        A PUBLISH that cannot be encoded raises PacketError here."""
+        A PUBLISH that cannot be encoded, or a QoS other than 0 or 1,
+        raises PacketError here, before anything is sent."""
+        if qos not in (0, 1):
+            raise sn.PacketError(
+                "QoS {} not supported, use 0 or 1".format(qos))
         topic_id = self.topic_ids.get(topic)
-        if topic_id is not None:
-            self._publish_now(topic_id, topic, data, qos, on_ok, on_fail)
-            return
-        # Encoded now under topic id 0; the REGACK's id goes in octets 3-4.
-        raw = sn.encode_packet(sn.Publish(0, data, qos=qos))
-        self._register_then(topic, lambda tid: self._publish_now(
-            tid, topic, data, qos, on_ok, on_fail,
-            raw[:3] + tid.to_bytes(2, "big") + raw[5:]), on_fail)
+        if topic_id is None:
+            # Encoded now under topic id 0; the REGACK's id goes in octets
+            # 3-4 of a QoS 0 frame.
+            raw = sn.encode_packet(sn.Publish(0, data, qos=qos))
 
-    def _publish_now(self, topic_id: int, topic: str, data: bytes, qos: int,
-                     on_ok: Optional[Callable],
-                     on_fail: Optional[Callable[[Exception], None]],
-                     raw: Optional[bytes] = None) -> None:
-        if qos == 0:
-            self._send(raw or sn.encode_publish(topic_id, data), topic)
+            def registered(tid: int) -> None:
+                if qos:
+                    self._publish_now(tid, topic, data, on_ok, on_fail)
+                    return
+                self._send(raw[:3] + tid.to_bytes(2, "big") + raw[5:], topic)
+                if on_ok is not None:
+                    on_ok()
+
+            self._register_then(topic, registered, on_fail)
+        elif qos:
+            self._publish_now(topic_id, topic, data, on_ok, on_fail)
+        else:
+            self._send(sn.encode_publish(topic_id, data), topic)
             if on_ok is not None:
                 on_ok()
-            return
+
+    def _publish_now(self, topic_id: int, topic: str, data: bytes,
+                     on_ok: Optional[Callable],
+                     on_fail: Optional[Callable[[Exception], None]]) -> None:
+        """Start a QoS 1 PUBLISH exchange."""
         msg_id = self._take_msg_id()
         request = sn.Publish(topic_id, data, msg_id, qos=1)
         self._start(_Exchange("publish", msg_id, topic, on_ok, on_fail),
@@ -172,13 +183,23 @@ class ClientSession:
         except sn.PacketError:
             self.stray_packets += 1
             return
-        kind = _REPLY_KINDS.get(type(pkt))
-        if kind is not None:
-            self._complete(kind, pkt)
-        elif isinstance(pkt, sn.Publish):
-            self._on_publish(pkt)
-        else:
+        cls = type(pkt)
+        if cls is sn.Publish:
+            topic = self.topic_names.get(pkt.topic_id)
+            if topic is None:
+                self.stray_packets += 1
+                return
+            if pkt.qos == 1:
+                self._send(sn.encode_packet(
+                    sn.Puback(pkt.topic_id, pkt.msg_id)), topic)
+            if self.on_message is not None:
+                self.on_message(topic, pkt.data)
+            return
+        kind = _REPLY_KINDS.get(cls)
+        if kind is None:
             self.stray_packets += 1
+        else:
+            self._complete(kind, pkt)
 
     def _complete(self, kind: str, pkt: sn.SnPacket) -> None:
         key = getattr(pkt, "msg_id", CONNECT_KEY)
@@ -207,17 +228,6 @@ class ClientSession:
             self.topic_names.pop(self.topic_ids.pop(exchange.topic))
         if exchange.on_ok is not None:
             exchange.on_ok()
-
-    def _on_publish(self, pkt: sn.Publish) -> None:
-        topic = self.topic_names.get(pkt.topic_id)
-        if topic is None:
-            self.stray_packets += 1
-            return
-        if pkt.qos == 1:
-            self._send(sn.encode_packet(sn.Puback(pkt.topic_id, pkt.msg_id)),
-                       topic)
-        if self.on_message is not None:
-            self.on_message(topic, pkt.data)
 
     # -- retransmission -------------------------------------------------------------
 

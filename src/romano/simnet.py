@@ -168,35 +168,54 @@ class _Names(dict):
 
 
 class WireTrace:
-    """Records kept in columns, 28 octets each: ``time_us`` as int64,
-    ``nbytes`` as uint32, and src, dst, kind and topic as uint32 indexes
-    into one table of distinct strings.  ``records`` is a read-only view
-    in record order that rebuilds each :class:`TraceRecord` it yields."""
+    """Records kept in columns, 20 octets each: ``time_us`` as int64, and
+    route, ``nbytes`` and topic as uint32.  A route is a (src, dst, kind)
+    triple held in three more uint32 columns, and a topic or route name
+    is an index into one table of distinct strings.  ``records`` is a
+    read-only view in record order that rebuilds each
+    :class:`TraceRecord` it yields."""
 
     def __init__(self) -> None:
         self._codes = _Names()
-        # In TraceRecord's field order; bound appends keep record() cheap.
-        self._columns = tuple(array(t) for t in "qIIIII")
+        # time_us, route, nbytes, topic; bound appends keep rows cheap
+        self._columns = tuple(array(t) for t in "qIII")
         self._appends = tuple(column.append for column in self._columns)
-        self.records = _Records(self._columns, self._codes.names)
+        # route -> src, dst and kind codes
+        self._routes = tuple(array("I") for _ in range(3))
+        self._recorded: dict[tuple[str, str, str], int] = {}
+        self.records = _Records(self)
+
+    def route(self, src: str, dst: str, kind: str) -> int:
+        """Add a route; rows that cite its index read as src, dst, kind."""
+        for column, name in zip(self._routes, (src, dst, kind)):
+            column.append(self._codes[name])
+        return len(self._routes[0]) - 1
 
     def record(self, time_us: int, src: str, dst: str, kind: str,
                nbytes: int, topic: Optional[str]) -> None:
-        code = self._codes
-        t, s, d, k, n, p = self._appends
+        route = self._recorded.get((src, dst, kind))
+        if route is None:
+            route = self._recorded[src, dst, kind] = self.route(src, dst, kind)
+        t, r, n, p = self._appends
         t(time_us)
-        s(code[src])
-        d(code[dst])
-        k(code[kind])
+        r(route)
         n(nbytes)
-        p(code[topic or ""])
+        p(self._codes[topic or ""])
+
+    def _named(self) -> tuple[Callable[[int], str], ...]:
+        """Code-to-name lookups for a row's src, dst, kind and topic."""
+        names = self._codes.names
+        srcs, dsts, kinds = ([names[c] for c in column]
+                             for column in self._routes)
+        return (srcs.__getitem__, dsts.__getitem__, kinds.__getitem__,
+                names.__getitem__)
 
     def _format(self, layout: str) -> Iterator[str]:
         """Each record through ``layout``, read straight from the columns."""
-        name = self._codes.names.__getitem__
-        t, s, d, k, n, p = self._columns
-        return map(layout.__mod__, zip(t, map(name, s), map(name, d),
-                                       map(name, k), n, map(name, p)))
+        src, dst, kind, name = self._named()
+        t, r, n, p = self._columns
+        return map(layout.__mod__, zip(t, map(src, r), map(dst, r),
+                                       map(kind, r), n, map(name, p)))
 
     def lines(self) -> list[str]:
         return list(self._format(_LINE))
@@ -208,35 +227,39 @@ class WireTrace:
     def query(self, kind: Optional[str] = None, src: Optional[str] = None,
               dst: Optional[str] = None,
               topic: Optional[str] = None) -> list[TraceRecord]:
-        _, srcs, dsts, kinds, _, topics = self._columns
-        picked = range(len(self.records))
-        for column, name in ((kinds, kind), (srcs, src), (dsts, dst),
-                             (topics, topic)):
-            if name is not None:
-                # get() adds no name, and None matches no record.
-                code = self._codes.get(name)
-                picked = [i for i in picked if column[i] == code]
+        _, routes, _, topics = self._columns
+        picked = range(len(routes))
+        # get() adds no name, and None matches no record.
+        wanted = [(column, self._codes.get(name)) for column, name
+                  in zip(self._routes, (src, dst, kind)) if name is not None]
+        if wanted:
+            hits = {i for i in range(len(self._routes[0]))
+                    if all(column[i] == code for column, code in wanted)}
+            picked = [i for i in picked if routes[i] in hits]
+        if topic is not None:
+            code = self._codes.get(topic)
+            picked = [i for i in picked if topics[i] == code]
         return [self.records[i] for i in picked]
 
 
 class _Records:
-    def __init__(self, columns: tuple[array, ...], names: list[str]) -> None:
-        self._columns = columns
-        self._name = names.__getitem__
+    def __init__(self, trace: WireTrace) -> None:
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._trace._columns[0])
 
     def __getitem__(self, i: int) -> TraceRecord:
-        name = self._name
-        t, s, d, k, n, p = self._columns
-        return TraceRecord(t[i], name(s[i]), name(d[i]), name(k[i]), n[i],
-                           name(p[i]))
+        trace = self._trace
+        t, r, n, p = trace._columns
+        name, route = trace._codes.names, r[i]
+        src, dst, kind = (name[column[route]] for column in trace._routes)
+        return TraceRecord(t[i], src, dst, kind, n[i], name[p[i]])
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        name = self._name
-        t, s, d, k, n, p = self._columns
-        return map(TraceRecord, t, map(name, s), map(name, d), map(name, k),
+        src, dst, kind, name = self._trace._named()
+        t, r, n, p = self._trace._columns
+        return map(TraceRecord, t, map(src, r), map(dst, r), map(kind, r),
                    n, map(name, p))
 
 
@@ -257,14 +280,16 @@ class LinkModel:
 
 class _Pair:
     """One direction: its link, FIFO horizon (latest delivery scheduled)
-    and the trace codes of its addresses."""
+    and its send and deliver routes in the trace."""
 
-    __slots__ = ("link", "horizon", "src", "dst", "src_code", "dst_code")
+    __slots__ = ("link", "horizon", "src", "dst", "send_route",
+                 "deliver_route")
 
     def __init__(self, link: Optional[LinkModel], src: str, dst: str,
-                 codes: _Names) -> None:
+                 trace: WireTrace) -> None:
         self.link, self.horizon, self.src, self.dst = link, 0, src, dst
-        self.src_code, self.dst_code = codes[src], codes[dst]
+        self.send_route = trace.route(src, dst, "send")
+        self.deliver_route = trace.route(src, dst, "deliver")
 
 
 class Network:
@@ -273,7 +298,7 @@ class Network:
     Endpoints attach a receive callback per (address, port).  Each
     (src, dst) address pair has one entry, made at its first send, that
     holds its link (none unless :meth:`set_link_pair` set one), FIFO
-    horizon and trace codes; ports share the pair's link.
+    horizon and trace routes; ports share the pair's link.
     """
 
     def __init__(self, sim: Simulator):
@@ -284,8 +309,6 @@ class Network:
         self._pairs: dict[tuple[str, str], _Pair] = {}
         # The trace's name table and column appends, for rows written here.
         self._codes, self._row = self.trace._codes, self.trace._appends
-        self._send_code = self._codes["send"]
-        self._deliver_code = self._codes["deliver"]
         # sent = delivered + link_dropped + no_endpoint + in flight
         self.sent = 0
         self.delivered = 0
@@ -319,7 +342,7 @@ class Network:
         pair = self._pairs.get((src, dst))
         if pair is None:
             pair = self._pairs[(src, dst)] = _Pair(
-                self._links.get((src, dst)), src, dst, self._codes)
+                self._links.get((src, dst)), src, dst, self.trace)
         link = pair.link
         if link is None or not link.connected:
             raise NoLink("no connected link from {} to {}".format(src, dst))
@@ -328,11 +351,9 @@ class Network:
         nbytes = len(data)
         topic_code = self._codes[topic or ""]
         self.sent += 1
-        t, s, d, k, n, p = self._row
+        t, r, n, p = self._row
         t(now)
-        s(pair.src_code)
-        d(pair.dst_code)
-        k(self._send_code)
+        r(pair.send_route)
         n(nbytes)
         p(topic_code)
 
@@ -345,11 +366,14 @@ class Network:
         due = now + lo
         if lo != hi:   # rng.randint(lo, hi) without its 3 Python frames
             span = hi - lo + 1
-            r = sim.rng.getrandbits(span.bit_length())
-            while r >= span:   # CPython's randrange rejects the same way
-                r = sim.rng.getrandbits(span.bit_length())
-            due += r
-        due = pair.horizon = max(due, pair.horizon)
+            draw = sim.rng.getrandbits(span.bit_length())
+            while draw >= span:   # CPython's randrange rejects the same way
+                draw = sim.rng.getrandbits(span.bit_length())
+            due += draw
+        if due < pair.horizon:
+            due = pair.horizon
+        else:
+            pair.horizon = due
         sim.call_at(due, self._deliver, pair, data, topic_code, port)
 
     def _deliver(self, pair: _Pair, data: bytes, topic_code: int,
@@ -359,11 +383,9 @@ class Network:
             self.no_endpoint += 1
             return
         self.delivered += 1
-        t, s, d, k, n, p = self._row
+        t, r, n, p = self._row
         t(self.sim.now)
-        s(pair.src_code)
-        d(pair.dst_code)
-        k(self._deliver_code)
+        r(pair.deliver_route)
         n(len(data))
         p(topic_code)
         endpoint(pair.src, data)

@@ -7,7 +7,7 @@ from romano.broker import Broker, RadioGate
 from romano.harness.config import ScenarioConfig
 from romano.harness.world import World, commander_addr
 from romano.session import ACTIVE, BrokerReject, ClientSession
-from romano.simnet import LinkModel, Network, Simulator
+from romano.simnet import LinkModel, Network, Simulator, TraceRecord
 
 BROKER = "fe80::212:4b00:1:1"
 
@@ -404,6 +404,23 @@ class TestGatedEgress:
         assert broker.first_overflow["published_so_far"] == 4
         assert broker.first_overflow["topic"] == "common"
         assert len(net.trace.query(kind="drop-buffer")) == 2
+
+    def test_full_gate_drops_a_reply_and_a_copy_with_their_topics(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        sub = Client(net, "s")
+        ids = sub.join(["common"])
+        broker.gate.capacity = 1
+        broker.handle("s", sn.Register(0, 1, "alpha"))  # fills the gate
+        broker.handle("s", sn.Register(0, 2, "beta"))   # its reply drops
+        assert broker.first_overflow is None
+        broker.handle("p", sn.Publish(ids["common"], b"x"))  # so does the copy
+        assert broker.gate.dropped == 2
+        assert net.trace.query(kind="drop-buffer") == [
+            TraceRecord(sim.now, BROKER, "s", "drop-buffer", 7, ""),
+            TraceRecord(sim.now, BROKER, "s", "drop-buffer", 8, "common")]
+        assert broker.first_overflow == {
+            "time_us": sim.now, "topic": "common", "published_so_far": 1}
 
     # A request retransmitted while its reply waits in the gate is
     # answered by that one queued reply.

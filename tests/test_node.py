@@ -257,6 +257,33 @@ class TestDispatch:
         rig.sim.run_until_idle()
         assert got == [codec.CustomData(0x42, b"zz")]
 
+    def test_each_data_class_reaches_its_handler_once_when_ready(self):
+        rig = Rig()
+        node = rig.add_node(NODE_1)
+        ack = Swallow(rig.net, NODE_1, connection_ack)
+        got = {int(codec.DataType.NORMAL_DATA): [],
+               int(codec.DataType.SENSOR_DATA): [], 0x42: []}
+        for code, seen in got.items():
+            node.on_data(code, seen.append)
+        msgs = [codec.NormalData(b"n"), codec.SensorData(7, b"s"),
+                codec.CustomData(0x42, b"c")]
+        node.start()
+        rig.sim.run_until(1_000_000)
+        assert node.phase == AWAIT_ACK
+        for msg in msgs:
+            rig.publish_to(node, msg)
+        rig.sim.run_until(rig.sim.now + 500_000)
+        assert node.early_messages == 3
+        assert all(seen == [] for seen in got.values())
+        ack.lift()
+        rig.ready(node)
+        for msg in msgs:
+            rig.publish_to(node, msg)
+        rig.publish_to(node, codec.CustomData(0x43, b"u"))  # no handler
+        rig.sim.run_until_idle()
+        assert list(got.values()) == [[msg] for msg in msgs]
+        assert node.unknown_types == 1 and node.early_messages == 3
+
     def test_stray_ack_after_ready_is_counted(self):
         rig = Rig()
         node = self.make_ready(rig)

@@ -161,6 +161,26 @@ class TestPublishPath:
         session.publish("t", b"y", on_ok=lambda: sent.append(sim.now))
         assert sent == [sim.now]  # synchronous once the topic id is known
 
+    def test_qos2_to_a_known_topic_is_refused_unsent(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.publish("t", b"x")
+        sim.run_until_idle()
+        with pytest.raises(sn.PacketError, match="QoS 2"):
+            session.publish("t", b"y", qos=2)
+        sim.run_until_idle()
+        assert [p.data for _, p in stub.sends(sn.Publish)] == [b"x"]
+        assert session._pending == {}
+
+    def test_qos2_to_a_fresh_topic_is_refused_unregistered(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        with pytest.raises(sn.PacketError, match="QoS 2"):
+            session.publish("u", b"z", qos=2)
+        sim.run_until_idle()
+        assert stub.sends(sn.Register) == [] and session._pending == {}
+        assert "u" not in session.topic_ids
+
     def test_qos1_completes_on_puback(self):
         sim, net, stub, session = make_session(latency_us=5_000)
         connect(sim, session)
@@ -377,19 +397,23 @@ class TestInbound:
         got = []
         session.on_message = lambda topic, data: got.append(data)
         stub.push(CLIENT, sn.Publish(77, b"stray"))
+        stub.push(CLIENT, sn.Publish(77, b"stray", msg_id=4, qos=1))
         sim.run_until_idle()
-        assert got == [] and session.stray_packets == 1
+        assert got == [] and session.stray_packets == 2
+        assert stub.sends(sn.Puback) == []  # nor is it acked
 
     def test_inbound_qos1_gets_exactly_one_puback(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
-        session.on_message = lambda topic, data: None
+        got = []
+        session.on_message = lambda topic, data: got.append((topic, data))
         session.subscribe("common")
         sim.run_until_idle()
         tid = stub.topic_ids["common"]
         stub.push(CLIENT, sn.Publish(tid, b"x", msg_id=3, qos=1))
         sim.run_until_idle()
         assert stub.sends(sn.Puback) == [(0, sn.Puback(tid, 3))]
+        assert got == [("common", b"x")]  # delivered once as well
 
     def test_unsubscribe_forgets_the_topic(self):
         sim, net, stub, session = make_session()

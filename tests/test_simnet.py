@@ -3,6 +3,8 @@
 The simulator must be bit-deterministic in its seed: identical seeds
 give identical event orders, delivery times and trace lines.
 """
+import io
+import itertools
 import random
 import tracemalloc
 
@@ -525,7 +527,7 @@ class TestWireTrace:
         assert len(trace.query(src="a", dst="b")) == 4
 
     def test_a_record_costs_under_forty_octets(self):
-        # Columns hold 28 octets a record; a tuple per record took ~140.
+        # Columns hold 20 octets a record; a tuple per record took ~140.
         trace = WireTrace()
         names = ["fe80::212:4b00:10:{:x}".format(i) for i in range(100)]
         n = 100_000
@@ -581,3 +583,91 @@ class TestWireTrace:
         assert trace.query(src="a", kind="drop-link") == [want[2]]
         # A query adds no name: records still read back unchanged.
         assert list(records) == want
+
+
+# A drawn trace operation: (time, "send", src, dst, nbytes, topic, port)
+# or (time, "record", src, dst, kind, nbytes, topic).
+TRACE_ADDRS = ["a", "b", "c"]
+TRACE_TOPICS = [None, "", "t1", "t2"]
+TRACE_OPS = st.lists(st.one_of(
+    st.tuples(st.integers(0, 50), st.just("send"),
+              st.sampled_from(TRACE_ADDRS), st.sampled_from(TRACE_ADDRS),
+              st.integers(2, 9), st.sampled_from(TRACE_TOPICS),
+              st.sampled_from([PORT_APP, PORT_APP + 1])),
+    st.tuples(st.integers(0, 50), st.just("record"),
+              st.sampled_from(TRACE_ADDRS), st.sampled_from(TRACE_ADDRS),
+              st.sampled_from(["drop-buffer", "drop-link"]),
+              st.integers(0, 70_000), st.sampled_from(TRACE_TOPICS))),
+    max_size=25)
+
+
+class TestTraceColumns:
+    """The trace's columns read back as the rows a reference list kept."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(ops=TRACE_OPS,
+           losses=st.lists(st.sampled_from([0.0, 0.5]), min_size=3,
+                           max_size=3),
+           attached=st.sets(st.sampled_from(TRACE_ADDRS)))
+    def test_rows_lines_and_queries_match_a_reference(self, ops, losses,
+                                                      attached):
+        sim = Simulator(seed=3)
+        net = Network(sim)
+        trace = net.trace
+        for (a, b), loss in zip(itertools.combinations(TRACE_ADDRS, 2),
+                                losses):
+            net.set_link_pair(a, b, LinkModel((1, 30), loss_prob=loss))
+        want: list[TraceRecord] = []
+        # Each frame's first two octets index its send, whose topic the
+        # receiver cannot see.
+        sent: list[tuple[str, str, str]] = []
+
+        def receiver(addr):
+            def on_receive(src, data):
+                topic = sent[int.from_bytes(data[:2], "big")][2]
+                want.append(TraceRecord(sim.now, src, addr, "deliver",
+                                        len(data), topic))
+            return on_receive
+
+        for addr in attached:
+            net.attach(addr, receiver(addr), port=PORT_APP)
+
+        def send(src, dst, nbytes, topic, port):
+            data = len(sent).to_bytes(2, "big") + bytes(nbytes - 2)
+            sent.append((src, dst, topic or ""))
+            dropped = net.link_dropped
+            net.send(src, dst, data, topic=topic, port=port)
+            want.append(TraceRecord(sim.now, src, dst, "send", nbytes,
+                                    topic or ""))
+            if net.link_dropped > dropped:
+                want.append(TraceRecord(sim.now, src, dst, "drop-link",
+                                        nbytes, topic or ""))
+
+        def record(src, dst, kind, nbytes, topic):
+            trace.record(sim.now, src, dst, kind, nbytes, topic)
+            want.append(TraceRecord(sim.now, src, dst, kind, nbytes,
+                                    topic or ""))
+
+        for time_us, op, src, dst, *rest in ops:
+            if op == "record":
+                sim.call_at(time_us, record, src, dst, *rest)
+            elif src != dst:
+                sim.call_at(time_us, send, src, dst, *rest)
+        sim.run_until_idle()
+
+        assert sum(column.itemsize for column in trace._columns) == 20
+        assert list(trace.records) == want
+        assert [trace.records[i] for i in range(len(want))] == want
+        lines = ["\t".join(map(str, row)) for row in want]
+        assert trace.lines() == lines
+        out = io.StringIO()
+        trace.write(out)
+        assert out.getvalue() == "".join(line + "\n" for line in lines)
+        kinds = [None, "send", "deliver", "drop-link", "drop-buffer", "none"]
+        addrs = [None, *TRACE_ADDRS, "nobody"]
+        for kind, src, dst, topic in itertools.product(
+                kinds, addrs, addrs, [*TRACE_TOPICS, "never"]):
+            assert trace.query(kind=kind, src=src, dst=dst, topic=topic) == [
+                r for r in want
+                if kind in (None, r.kind) and src in (None, r.src)
+                and dst in (None, r.dst) and topic in (None, r.topic)]
