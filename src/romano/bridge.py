@@ -21,20 +21,20 @@ from typing import Optional
 from .broker import Broker
 from .session import ACTIVE, ClientSession
 
+BRIDGE_LATENCY_US = 50_000  # one-way delay of the relay channel
+
 
 class BridgeEnd:
     """One side of the bridge.  Its owner pairs two ends by setting each
     one's ``peer`` to the other, then starts both."""
 
     def __init__(self, session: ClientSession, broker: Broker,
-                 origin_tag: int, topics: tuple[str, ...],
-                 latency_us: int) -> None:
+                 origin_tag: int, topics: tuple[str, ...]) -> None:
         self.sim = session.sim
         self.session = session
         self.broker = broker
         self.origin_tag = origin_tag
         self.topics = topics
-        self.latency_us = latency_us
         self.peer: Optional["BridgeEnd"] = None  # set by the owner
         self.forwarded = 0
         self.republished = 0
@@ -60,7 +60,8 @@ class BridgeEnd:
         if topic not in self.topics:
             return
         self.forwarded += 1
-        self.sim.call_at(self.sim.now + self.latency_us, self.peer._on_channel,
+        self.sim.call_at(self.sim.now + BRIDGE_LATENCY_US,
+                         self.peer._on_channel,
                          (self.origin_tag, topic, data))
 
     # -- channel -> local network ---------------------------------------------------

@@ -171,7 +171,7 @@ class Broker:
             return
         self.handle(src, pkt, data)
 
-    def handle(self, src: str, pkt: sn.SnPacket, raw=None) -> None:
+    def handle(self, src: str, pkt: sn.SnPacket, raw: bytes) -> None:
         handler = self._HANDLERS.get(type(pkt))
         if handler is None:
             self.bad_packets += 1
@@ -234,7 +234,7 @@ class Broker:
         if pkt.qos > 0:
             self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
-        if raw is None or raw[2] or pkt.msg_id:  # not already the copy
+        if raw[2] or pkt.msg_id:  # not already the copy
             raw = sn.encode_publish(pkt.topic_id, pkt.data)
         sender = self.sessions.get(src)
         skip = src if sender is not None and sender.no_local else None
@@ -251,7 +251,7 @@ class Broker:
             due += interval
 
     # packet type -> handler(self, src, pkt, raw), where raw is the octets
-    # the packet arrived in or None; any other type is a bad packet
+    # the packet arrived in; any other type is a bad packet
     _HANDLERS = {
         sn.Connect: _on_connect,
         sn.Register: _on_register,

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .. import codec, mqttsn as sn
+from ..simnet import SimulationLimit
 from . import report
 from .config import (ConfigError, ScenarioConfig, build_config, check_config,
                      load_scenario)
@@ -38,18 +39,25 @@ CONTROLS = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", metavar="FILE",
-                        help="scenario file with key = value overrides")
-    parser.add_argument("--seed", type=int, help="simulation seed")
-    parser.add_argument("--robots", type=int, dest="robots",
-                        help="swarm size (scalability: largest size)")
-    parser.add_argument("--rate", type=float, help="publish rate, messages/s")
-    parser.add_argument("--messages", type=int, help="probe count per run")
-    parser.add_argument("--payload", type=int,
-                        help="probe message size, octets")
-    parser.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                        help="run directory (default romano-out/<command>)")
+SHARED_FLAGS = {
+    "--scenario": dict(metavar="FILE",
+                       help="scenario file with key = value overrides"),
+    "--seed": dict(type=int, help="simulation seed"),
+    "--robots": dict(type=int,
+                     help="swarm size (scalability: largest size)"),
+    "--rate": dict(type=float, help="publish rate, messages/s"),
+    "--messages": dict(type=int, help="probe count per run"),
+    "--payload": dict(type=int, help="probe message size, octets"),
+    "--out-dir": dict(dest="out_dir", metavar="DIR",
+                      help="run directory (default romano-out/<command>)"),
+}
+# demo and command send no probes, so they read none of the probe flags
+RUN_FLAGS = ("--scenario", "--seed", "--robots", "--out-dir")
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **SHARED_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,18 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("throughput", help="delivery ratio at a fixed rate")
-    _common_flags(p)
+    _shared_flags(p, *SHARED_FLAGS)
 
     p = sub.add_parser("scalability", help="max delay versus swarm size")
-    _common_flags(p)
+    _shared_flags(p, *SHARED_FLAGS)
 
     p = sub.add_parser("demo", help="run a scripted application")
-    _common_flags(p)
+    _shared_flags(p, *RUN_FLAGS)
     p.add_argument("--demo", required=True, choices=sorted(DEMOS),
                    help="which application to run")
 
     p = sub.add_parser("command", help="send one movement order")
-    _common_flags(p)
+    _shared_flags(p, *RUN_FLAGS)
     p.add_argument("--control", required=True, choices=sorted(CONTROLS),
                    help="movement control type")
     p.add_argument("--magnitude", type=int, default=100,
@@ -79,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="topic: 'common' or a robot's 8-hex id")
 
     p = sub.add_parser("sweep", help="throughput across rates and seeds")
-    _common_flags(p)
+    # --rates and --seeds set the rate and seed of every grid point
+    _shared_flags(p, "--scenario", "--robots", "--messages", "--payload",
+                  "--out-dir")
     p.add_argument("--rates", default="1,10,50,100,200,300,400,500",
                    help="comma separated publish rates")
     p.add_argument("--seeds", default="1",
@@ -89,12 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace) -> ScenarioConfig:
     file_overrides = load_scenario(args.scenario) if args.scenario else None
+    # A flag the subcommand does not take is not in ``args``.
     cli = {
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "n_robots": args.robots,
-        "rate_mps": args.rate,
-        "n_messages": args.messages,
-        "payload_octets": args.payload,
+        "rate_mps": getattr(args, "rate", None),
+        "n_messages": getattr(args, "messages", None),
+        "payload_octets": getattr(args, "payload", None),
     }
     return build_config(file_overrides, cli)
 
@@ -232,7 +243,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, codec.CodecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WorldNotReady, ExperimentError, DemoError) as exc:
+    except (WorldNotReady, SimulationLimit, ExperimentError,
+            DemoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

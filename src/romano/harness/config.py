@@ -38,20 +38,10 @@ class ScenarioConfig:
     dispatch_interval_us: int = broker.DEFAULT_DISPATCH_INTERVAL_US
     radio_tx_interval_us: int = broker.DEFAULT_RADIO_TX_INTERVAL_US
     radio_buffer_capacity: int = broker.DEFAULT_RADIO_BUFFER_CAPACITY
-    # node liveness; 0 disables heartbeats entirely
-    heartbeat_period_us: int = 0
     ready_deadline_us: int = 10_000_000
     # dispersal behaviour
-    rssi_p0_dbm: float = -45.0
-    rssi_d0_mm: float = 1000.0
-    rssi_exponent: float = 2.5
-    rssi_threshold_dbm: float = -70.0
-    dispersal_stride_mm: float = 50.0
-    dispersal_interval_us: int = 200_000
     initial_separation_mm: float = 300.0
-    max_rounds: int = 200
     # inter-network bridging
-    bridge_latency_us: int = 50_000
     bridge_topics: str = "squad-remote"
 
     def bridge_topic_list(self) -> tuple:
@@ -139,15 +129,9 @@ def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if last_probe_us >= 1 << 64:
         raise ConfigError("rate_mps is too low: the last probe's send time"
                           " overflows its 64-bit field")
-    for key in ("n_messages", "rssi_d0_mm", "rssi_exponent",
-                "initial_separation_mm", "dispersal_interval_us"):
+    for key in ("n_messages", "initial_separation_mm"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    stride = cfg.dispersal_stride_mm
-    if not (1 <= stride <= 0xFFFF and stride == int(stride)):
-        # a stride is the 2-octet magnitude of a movement order
-        raise ConfigError(
-            "dispersal_stride_mm must be a whole number in [1, 65535]")
     if not cfg.bridge_topic_list():
         raise ConfigError("bridge_topics must name at least one topic")
     # The bridge demo orders a subscription to each topic with an

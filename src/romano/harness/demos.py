@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import codec
-from ..robot import (LEADER_TOPIC, DispersalController, LeaderScript,
-                     PathLossModel, Pose, Robot)
+from ..robot import (DISPERSAL_INTERVAL_US, DISPERSAL_PATH_LOSS,
+                     DISPERSAL_STRIDE_MM, DISPERSAL_THRESHOLD_DBM,
+                     LEADER_TOPIC, DispersalController, LeaderScript, Pose,
+                     Robot)
 from ..bridge import BridgeEnd
 from ..session import ClientSession
 from ..simnet import LinkModel, WireTrace
@@ -22,6 +24,7 @@ from .config import ScenarioConfig
 from .world import Cell, World, relay_addr
 
 PROBE_LINK_LATENCY_US = 5_000
+DISPERSAL_MAX_ROUNDS = 200
 DISPERSAL_HOLD_ROUNDS = 50
 
 
@@ -139,10 +142,10 @@ def run_path_copy(cfg: ScenarioConfig) -> DemoResult:
 def run_dispersal(cfg: ScenarioConfig) -> DemoResult:
     """Two robots range each other apart until RSSI hits the threshold.
 
-    Runs ``cfg.max_rounds + DISPERSAL_HOLD_ROUNDS`` measurement rounds;
-    passing means the pair entered the equilibrium band (one stride
-    around the threshold distance) within ``cfg.max_rounds`` rounds and
-    never left.
+    Runs ``DISPERSAL_MAX_ROUNDS + DISPERSAL_HOLD_ROUNDS`` measurement
+    rounds; passing means the pair entered the equilibrium band (one
+    stride around the threshold distance) within ``DISPERSAL_MAX_ROUNDS``
+    rounds and never left.
     """
     sub = cfg.replace(n_robots=2)
     d0 = cfg.initial_separation_mm
@@ -154,13 +157,8 @@ def run_dispersal(cfg: ScenarioConfig) -> DemoResult:
     world.net.set_link_pair(a.node.session.client_id,
                             b.node.session.client_id,
                             LinkModel.fixed(PROBE_LINK_LATENCY_US))
-    path_loss = PathLossModel(p0_dbm=sub.rssi_p0_dbm, d0_mm=sub.rssi_d0_mm,
-                              exponent=sub.rssi_exponent)
-    kw = dict(path_loss=path_loss, threshold_dbm=sub.rssi_threshold_dbm,
-              stride_mm=int(sub.dispersal_stride_mm),
-              interval_us=sub.dispersal_interval_us)
-    ctrl_a = DispersalController(a, b, **kw)
-    ctrl_b = DispersalController(b, a, **kw)
+    ctrl_a = DispersalController(a, b)
+    ctrl_b = DispersalController(b, a)
 
     def separation() -> float:
         return math.hypot(b.pose.x_mm - a.pose.x_mm,
@@ -170,22 +168,22 @@ def run_dispersal(cfg: ScenarioConfig) -> DemoResult:
     ctrl_a.on_round = ctrl_b.on_round = lambda rssi: distance_log.append(
         separation())
 
-    target = sub.max_rounds + DISPERSAL_HOLD_ROUNDS
+    target = DISPERSAL_MAX_ROUNDS + DISPERSAL_HOLD_ROUNDS
     ctrl_a.initiate()
     done = world.sim.run_until_true(
         lambda: ctrl_a.rounds + ctrl_b.rounds >= target,
-        world.sim.now + target * 5 * sub.dispersal_interval_us)
+        world.sim.now + target * 5 * DISPERSAL_INTERVAL_US)
     if not done:
         raise DemoError("dispersal rounds stalled")
 
-    goal = path_loss.equilibrium_mm(sub.rssi_threshold_dbm)
-    band = float(sub.dispersal_stride_mm)
+    goal = DISPERSAL_PATH_LOSS.equilibrium_mm(DISPERSAL_THRESHOLD_DBM)
+    band = DISPERSAL_STRIDE_MM
     inside = [abs(d - goal) <= band for d in distance_log]
     entered = inside.index(True) + 1 if True in inside else None
     result.check(
         f"entered the {goal:.0f}±{band:.0f} mm band in at most"
-        f" {sub.max_rounds} rounds",
-        entered is not None and entered <= sub.max_rounds,
+        f" {DISPERSAL_MAX_ROUNDS} rounds",
+        entered is not None and entered <= DISPERSAL_MAX_ROUNDS,
         f"entered at round {entered}, start {d0:.0f} mm")
     result.check(
         "never left the band after entering",
@@ -212,8 +210,7 @@ class BridgedWorld(World):
         topics = cfg.bridge_topic_list()
         self.end_a, self.end_b = (
             BridgeEnd(ClientSession(self.net, relay_addr(c.cell), c.addr),
-                      c.broker, origin_tag=c.cell, topics=topics,
-                      latency_us=cfg.bridge_latency_us)
+                      c.broker, origin_tag=c.cell, topics=topics)
             for c in self.cells)
         self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
 

@@ -69,10 +69,8 @@ class Cell:
         for addr in wired:
             net.set_link_pair(addr, self.addr, LinkModel.fixed(0))
 
-        heartbeat_period_us = cfg.heartbeat_period_us or None
         self.server = RegistryServer(
-            ClientSession(net, server_addr(cell), self.addr),
-            heartbeat_period_us=heartbeat_period_us)
+            ClientSession(net, server_addr(cell), self.addr))
         self.commander = ClientSession(net, commander_addr(cell), self.addr)
 
         self.nodes: list[RomanoNode] = []
@@ -82,8 +80,7 @@ class Cell:
             addr = robot_addr(i, cell)
             net.set_link_pair(addr, self.addr, LinkModel(
                 (cfg.latency_lo_us, cfg.latency_hi_us), cfg.loss_prob))
-            node = RomanoNode(ClientSession(net, addr, self.addr),
-                              heartbeat_period_us=heartbeat_period_us)
+            node = RomanoNode(ClientSession(net, addr, self.addr))
             pose = poses[i - 1] if poses else Pose()
             self.nodes.append(node)
             self.robots.append(Robot(node, pose))

@@ -188,6 +188,10 @@ class LeaderScript:
 DISP_IDLE = "idle"
 DISP_SENT_REQ = "sent-req"
 DISP_AWAIT_PROBE = "await-probe"
+DISPERSAL_PATH_LOSS = PathLossModel()
+DISPERSAL_THRESHOLD_DBM = -70.0
+DISPERSAL_STRIDE_MM = 50
+DISPERSAL_INTERVAL_US = 200_000
 
 
 class DispersalController:
@@ -197,26 +201,19 @@ class DispersalController:
     the peer answers UdpSendGo on the initiator's topic; the initiator
     then broadcasts a raw probe datagram directly (off-broker); the
     peer reads the probe's RSSI and steps away if the signal is above
-    threshold, toward if below, and holds exactly at it.  Roles then
-    swap, so the robots alternate single strides.  A robot waiting for
-    a reply repeats its last message every ``interval_us``; movement is
+    ``DISPERSAL_THRESHOLD_DBM``, toward if below, and holds exactly at
+    it.  Roles then swap, so the robots alternate single strides of
+    ``DISPERSAL_STRIDE_MM``.  A robot waiting for a reply repeats its
+    last message every ``DISPERSAL_INTERVAL_US``; movement is
     restricted to the line through both robots.  The probe's RSSI comes
     from the distance to ``peer``'s pose; a datagram on the probe port
     from any other address is ignored.
     """
 
-    def __init__(self, robot: Robot, peer: Robot, *,
-                 path_loss: PathLossModel = PathLossModel(),
-                 threshold_dbm: float = -70.0,
-                 stride_mm: int = 50,
-                 interval_us: int = 200_000) -> None:
+    def __init__(self, robot: Robot, peer: Robot) -> None:
         self.sim = robot.sim
         self.robot = robot
         self.peer = peer
-        self.path_loss = path_loss
-        self.threshold_dbm = threshold_dbm
-        self.stride_mm = stride_mm
-        self.interval_us = interval_us
         self.state = DISP_IDLE
         self.rounds = 0  # probes this robot measured
         self.moves = 0
@@ -275,24 +272,24 @@ class DispersalController:
         rssi = self._measure()
         self.rounds += 1
         self.rssi_log.append((self.sim.now, rssi))
-        if rssi > self.threshold_dbm:
+        if rssi > DISPERSAL_THRESHOLD_DBM:
             self._step(codec.MovementType.MOVE_FRONT)
-        elif rssi < self.threshold_dbm:
+        elif rssi < DISPERSAL_THRESHOLD_DBM:
             self._step(codec.MovementType.MOVE_BACK)
         # Exactly at threshold: hold position.
         if self.on_round is not None:
             self.on_round(rssi)
-        self.sim.after(self.interval_us, self.initiate)
+        self.sim.after(DISPERSAL_INTERVAL_US, self.initiate)
 
     def _measure(self) -> float:
         dx = self.peer.pose.x_mm - self.robot.pose.x_mm
         dy = self.peer.pose.y_mm - self.robot.pose.y_mm
-        return self.path_loss.rssi(math.hypot(dx, dy))
+        return DISPERSAL_PATH_LOSS.rssi(math.hypot(dx, dy))
 
     def _step(self, control_type: int) -> None:
         # Robots face away from each other, so MOVE_FRONT always widens
         # the pair and MOVE_BACK narrows it, for either robot.
-        msg = codec.movement_control(control_type, self.stride_mm)
+        msg = codec.movement_control(control_type, DISPERSAL_STRIDE_MM)
         self.robot.node.enqueue_movement(msg)
         self.moves += 1
 
@@ -305,7 +302,7 @@ class DispersalController:
 
     def _arm_retry(self) -> None:
         self._disarm_retry()
-        self._retry_timer = self.sim.after(self.interval_us, self._retry)
+        self._retry_timer = self.sim.after(DISPERSAL_INTERVAL_US, self._retry)
 
     def _disarm_retry(self) -> None:
         if self._retry_timer is not None:

@@ -114,8 +114,8 @@ class Simulator:
             if not self.step():
                 return
         raise SimulationLimit(
-            "still busy after {} events; a recurring timer is likely "
-            "running".format(max_events))
+            "event budget of {} events spent before the simulation went"
+            " idle".format(max_events))
 
     def run_until_true(self, pred: Callable[[], bool], deadline_us: int) -> bool:
         """Step until ``pred()`` holds; False if the deadline passes first."""
@@ -210,19 +210,13 @@ class WireTrace:
         return (srcs.__getitem__, dsts.__getitem__, kinds.__getitem__,
                 names.__getitem__)
 
-    def _format(self, layout: str) -> Iterator[str]:
-        """Each record through ``layout``, read straight from the columns."""
+    def write(self, fh: TextIO) -> None:
+        """Stream every record's line to ``fh``, each ended by a newline,
+        formatted straight from the columns."""
         src, dst, kind, name = self._named()
         t, r, n, p = self._columns
-        return map(layout.__mod__, zip(t, map(src, r), map(dst, r),
-                                       map(kind, r), n, map(name, p)))
-
-    def lines(self) -> list[str]:
-        return list(self._format(_LINE))
-
-    def write(self, fh: TextIO) -> None:
-        """Stream every record's line to ``fh``, each ended by a newline."""
-        fh.writelines(self._format(_LINE + "\n"))
+        fh.writelines(map((_LINE + "\n").__mod__, zip(
+            t, map(src, r), map(dst, r), map(kind, r), n, map(name, p))))
 
     def query(self, kind: Optional[str] = None, src: Optional[str] = None,
               dst: Optional[str] = None,

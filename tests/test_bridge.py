@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from romano.bridge import BridgeEnd
+from romano.bridge import BRIDGE_LATENCY_US, BridgeEnd
 from romano.broker import Broker
 from romano.session import ACTIVE, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
@@ -21,7 +21,7 @@ TOPIC = "squad-remote"
 class BridgeRig:
     """Two broker networks, one listener client each, bridged on TOPIC."""
 
-    def __init__(self, topics=(TOPIC,), latency_us=50_000):
+    def __init__(self, topics=(TOPIC,)):
         self.sim = Simulator(seed=0)
         self.net = Network(self.sim)
         self.broker_a = Broker(self.net, BROKER_A, local_clients={RELAY_A})
@@ -31,9 +31,9 @@ class BridgeRig:
         self.net.set_link_pair(CLIENT_A, BROKER_A, LinkModel.fixed(5_000))
         self.net.set_link_pair(CLIENT_B, BROKER_B, LinkModel.fixed(5_000))
         self.end_a = BridgeEnd(ClientSession(self.net, RELAY_A, BROKER_A),
-                               self.broker_a, 0, tuple(topics), latency_us)
+                               self.broker_a, 0, tuple(topics))
         self.end_b = BridgeEnd(ClientSession(self.net, RELAY_B, BROKER_B),
-                               self.broker_b, 1, tuple(topics), latency_us)
+                               self.broker_b, 1, tuple(topics))
         self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
         self.end_a.start()
         self.end_b.start()
@@ -83,14 +83,14 @@ class TestCrossing:
         assert rig.end_a.forwarded == 0
 
     def test_channel_latency_is_applied(self):
-        rig = BridgeRig(latency_us=50_000)
+        rig = BridgeRig()
         sent_at = rig.sim.now
         rig.client_a.publish(TOPIC, b"x")
         assert rig.sim.run_until_true(
             lambda: rig.on_topic(rig.inbox_b) == [b"x"],
             sent_at + 1_000_000)
-        # client->broker(5) + channel(50) + broker->client(5), plus slack
-        assert rig.sim.now - sent_at >= 60_000
+        # client->broker(5) + channel + broker->client(5), plus slack
+        assert rig.sim.now - sent_at >= 10_000 + BRIDGE_LATENCY_US
 
     def test_other_topics_stay_local(self):
         rig = BridgeRig()

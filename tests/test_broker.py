@@ -12,6 +12,11 @@ from romano.simnet import LinkModel, Network, Simulator, TraceRecord
 BROKER = "fe80::212:4b00:1:1"
 
 
+def handle(broker: Broker, src: str, pkt: sn.SnPacket) -> None:
+    """Hand ``pkt`` to the broker as if it arrived from ``src``."""
+    broker.handle(src, pkt, sn.encode_packet(pkt))
+
+
 def make_net(seed: int = 0):
     sim = Simulator(seed=seed)
     return sim, Network(sim)
@@ -314,11 +319,11 @@ class TestSessions:
         broker = Broker(net, BROKER, local_clients={"local"})
         replies = []  # local replies leave through Network.send at once
         net.send = lambda src, dst, data, topic=None: replies.append(data)
-        broker.handle("local", sn.Connect("local"))
+        handle(broker, "local", sn.Connect("local"))
         for n in range(0x10000):
-            broker.handle("local", sn.Register(0, n % 0xFFFF + 1, f"t{n}"))
-        broker.handle("local", sn.Register(0, 7, "t0"))
-        broker.handle("local", sn.Subscribe(8, "fresh"))
+            handle(broker, "local", sn.Register(0, n % 0xFFFF + 1, f"t{n}"))
+        handle(broker, "local", sn.Register(0, 7, "t0"))
+        handle(broker, "local", sn.Subscribe(8, "fresh"))
         last = [sn.decode_packet(raw) for raw in replies[-4:]]
         assert last == [
             sn.Regack(0xFFFF, 0xFFFF),
@@ -411,10 +416,11 @@ class TestGatedEgress:
         sub = Client(net, "s")
         ids = sub.join(["common"])
         broker.gate.capacity = 1
-        broker.handle("s", sn.Register(0, 1, "alpha"))  # fills the gate
-        broker.handle("s", sn.Register(0, 2, "beta"))   # its reply drops
+        handle(broker, "s", sn.Register(0, 1, "alpha"))  # fills the gate
+        handle(broker, "s", sn.Register(0, 2, "beta"))   # its reply drops
         assert broker.first_overflow is None
-        broker.handle("p", sn.Publish(ids["common"], b"x"))  # so does the copy
+        # so does the copy
+        handle(broker, "p", sn.Publish(ids["common"], b"x"))
         assert broker.gate.dropped == 2
         assert net.trace.query(kind="drop-buffer") == [
             TraceRecord(sim.now, BROKER, "s", "drop-buffer", 7, ""),
@@ -438,8 +444,8 @@ class TestGatedEgress:
 
     def test_retransmission_of_a_queued_reply_is_not_queued_again(self):
         sim, broker, client = self._registered()
-        broker.handle("c", sn.Register(0, 1, "alpha"))
-        broker.handle("c", sn.Register(0, 1, "alpha"))  # REGACK still queued
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 1, "alpha"))  # REGACK still queued
         assert len(broker.gate) == 1
         assert broker.duplicate_replies == 1
         sim.run_until_idle()
@@ -447,28 +453,28 @@ class TestGatedEgress:
 
     def test_retransmission_after_departure_is_answered_again(self):
         sim, broker, client = self._registered()
-        broker.handle("c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
         sim.run_until_idle()
-        broker.handle("c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
         sim.run_until_idle()
         assert self._regacks(client) == [sn.Regack(1, 1)] * 2
         assert broker.duplicate_replies == 0
 
     def test_tail_dropped_reply_is_answered_on_retransmission(self):
         sim, broker, client = self._registered(radio_buffer_capacity=1)
-        broker.handle("c", sn.Register(0, 1, "alpha"))
-        broker.handle("c", sn.Register(0, 2, "beta"))  # finds the gate full
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 2, "beta"))  # finds the gate full
         assert broker.gate.dropped == 1
         sim.run_until_idle()
-        broker.handle("c", sn.Register(0, 2, "beta"))
+        handle(broker, "c", sn.Register(0, 2, "beta"))
         sim.run_until_idle()
         assert self._regacks(client) == [sn.Regack(1, 1), sn.Regack(2, 2)]
         assert broker.duplicate_replies == 0
 
     def test_local_client_duplicate_replies_are_all_sent(self):
         sim, broker, client = self._registered(local_clients={"c"})
-        broker.handle("c", sn.Register(0, 1, "alpha"))
-        broker.handle("c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
+        handle(broker, "c", sn.Register(0, 1, "alpha"))
         sim.run_until_idle()
         assert self._regacks(client) == [sn.Regack(1, 1)] * 2
         assert broker.duplicate_replies == 0
@@ -478,9 +484,9 @@ class TestGatedEgress:
         broker = Broker(net, BROKER)
         sub = Client(net, "s")
         ids = sub.join(["common"])
-        broker.handle("p", sn.Connect("p"))
-        broker.handle("p", sn.Publish(ids["common"], b"beat"))
-        broker.handle("p", sn.Publish(ids["common"], b"beat"))
+        handle(broker, "p", sn.Connect("p"))
+        handle(broker, "p", sn.Publish(ids["common"], b"beat"))
+        handle(broker, "p", sn.Publish(ids["common"], b"beat"))
         assert len(broker.gate) == 3  # the CONNACK and both copies
         sim.run_until_idle()
         assert [p.data for _, p in sub.publishes()] == [b"beat", b"beat"]

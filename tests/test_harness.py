@@ -1,5 +1,7 @@
 """Harness tests: config, runners, reports, CLI, reproducibility."""
 import csv
+import functools
+import io
 
 import pytest
 
@@ -14,7 +16,13 @@ from romano.harness.experiments import (decode_probe, encode_probe,
                                         run_scalability, run_throughput)
 from romano.harness.world import World, WorldNotReady, robot_addr
 from romano.node import READY
-from romano.simnet import LinkModel, WireTrace
+from romano.simnet import LinkModel, Simulator, WireTrace
+
+
+# Scenario keys that no run set to a second value; each is now a constant.
+REMOVED_KEYS = ["heartbeat_period_us", "rssi_p0_dbm", "rssi_d0_mm",
+                "rssi_exponent", "rssi_threshold_dbm", "dispersal_stride_mm",
+                "dispersal_interval_us", "max_rounds", "bridge_latency_us"]
 
 
 class TestConfig:
@@ -67,23 +75,30 @@ class TestConfig:
         {"rate_mps": float("nan")},
         {"rate_mps": float("inf")},
         {"rate_mps": 1e-300},
-        {"rssi_p0_dbm": float("-inf")},
-        {"rssi_d0_mm": 0.0},
-        {"rssi_exponent": 0.0},
         {"initial_separation_mm": 0.0},
-        {"dispersal_interval_us": 0},
         {"bridge_topics": ","},
         {"n_messages": 0},
-        {"dispersal_stride_mm": 0.0},
-        {"dispersal_stride_mm": 0.5},
-        {"dispersal_stride_mm": -50.0},
-        {"dispersal_stride_mm": 70_000.0},
         {"bridge_topics": "squad-remote," + "x" * 247},
         {"bridge_topics": "\u00e9" * 124},
+        {"n_robots": -1},
+        {"latency_hi_us": -1},
+        {"radio_buffer_capacity": -1},
+        {"ready_deadline_us": -1},
+        {"loss_prob": float("nan")},
+        {"initial_separation_mm": float("inf")},
+        {"initial_separation_mm": -300.0},
+        {"bridge_topics": ""},
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
             build_config(overrides)
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_scenario_text(f"{key} = 1")
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            build_config({key: 1})
 
 
 class TestProbeMath:
@@ -212,13 +227,13 @@ class TestThroughput:
     def test_same_seed_reproduces_exactly(self):
         first = run_throughput(SMALL)
         second = run_throughput(SMALL)
-        assert first.trace.lines() == second.trace.lines()
+        assert list(first.trace.records) == list(second.trace.records)
         assert report.throughput_rows(first) == report.throughput_rows(second)
 
     def test_different_seed_differs(self):
         other = run_throughput(SMALL.replace(seed=8))
         base = run_throughput(SMALL)
-        assert base.trace.lines() != other.trace.lines()
+        assert list(base.trace.records) != list(other.trace.records)
 
 
 class TestScalability:
@@ -258,7 +273,7 @@ class TestReport:
         assert table[0] == report.THROUGHPUT_HEADER
         assert len(table) == 1 + SMALL.n_robots + 1
         trace_lines = (out / "wire_trace.log").read_text().splitlines()
-        assert trace_lines == res.trace.lines()
+        assert trace_lines == [r.line() for r in res.trace.records]
         with open(out / "pose_trace.csv", newline="") as fh:
             poses = list(csv.reader(fh))
         assert poses[0] == report.POSE_HEADER
@@ -291,9 +306,12 @@ class TestTraceLog:
 
     def test_lines_match_records(self):
         trace = _every_kind_trace(5)
-        assert trace.lines() == [r.line() for r in trace.records]
-        assert trace.lines()[2:4] == ["14\tb\ta\tdrop-link\t70000\t",
-                                      "8589934592\ta\tc\tdrop-buffer\t2\t"]
+        out = io.StringIO()
+        trace.write(out)
+        lines = out.getvalue().splitlines()
+        assert lines == [r.line() for r in trace.records]
+        assert lines[2:4] == ["14\tb\ta\tdrop-link\t70000\t",
+                              "8589934592\ta\tc\tdrop-buffer\t2\t"]
 
     def test_run_dir_log_holds_every_record_under_its_heading(self, tmp_path):
         traces = {"cell 1": _every_kind_trace(5), "": _every_kind_trace(7)}
@@ -401,7 +419,6 @@ class TestCli:
         assert "ratio 1.000000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line", [
-        "heartbeat_period_us = -1",
         "latency_lo_us = -20000",
         "dispatch_interval_us = -1",
         "radio_tx_interval_us = -1",
@@ -451,16 +468,8 @@ class TestCli:
     @pytest.mark.parametrize("demo, line, error", [
         ("dispersal", "initial_separation_mm = 0",
          "initial_separation_mm must be positive"),
-        ("dispersal", "rssi_d0_mm = 0", "rssi_d0_mm must be positive"),
-        ("dispersal", "rssi_exponent = 0", "rssi_exponent must be positive"),
         ("bridge", "bridge_topics = ,",
          "bridge_topics must name at least one topic"),
-        ("dispersal", "dispersal_stride_mm = 70000",
-         "dispersal_stride_mm must be a whole number in [1, 65535]"),
-        ("dispersal", "dispersal_stride_mm = -50",
-         "dispersal_stride_mm must be a whole number in [1, 65535]"),
-        ("dispersal", "dispersal_stride_mm = 0.5",
-         "dispersal_stride_mm must be a whole number in [1, 65535]"),
         ("group-control", "n_messages = 0", "n_messages must be positive"),
         pytest.param(
             "bridge", "bridge_topics = " + "x" * 247,
@@ -483,6 +492,56 @@ class TestCli:
         code = self.run("demo", "--demo", "bridge", "--scenario",
                         str(scenario), "--out-dir", str(tmp_path / "run"))
         assert code == 0
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_scenario_key_exits_2_before_the_world_is_built(
+            self, tmp_path, capsys, monkeypatch, key):
+        # A world with heartbeats never drains to idle, so none may be
+        # built.
+        monkeypatch.setattr("romano.harness.cli.World", pytest.fail)
+        scenario = tmp_path / "old.scenario"
+        scenario.write_text(f"{key} = 1000000\n")
+        code = self.run("command", "--control", "front", "--robots", "2",
+                        "--scenario", str(scenario),
+                        "--out-dir", str(tmp_path / "old"))
+        assert code == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "old").exists()
+
+    @pytest.mark.parametrize("flag", [["--rate", "10"], ["--messages", "5"],
+                                      ["--payload", "32"]],
+                             ids=lambda flag: flag[0][2:])
+    @pytest.mark.parametrize("argv", [["demo", "--demo", "group-control"],
+                                      ["command", "--control", "front"]],
+                             ids=lambda argv: argv[0])
+    def test_probe_flag_of_a_run_without_probes_exits_2(
+            self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, *flag, "--out-dir", str(tmp_path / "run"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_rate_is_its_grid(self, tmp_path, capsys):
+        # --rate abbreviates --rates, so it sets the whole grid
+        code = self.run("sweep", "--rate", "300", "--messages", "5",
+                        "--robots", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "rate-300-seed-1"]
+
+    def test_spent_event_budget_exits_1_with_an_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        budget = functools.partialmethod(Simulator.run_until_idle,
+                                         max_events=100)
+        monkeypatch.setattr(Simulator, "run_until_idle", budget)
+        code = self.run("throughput", "--robots", "2", "--messages", "50",
+                        "--out-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: event budget of 100 events spent before the"
+                       " simulation went idle\n")
+        assert not (tmp_path / "run").exists()
 
     def test_bad_scenario_key_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "bad.scenario"

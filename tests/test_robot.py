@@ -197,14 +197,14 @@ class TestLeaderScript:
         assert gaps == [200_000] * (len(SQUARE_PATH) - 1)
 
 
-def dispersal_pair(separation_mm, latency_us=5_000, **ctrl_kw):
+def dispersal_pair(separation_mm, latency_us=5_000):
     """Two ready robots facing away on the x axis, controllers attached."""
     poses = [Pose(0.0, 0.0, 180.0), Pose(separation_mm, 0.0, 0.0)]
     rig = SwarmRig(n=2, latency_us=latency_us, poses=poses)
     a, b = rig.robots
     rig.net.set_link_pair(*rig.addrs, LinkModel.fixed(latency_us))
-    ctrl_a = DispersalController(a, b, **ctrl_kw)
-    ctrl_b = DispersalController(b, a, **ctrl_kw)
+    ctrl_a = DispersalController(a, b)
+    ctrl_b = DispersalController(b, a)
     return rig, ctrl_a, ctrl_b
 
 

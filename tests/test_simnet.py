@@ -240,6 +240,13 @@ class TestEventLoop:
             sim.run_until_idle(max_events=1000)
 
 
+def _log_lines(trace: WireTrace) -> list[str]:
+    """The lines ``WireTrace.write`` streams to the log."""
+    out = io.StringIO()
+    trace.write(out)
+    return out.getvalue().splitlines()
+
+
 def _collector():
     seen = []
 
@@ -463,7 +470,7 @@ class TestDeterminism:
             sim.at(i * 1_000, lambda dst=dst, i=i: net.send(
                 "a", dst, bytes([i % 256]), topic="t"))
         sim.run_until_idle()
-        return net.trace.lines()
+        return _log_lines(net.trace)
 
     def test_same_seed_identical_trace(self):
         assert self._run(42) == self._run(42)
@@ -508,7 +515,7 @@ class TestWireTrace:
         net.attach("b", lambda s, d: None)
         net.send("a", "b", b"xyz", topic="demo")
         sim.run_until_idle()
-        assert net.trace.lines() == [
+        assert _log_lines(net.trace) == [
             "0\ta\tb\tsend\t3\tdemo",
             "1000\ta\tb\tdeliver\t3\tdemo",
         ]
@@ -553,7 +560,7 @@ class TestWireTrace:
         net.attach("b", lambda s, d: None)
         sim.call_at(late, net.send, "a", "b", bytes(70_000))
         sim.run_until_idle()
-        assert net.trace.lines() == [
+        assert _log_lines(net.trace) == [
             "{}\ta\tb\tsend\t70000\t".format(late),
             "{}\ta\tb\tdeliver\t70000\t".format(late + 1),
         ]
@@ -659,7 +666,7 @@ class TestTraceColumns:
         assert list(trace.records) == want
         assert [trace.records[i] for i in range(len(want))] == want
         lines = ["\t".join(map(str, row)) for row in want]
-        assert trace.lines() == lines
+        assert [r.line() for r in trace.records] == lines
         out = io.StringIO()
         trace.write(out)
         assert out.getvalue() == "".join(line + "\n" for line in lines)
