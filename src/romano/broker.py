@@ -18,7 +18,8 @@ A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
 been lost on the link.  Fan-out copies are never suppressed.  Each is a
-plain QoS 0 PUBLISH (flags octet 0x00, msg id 0); a PUBLISH that arrived
+plain QoS 0 PUBLISH (flags octet 0x00, msg id 0), so a SUBACK grants QoS
+0 whatever the SUBSCRIBE asked for; a PUBLISH that arrived
 in that form is forwarded as its received octets, and any other, or one
 handed to ``handle`` without them, is framed anew.  Inbound frames
 decode through ``mqttsn.decode_shared``, so a frame the broker forwards
@@ -211,7 +212,7 @@ class Broker:
         if src not in topic.subscribers:
             topic.subscribers[src] = None
             session.subscriptions.append(tid)
-        self._reply(src, sn.Suback(tid, pkt.msg_id, qos=pkt.qos))
+        self._reply(src, sn.Suback(tid, pkt.msg_id))  # grants QoS 0
 
     def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe, raw) -> None:
         tid = self._topic_ids.get(pkt.topic_name)

@@ -98,7 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ScenarioConfig:
-    file_overrides = load_scenario(args.scenario) if args.scenario else None
+    file_overrides = load_scenario(args.scenario) if args.scenario else {}
+    if args.command == "sweep":
+        for key, flag in (("seed", "--seeds"), ("rate_mps", "--rates")):
+            if key in file_overrides:
+                raise ConfigError(f"sweep takes {key} from {flag}, not from"
+                                  " a scenario file")
     # A flag the subcommand does not take is not in ``args``.
     cli = {
         "seed": getattr(args, "seed", None),

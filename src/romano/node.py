@@ -5,8 +5,9 @@ its IPv6 address as client id, subscribe to its own ROMANO-ID topic,
 publish a ConnectionRequest carrying its ID on "init-info", then wait
 up to 2 s for a ConnectionAck on its ID topic.  On timeout it republishes
 the request, indefinitely; only after the ack does it subscribe to
-"common" and become Ready.  A detected disconnect (an exhausted control
-exchange) drops the node back to Init and the whole sequence reruns.
+"common" and become Ready.  A dropped session (an exhausted control
+exchange or a rejected connect) puts the node back in Init; the
+session's own reconnect then reruns the whole sequence.
 
 Incoming ROMANO messages are dispatched by data type regardless of
 which topic delivered them.  A built-in MovementControl order goes
@@ -65,10 +66,6 @@ class RomanoNode:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        self._establish()
-
-    def _establish(self) -> None:
-        self.phase = INIT
         self.session.connect(on_ok=self._on_connected)
 
     def _on_connected(self) -> None:
@@ -107,8 +104,7 @@ class RomanoNode:
             self.on_ready()
 
     def _on_disconnect(self) -> None:
-        # Every failed exchange that ends the session lands here, a failed
-        # or rejected connect included, so this is the one recovery path.
+        # The session reconnects by itself; the node only drops its timers.
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
@@ -117,7 +113,6 @@ class RomanoNode:
             self._heartbeat_timer = None
         self.phase = INIT
         self.ready_time_us = None
-        self.sim.after(ACK_WAIT_US, self._establish)
 
     # -- application wiring ---------------------------------------------------------
 

@@ -13,8 +13,9 @@ Given a heartbeat period, the server also subscribes to "common" and
 evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
 same horizon a node uses to call a peer stale.
 
-The server outlives broker outages: a failed or dropped session is
-retried every RECONNECT_US.
+The server outlives broker outages as every client does: its session
+connects again after a drop, and the server runs again once that
+session holds "init-info".
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from typing import Optional
 
 from . import codec
 from .node import HEARTBEAT_STALE_PERIODS
-from .session import ClientSession
+from .session import ACTIVE, ClientSession
 from .simnet import Timer
 
 # 30 ids make a 242-octet message; the frame itself could hold 31, but
 # 2 + 31*8 = 250 octets would not fit the 248-octet publish data cap.
 MAX_IDS_PER_INFO = 30
-RECONNECT_US = 2_000_000
 CONNECTION_ACK = codec.encode_message(codec.ConnectionAck())
 
 
@@ -51,14 +51,16 @@ class RegistryServer:
         self.acks_sent = 0
         self.evicted = 0
         self.ignored = 0
-        self.running = False
         self._sweep_timer: Optional[Timer] = None
         session.on_message = self._on_romano
-        session.on_disconnect = self._on_session_drop
+
+    @property
+    def running(self) -> bool:
+        return (self.session.state == ACTIVE
+                and codec.TOPIC_INIT_INFO in self.session.topic_ids)
 
     def start(self) -> None:
         def subscribed() -> None:
-            self.running = True
             if self.heartbeat_period_us:
                 self.session.subscribe(codec.TOPIC_COMMON)
                 self._schedule_sweep()
@@ -66,12 +68,6 @@ class RegistryServer:
         self.session.connect(
             on_ok=lambda: self.session.subscribe(codec.TOPIC_INIT_INFO,
                                                  on_ok=subscribed))
-
-    def _on_session_drop(self) -> None:
-        # Any exhausted control exchange lands here, including a failed
-        # connect, so this is the single recovery path.
-        self.running = False
-        self.sim.after(RECONNECT_US, self.start)
 
     # -- message handling ------------------------------------------------------
 

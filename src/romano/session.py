@@ -8,6 +8,12 @@ control exchange or a rejected CONNECT drops the session, which is the
 only in-band failure signal a QoS 0 deployment gets.  A request that
 finds every msg id in flight fails at once, unsent.
 
+Reconnecting is the client's job (MQTT-SN v1.2 section 6.13), and the
+session does it for every owner: ``RECONNECT_US`` after any drop it
+connects again with the callbacks of its last ``connect``, unless it is
+no longer disconnected by then.  A session never told to connect stays
+down.
+
 The client identifier is the node's IPv6 address string, which is also
 its transport address on the simulated network.
 """
@@ -22,6 +28,7 @@ from .simnet import Network, NoLink, Timer
 
 T_RETRY_US = 500_000
 N_RETRY = 3
+RECONNECT_US = 2_000_000
 
 DISCONNECTED = "disconnected"
 CONNECTING = "connecting"
@@ -59,11 +66,9 @@ class _Exchange:
     kind: str
     key: Optional[int]                # msg id or CONNECT_KEY; None: no id free
     topic: Optional[str]
-    on_ok: Optional[Callable]
-    on_fail: Optional[Callable[[Exception], None]]
+    waiters: list                     # (on_ok, on_fail) pairs, either None
     retries_left: int = N_RETRY
     timer: Optional[Timer] = None
-    waiters: Optional[list] = None    # register: (proceed, on_fail) pairs
     frame: bytes = b""                # the request's octets, once sent
 
     def __str__(self) -> str:
@@ -89,18 +94,25 @@ class ClientSession:
         self.retransmits = 0
         self._pending: dict[int, _Exchange] = {}
         self._next_msg_id = 1
+        self._rejoin: Optional[tuple] = None  # last connect's callbacks
         network.attach(client_id, self._on_datagram)
 
     # -- connection -----------------------------------------------------------
 
     def connect(self, on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
+        """Connect; ``on_ok`` runs after every accepted CONNACK, this one
+        and each that a reconnect after a drop brings."""
         if CONNECT_KEY in self._pending:
             return
+        self._rejoin = (on_ok, on_fail)
         self.state = CONNECTING
-        request = sn.Connect(self.client_id)
-        self._start(_Exchange("connect", CONNECT_KEY, None, on_ok, on_fail),
-                    request)
+        self._start(_Exchange("connect", CONNECT_KEY, None, [self._rejoin]),
+                    sn.Connect(self.client_id))
+
+    def _reconnect(self) -> None:
+        if self.state == DISCONNECTED:
+            self.connect(*self._rejoin)
 
     # -- subscriptions ----------------------------------------------------------
 
@@ -109,7 +121,7 @@ class ClientSession:
                   ) -> None:
         msg_id = self._take_msg_id()
         request = sn.Subscribe(msg_id, topic)
-        self._start(_Exchange("subscribe", msg_id, topic, on_ok, on_fail),
+        self._start(_Exchange("subscribe", msg_id, topic, [(on_ok, on_fail)]),
                     request)
 
     def unsubscribe(self, topic: str, on_ok: Optional[Callable] = None,
@@ -117,8 +129,8 @@ class ClientSession:
                     ) -> None:
         msg_id = self._take_msg_id()
         request = sn.Unsubscribe(msg_id, topic)
-        self._start(_Exchange("unsubscribe", msg_id, topic, on_ok, on_fail),
-                    request)
+        self._start(_Exchange("unsubscribe", msg_id, topic,
+                              [(on_ok, on_fail)]), request)
 
     # -- publishing --------------------------------------------------------------
 
@@ -133,36 +145,22 @@ class ClientSession:
                 "QoS {} not supported, use 0 or 1".format(qos))
         topic_id = self.topic_ids.get(topic)
         if topic_id is None:
-            # Encoded now under topic id 0; the REGACK's id goes in octets
-            # 3-4 of a QoS 0 frame.
-            raw = sn.encode_packet(sn.Publish(0, data, qos=qos))
-
-            def registered(tid: int) -> None:
-                if qos:
-                    self._publish_now(tid, topic, data, on_ok, on_fail)
-                    return
-                self._send(raw[:3] + tid.to_bytes(2, "big") + raw[5:], topic)
-                if on_ok is not None:
-                    on_ok()
-
-            self._register_then(topic, registered, on_fail)
+            # Encoded now, under topic id 0, only so a bad one raises here;
+            # once registered, the publish goes out under the granted id.
+            sn.encode_packet(sn.Publish(0, data, qos=qos))
+            self._register_then(topic, lambda: self.publish(
+                topic, data, qos, on_ok, on_fail), on_fail)
         elif qos:
-            self._publish_now(topic_id, topic, data, on_ok, on_fail)
+            msg_id = self._take_msg_id()
+            request = sn.Publish(topic_id, data, msg_id, qos=1)
+            self._start(_Exchange("publish", msg_id, topic,
+                                  [(on_ok, on_fail)]), request)
         else:
             self._send(sn.encode_publish(topic_id, data), topic)
             if on_ok is not None:
                 on_ok()
 
-    def _publish_now(self, topic_id: int, topic: str, data: bytes,
-                     on_ok: Optional[Callable],
-                     on_fail: Optional[Callable[[Exception], None]]) -> None:
-        """Start a QoS 1 PUBLISH exchange."""
-        msg_id = self._take_msg_id()
-        request = sn.Publish(topic_id, data, msg_id, qos=1)
-        self._start(_Exchange("publish", msg_id, topic, on_ok, on_fail),
-                    request)
-
-    def _register_then(self, topic: str, proceed: Callable[[int], None],
+    def _register_then(self, topic: str, proceed: Callable[[], None],
                        on_fail: Optional[Callable[[Exception], None]]) -> None:
         for exchange in self._pending.values():
             if exchange.kind == "register" and exchange.topic == topic:
@@ -170,8 +168,8 @@ class ClientSession:
                 return
         msg_id = self._take_msg_id()
         request = sn.Register(0, msg_id, topic)
-        self._start(_Exchange("register", msg_id, topic, None, None,
-                              waiters=[(proceed, on_fail)]), request)
+        self._start(_Exchange("register", msg_id, topic, [(proceed, on_fail)]),
+                    request)
 
     # -- inbound -----------------------------------------------------------------
 
@@ -218,16 +216,13 @@ class ClientSession:
             return
         if kind == "connect":
             self.state = ACTIVE
-        elif kind == "register":
-            self._learn_topic(exchange.topic, pkt.topic_id)
-            for proceed, _ in exchange.waiters:
-                proceed(pkt.topic_id)
-        elif kind == "subscribe":
+        elif kind == "register" or kind == "subscribe":
             self._learn_topic(exchange.topic, pkt.topic_id)
         elif kind == "unsubscribe" and exchange.topic in self.topic_ids:
             self.topic_names.pop(self.topic_ids.pop(exchange.topic))
-        if exchange.on_ok is not None:
-            exchange.on_ok()
+        for on_ok, _ in exchange.waiters:
+            if on_ok is not None:
+                on_ok()
 
     # -- retransmission -------------------------------------------------------------
 
@@ -262,12 +257,9 @@ class ClientSession:
             self._drop_session()
 
     def _fail(self, exchange: _Exchange, err: SessionError) -> None:
-        if exchange.waiters is not None:
-            for _, on_fail in exchange.waiters:
-                if on_fail is not None:
-                    on_fail(err)
-        elif exchange.on_fail is not None:
-            exchange.on_fail(err)
+        for _, on_fail in exchange.waiters:
+            if on_fail is not None:
+                on_fail(err)
 
     def _drop_session(self) -> None:
         self.state = DISCONNECTED
@@ -278,6 +270,8 @@ class ClientSession:
         self.topic_names.clear()
         if self.on_disconnect is not None:
             self.on_disconnect()
+        if self._rejoin is not None:
+            self.sim.after(RECONNECT_US, self._reconnect)
 
     # -- plumbing -----------------------------------------------------------------
 

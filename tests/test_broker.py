@@ -271,6 +271,32 @@ class TestSessions:
         assert isinstance(pkt, sn.Suback)
         assert pkt.return_code == sn.ReturnCode.REJECTED_NOT_SUPPORTED
 
+    def test_suback_grants_qos_0_to_a_qos_1_subscribe(self):
+        # every fan-out copy goes at QoS 0, so that is the QoS granted
+        sim, net = make_net()
+        Broker(net, BROKER)
+        client = Client(net, "s")
+        client.send(sn.Connect("s"))
+        sim.run_until_idle()
+        raw = []
+        net.attach("s", lambda src, data: raw.append(data))
+        client.send(sn.Subscribe(1, "common", qos=1))
+        sim.run_until_idle()
+        frame, = raw
+        assert frame[1] == sn.MsgType.SUBACK and frame[2] == 0x00
+        assert sn.decode_packet(frame).return_code == sn.ReturnCode.ACCEPTED
+
+    def test_a_reply_type_sent_to_the_broker_is_a_bad_packet(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        client = Client(net, "c")
+        client.send(sn.Connect("c"))
+        sim.run_until_idle()
+        client.inbox.clear()
+        client.send(sn.Connack())
+        sim.run_until_idle()
+        assert broker.bad_packets == 1 and client.inbox == []
+
     def test_clean_session_wipes_subscriptions(self):
         sim, net = make_net()
         broker = Broker(net, BROKER)

@@ -10,13 +10,15 @@ from romano.harness import report
 from romano.harness.cli import main
 from romano.harness.config import (ConfigError, ScenarioConfig, build_config,
                                    parse_scenario_text)
-from romano.harness.demos import DEMOS, run_group_control
+from romano.harness.demos import DEMOS, BridgedWorld, run_group_control
 from romano.harness.experiments import (decode_probe, encode_probe,
                                         linear_fit, publish_times,
                                         run_scalability, run_throughput)
 from romano.harness.world import World, WorldNotReady, robot_addr
 from romano.node import READY
 from romano.simnet import LinkModel, Simulator, WireTrace
+
+from faults import Swallow
 
 
 # Scenario keys that no run set to a second value; each is now a constant.
@@ -164,6 +166,20 @@ class TestWorld:
                                         world.sim.now + 60 * 10**6)
         assert all(node.phase == READY for node in world.nodes[1:])
         assert not world.ready()
+
+    @pytest.mark.parametrize("world_class", [World, BridgedWorld],
+                             ids=lambda cls: cls.__name__)
+    def test_every_client_rejoins_after_a_broker_outage_at_boot(
+            self, world_class):
+        # The first cell's broker hears nothing for 3 s, so every client
+        # there (robots, registry, commander and, bridged, its relay)
+        # drops its session at least once and has to connect again.
+        world = world_class(ScenarioConfig(n_robots=3, seed=1))
+        down = Swallow(world.net, world.broker.addr)
+        world.sim.at(3_000_000, down.lift)
+        world.start()
+        assert world.sim.run_until_true(world.ready, 30_000_000)
+        assert world.sim.now > 3_000_000 and down.swallowed > 0
 
     def test_two_thousand_robots_form_within_the_default_deadline(self):
         # The broker queues no duplicate reply, so the gate carries
@@ -529,6 +545,21 @@ class TestCli:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
             "rate-300-seed-1"]
+
+    @pytest.mark.parametrize("line, flag", [("seed = 5", "--seeds"),
+                                            ("rate_mps = 20", "--rates")])
+    def test_sweep_grid_key_in_a_scenario_exits_2(self, tmp_path, capsys,
+                                                  line, flag):
+        scenario = tmp_path / "grid.scenario"
+        scenario.write_text(f"{line}\n")
+        code = self.run("sweep", "--scenario", str(scenario), "--rates", "10",
+                        "--robots", "1", "--messages", "5",
+                        "--out-dir", str(tmp_path / "sw"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and line.split()[0] in err
+        assert flag in err
+        assert not (tmp_path / "sw").exists()
 
     def test_spent_event_budget_exits_1_with_an_error_line(
             self, tmp_path, capsys, monkeypatch):

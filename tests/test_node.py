@@ -11,7 +11,7 @@ from romano import mqttsn as sn
 from romano.broker import Broker
 from romano.node import ACK_WAIT_US, AWAIT_ACK, INIT, READY, RomanoNode
 from romano.server import RegistryServer
-from romano.session import ClientSession
+from romano.session import RECONNECT_US, ClientSession
 from romano.simnet import LinkModel, Network, Simulator
 
 from faults import Swallow, connection_ack
@@ -151,7 +151,7 @@ class TestEstablishment:
             sn.Connack(sn.ReturnCode.REJECTED_CONGESTION)))
         rig.ready(node)
         connects = [t for t, _ in rig.tap.from_src(NODE_1, sn.Connect)]
-        assert connects == [LATENCY_US + ACK_WAIT_US + LATENCY_US]
+        assert connects == [LATENCY_US + RECONNECT_US + LATENCY_US]
 
     def test_disconnect_returns_to_init_and_recovers(self):
         rig = Rig()
@@ -283,6 +283,27 @@ class TestDispatch:
         rig.sim.run_until_idle()
         assert list(got.values()) == [[msg] for msg in msgs]
         assert node.unknown_types == 1 and node.early_messages == 3
+
+    def test_roster_is_recorded_only_when_ready(self):
+        rig = Rig()
+        node = rig.add_node(NODE_1)
+        ack = Swallow(rig.net, NODE_1, connection_ack)
+        roster = codec.ConnectedNodesInfo(("00100002", "00100003"))
+        node.start()
+        rig.sim.run_until(1_000_000)
+        assert node.phase == AWAIT_ACK
+        rig.publish_to(node, roster)
+        rig.sim.run_until(rig.sim.now + 500_000)
+        assert node.early_messages == 1 and node.neighbors == {}
+        ack.lift()
+        rig.ready(node)
+        node.neighbors["00100002"] = 7   # a peer heard before keeps its time
+        sent_at = rig.sim.now
+        rig.publish_to(node, roster)
+        rig.sim.run_until_idle()
+        assert node.neighbors == {"00100002": 7,
+                                  "00100003": sent_at + LATENCY_US}
+        assert node.early_messages == 1
 
     def test_stray_ack_after_ready_is_counted(self):
         rig = Rig()

@@ -3,8 +3,9 @@ import pytest
 
 from romano import codec
 from romano.broker import Broker
-from romano.server import MAX_IDS_PER_INFO, RECONNECT_US, RegistryServer
-from romano.session import ACTIVE, N_RETRY, T_RETRY_US, ClientSession
+from romano.server import MAX_IDS_PER_INFO, RegistryServer
+from romano.session import (
+    ACTIVE, N_RETRY, RECONNECT_US, T_RETRY_US, ClientSession)
 from romano.simnet import LinkModel, Network, Simulator
 
 from faults import Swallow
@@ -94,6 +95,18 @@ class TestJoins:
         rig.settle()
         assert rig.server.ignored == 2
         assert rig.server.registry == {}
+
+
+    @pytest.mark.parametrize("msg", [
+        codec.NormalData(b"x"), codec.ConnectionAck(),
+        codec.ConnectedNodesInfo(("00100001",))],
+        ids=lambda msg: type(msg).__name__)
+    def test_a_type_the_server_does_not_handle_is_ignored(self, msg):
+        rig = Rig()
+        rig.probe.publish(codec.TOPIC_INIT_INFO, codec.encode_message(msg))
+        rig.settle()
+        assert rig.server.ignored == 1
+        assert rig.server.registry == {} and rig.server.acks_sent == 0
 
 
 class TestRoster:

@@ -15,8 +15,10 @@ from romano.session import (
     ACTIVE,
     BrokerReject,
     ClientSession,
+    CONNECTING,
     DISCONNECTED,
     N_RETRY,
+    RECONNECT_US,
     RetriesExhausted,
     SessionError,
     T_RETRY_US,
@@ -39,6 +41,7 @@ class StubBroker:
         self.log: list[tuple[int, sn.SnPacket]] = []
         self.topic_ids: dict[str, int] = {}
         self.mute: set = set()          # packet classes to ignore
+        self.connack_codes: list = []   # for the next CONNECTs, then 0
         net.attach(addr, self._on_datagram)
 
     def _topic_id(self, name: str) -> int:
@@ -51,7 +54,8 @@ class StubBroker:
             return
         reply = None
         if isinstance(pkt, sn.Connect):
-            reply = sn.Connack()
+            reply = sn.Connack(self.connack_codes.pop(0)
+                               if self.connack_codes else 0)
         elif isinstance(pkt, sn.Register):
             reply = sn.Regack(self._topic_id(pkt.topic_name), pkt.msg_id)
         elif isinstance(pkt, sn.Subscribe):
@@ -85,6 +89,19 @@ def connect(sim, session) -> None:
     assert session.state == ACTIVE
 
 
+# A session that drops at (N_RETRY + 1) * T_RETRY_US after a request,
+# when its last retry wait runs out, connects again RECONNECT_US later.
+EXHAUSTED_US = (N_RETRY + 1) * T_RETRY_US
+
+
+def run_until_drop(sim, session, deadline_us: int) -> None:
+    """Run until the session drops, then on to just before the reconnect
+    the drop schedules, so nothing after the drop is cut short."""
+    assert sim.run_until_true(lambda: session.state == DISCONNECTED,
+                              deadline_us)
+    sim.run_until(sim.now + RECONNECT_US - 1)
+
+
 class TestConnect:
     def test_connack_activates(self):
         sim, net, stub, session = make_session()
@@ -103,7 +120,7 @@ class TestConnect:
         stub_reply = lambda: stub.push(CLIENT, sn.Connack(
             sn.ReturnCode.REJECTED_NOT_SUPPORTED))
         sim.after(10, stub_reply)
-        sim.run_until_idle()
+        run_until_drop(sim, session, 10)
         assert session.state == DISCONNECTED
         assert isinstance(errors[0], BrokerReject)
 
@@ -117,9 +134,10 @@ class TestConnect:
         stub.mute.add(sn.Connect)
         session.connect()
         stub.push(CLIENT, sn.Connack(sn.ReturnCode.REJECTED_CONGESTION))
-        sim.run_until_idle()
+        assert sim.run_until_true(lambda: lost, sim.now)
         assert lost == [sim.now] and session.state == DISCONNECTED
         assert session.topic_ids == {}
+        sim.run_until(sim.now + RECONNECT_US - 1)
         assert len(stub.sends(sn.Connect)) == 2  # the retry timer is gone
 
     def test_unexpected_connack_is_stray(self):
@@ -128,6 +146,56 @@ class TestConnect:
         stub.push(CLIENT, sn.Connack())
         sim.run_until_idle()
         assert session.stray_packets == 1 and session.state == ACTIVE
+
+
+class TestReconnect:
+    def test_a_rejected_connect_goes_out_again_with_the_same_callbacks(self):
+        sim, net, stub, session = make_session()
+        stub.connack_codes = [sn.ReturnCode.REJECTED_CONGESTION] * 2
+        oks, errors = [], []
+        session.connect(on_ok=lambda: oks.append(sim.now),
+                        on_fail=errors.append)
+        sim.run_until_idle()
+        assert [t for t, _ in stub.sends(sn.Connect)] == [
+            0, RECONNECT_US, 2 * RECONNECT_US]
+        assert [type(e) for e in errors] == [BrokerReject] * 2
+        assert oks == [2 * RECONNECT_US] and session.state == ACTIVE
+
+    def test_on_ok_runs_after_every_accepted_connack(self):
+        sim, net, stub, session = make_session()
+        oks = []
+        session.connect(on_ok=lambda: oks.append(sim.now))
+        sim.run_until_idle()
+        stub.mute.add(sn.Subscribe)
+        session.subscribe("common")   # exhausts its retries: a drop
+        sim.run_until_idle()
+        assert oks == [0, EXHAUSTED_US + RECONNECT_US]
+        assert session.state == ACTIVE
+
+    @pytest.mark.parametrize("state", [ACTIVE, CONNECTING])
+    def test_a_reconnect_due_once_connected_again_sends_nothing(self, state):
+        sim, net, stub, session = make_session()
+        stub.connack_codes = [sn.ReturnCode.REJECTED_CONGESTION]
+        session.connect()
+        sim.run_until(RECONNECT_US // 2)   # dropped at 0
+        assert session.state == DISCONNECTED
+        if state == CONNECTING:
+            stub.mute.add(sn.Connect)
+        session.connect()   # before the reconnect is due
+        sim.run_until(RECONNECT_US)
+        assert session.state == state
+        sent = [t for t, _ in stub.sends(sn.Connect)]
+        resent = range(RECONNECT_US // 2 + T_RETRY_US, RECONNECT_US + 1,
+                       T_RETRY_US) if state == CONNECTING else []
+        assert sent == [0, RECONNECT_US // 2, *resent]
+
+    def test_a_session_never_connected_does_not_reconnect(self):
+        sim, net, stub, session = make_session()
+        stub.mute.add(sn.Subscribe)
+        session.subscribe("common")
+        sim.run_until_idle()
+        assert stub.sends(sn.Connect) == []
+        assert session.state == DISCONNECTED
 
 
 class TestPublishPath:
@@ -231,7 +299,7 @@ class TestRetransmission:
         errors = []
         session.publish("t", b"a", on_fail=errors.append)
         session.publish("t", b"b", on_fail=errors.append)
-        sim.run_until_idle()
+        run_until_drop(sim, session, sim.now + EXHAUSTED_US)
         assert len(stub.sends(sn.Register)) == N_RETRY + 1
         assert [type(e) for e in errors] == [RetriesExhausted] * 2
         assert stub.sends(sn.Publish) == []
@@ -261,7 +329,7 @@ class TestRetransmission:
         session.on_disconnect = lambda: lost.append(sim.now)
         errors = []
         session.subscribe("common", on_fail=errors.append)
-        sim.run_until_idle()
+        run_until_drop(sim, session, EXHAUSTED_US)
         assert isinstance(errors[0], RetriesExhausted)
         assert session.state == DISCONNECTED
         # the last retransmission still gets a full reply window
@@ -303,7 +371,8 @@ class TestRetransmission:
 
         net.attach(BROKER, tap)
         start()
-        sim.run_until_idle()
+        # the last retry wait ends short of any reconnect
+        sim.run_until(sim.now + EXHAUSTED_US + RECONNECT_US - 1)
         first, *resent = frames
         request = sn.decode_packet(first)
         if kind in (sn.Subscribe, sn.Publish):
@@ -356,7 +425,7 @@ class TestUnencodableRequests:
         # A later session drop finds no half-made exchange to cancel.
         stub.mute.add(sn.Subscribe)
         session.subscribe("t")
-        sim.run_until_idle()
+        run_until_drop(sim, session, EXHAUSTED_US)
         assert session.state == DISCONNECTED and session._pending == {}
 
     def test_oversize_publish_to_a_fresh_topic_fails_at_the_call(self):
