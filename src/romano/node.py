@@ -7,7 +7,10 @@ up to 2 s for a ConnectionAck on its ID topic.  On timeout it republishes
 the request, indefinitely; only after the ack does it subscribe to
 "common" and become Ready.  A dropped session (an exhausted control
 exchange or a rejected connect) puts the node back in Init; the
-session's own reconnect then reruns the whole sequence.
+session's own reconnect then reruns the whole sequence, and on Ready
+the node subscribes again to every topic an MqttSubscribe named and no
+later MqttUnsubscribe took back, since the broker's clean-session
+CONNECT forgot them.
 
 Incoming ROMANO messages are dispatched by data type regardless of
 which topic delivered them.  A built-in MovementControl order goes
@@ -60,6 +63,7 @@ class RomanoNode:
         self._extension_codes: frozenset[int] = frozenset()
         self._ack_timer: Optional[Timer] = None
         self._heartbeat_timer: Optional[Timer] = None
+        self._instructed: dict[str, None] = {}  # subscribed on instruction
         session.on_message = self._on_romano
         session.on_disconnect = self._on_disconnect
 
@@ -98,6 +102,8 @@ class RomanoNode:
     def _on_ready(self) -> None:
         self.phase = READY
         self.ready_time_us = self.sim.now
+        for topic in self._instructed:  # empty until a rejoin
+            self.session.subscribe(topic)
         if self.heartbeat_period_us:
             self._schedule_heartbeat()
         if self.on_ready is not None:
@@ -186,6 +192,14 @@ class RomanoNode:
         for romano_id in msg.romano_ids:
             self.neighbors.setdefault(romano_id, self.sim.now)
 
+    def _on_subscribe(self, msg: codec.MqttSubscribe) -> None:
+        self._instructed[msg.topic] = None
+        self.session.subscribe(msg.topic)
+
+    def _on_unsubscribe(self, msg: codec.MqttUnsubscribe) -> None:
+        self._instructed.pop(msg.topic, None)
+        self.session.unsubscribe(msg.topic)
+
     def enqueue_movement(self, msg: codec.MovementControl) -> None:
         """Hand a movement order on exactly as a received one would be."""
         # The built-in control types are 0..5, each with a 2-octet magnitude.
@@ -205,10 +219,8 @@ class RomanoNode:
     _HANDLERS = {
         codec.Heartbeat: _on_heartbeat,
         codec.ConnectedNodesInfo: _on_roster,
-        codec.MqttSubscribe:
-            lambda self, msg: self.session.subscribe(msg.topic),
-        codec.MqttUnsubscribe:
-            lambda self, msg: self.session.unsubscribe(msg.topic),
+        codec.MqttSubscribe: _on_subscribe,
+        codec.MqttUnsubscribe: _on_unsubscribe,
         codec.MqttPublishRequest:
             lambda self, msg: self.session.publish(msg.topic, msg.data),
         codec.MovementControl: enqueue_movement,

@@ -7,7 +7,9 @@ with the ConnectionAck, encoded once, on the joiner's ID topic.  A
 RequestConnectedNodesInfo on "init-info" is answered on the requester's
 ID topic with the roster, split across messages of at most 30 IDs so
 each stays within the 255-octet frame.  Messages decode through
-``codec.decode_shared``, as at the nodes.
+``codec.decode_message``, not the shared memo the nodes use: nearly
+every frame the server hears is a one-off ConnectionRequest, and in the
+memo it would only evict the frames every node decodes.
 
 Given a heartbeat period, the server also subscribes to "common" and
 evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
@@ -73,7 +75,7 @@ class RegistryServer:
 
     def _on_romano(self, topic: str, data: bytes) -> None:
         try:
-            msg = codec.decode_shared(data, frozenset())
+            msg = codec.decode_message(data)
         except codec.CodecError:
             self.ignored += 1
             return

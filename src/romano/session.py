@@ -2,11 +2,22 @@
 
 Owns the topic name/id map and every in-flight exchange.  Exchanges
 that expect a reply (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, and
-QoS 1 PUBLISH) resend their frame every ``T_RETRY_US`` up to ``N_RETRY``
-times, a SUBSCRIBE or PUBLISH with its DUP flag set; an exhausted
-control exchange or a rejected CONNECT drops the session, which is the
-only in-band failure signal a QoS 0 deployment gets.  A request that
-finds every msg id in flight fails at once, unsent.
+QoS 1 PUBLISH) resend their frame up to ``N_RETRY`` times, a SUBSCRIBE
+or PUBLISH with its DUP flag set; an exhausted control exchange or a
+rejected CONNECT drops the session, which is the only in-band failure
+signal a QoS 0 deployment gets, and fails every other exchange still in
+flight.  A request that finds every msg id in flight fails at once,
+unsent.
+
+The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
+from the round trips of the session's own exchanges and clamped to
+[``T_RETRY_US``, ``RTO_MAX_US``], so it grows only while replies queue
+at the broker's gate.  An exchange keeps the ``rto_us`` of its first
+send for every resend, so a dead broker is noticed within
+``(N_RETRY + 1) * RTO_MAX_US``.  A reply samples the round trip from the
+exchange's last transmission: a lost frame then never inflates the
+timer, and a resend answered by a reply already queued reads short.  A
+drop starts the next session from ``T_RETRY_US``.
 
 Reconnecting is the client's job (MQTT-SN v1.2 section 6.13), and the
 session does it for every owner: ``RECONNECT_US`` after any drop it
@@ -27,6 +38,7 @@ from . import mqttsn as sn
 from .simnet import Network, NoLink, Timer
 
 T_RETRY_US = 500_000
+RTO_MAX_US = 1_000_000
 N_RETRY = 3
 RECONNECT_US = 2_000_000
 
@@ -70,6 +82,8 @@ class _Exchange:
     retries_left: int = N_RETRY
     timer: Optional[Timer] = None
     frame: bytes = b""                # the request's octets, once sent
+    rto: int = T_RETRY_US             # retry wait, fixed at the first send
+    sent_us: int = 0                  # time of the last transmission
 
     def __str__(self) -> str:
         if self.topic is None:
@@ -92,6 +106,9 @@ class ClientSession:
         self.send_failures = 0
         self.stray_packets = 0
         self.retransmits = 0
+        self.rto_us = T_RETRY_US
+        self._srtt: Optional[int] = None  # no round trip measured yet
+        self._rttvar = 0
         self._pending: dict[int, _Exchange] = {}
         self._next_msg_id = 1
         self._rejoin: Optional[tuple] = None  # last connect's callbacks
@@ -207,6 +224,7 @@ class ClientSession:
             return
         del self._pending[key]
         exchange.timer.cancel()
+        self._sample_rtt(self.sim.now - exchange.sent_us)
         code = getattr(pkt, "return_code", sn.ReturnCode.ACCEPTED)
         if code != sn.ReturnCode.ACCEPTED:
             self._fail(exchange, BrokerReject(
@@ -233,6 +251,7 @@ class ClientSession:
             return
         # An unencodable request raises here and leaves nothing pending.
         exchange.frame = sn.encode_packet(request)
+        exchange.rto = self.rto_us
         self._transmit(exchange)
         self._pending[exchange.key] = exchange
 
@@ -241,8 +260,19 @@ class ClientSession:
         if dup and exchange.kind in ("subscribe", "publish"):
             frame = frame[:2] + bytes((frame[2] | sn.FLAG_DUP,)) + frame[3:]
         self._send(frame, exchange.topic)
+        exchange.sent_us = self.sim.now
         exchange.timer = self.sim.after(
-            T_RETRY_US, lambda: self._on_retry_timeout(exchange))
+            exchange.rto, lambda: self._on_retry_timeout(exchange))
+
+    def _sample_rtt(self, rtt_us: int) -> None:
+        """RFC 6298 section 2 in integer us, with alpha 1/8, beta 1/4, K 4."""
+        if self._srtt is None:
+            self._srtt, self._rttvar = rtt_us, rtt_us // 2
+        else:
+            self._rttvar = (3 * self._rttvar + abs(self._srtt - rtt_us)) // 4
+            self._srtt = (7 * self._srtt + rtt_us) // 8
+        self.rto_us = min(max(self._srtt + 4 * self._rttvar, T_RETRY_US),
+                          RTO_MAX_US)
 
     def _on_retry_timeout(self, exchange: _Exchange) -> None:
         if exchange.retries_left > 0:
@@ -263,11 +293,16 @@ class ClientSession:
 
     def _drop_session(self) -> None:
         self.state = DISCONNECTED
-        for exchange in self._pending.values():
+        dropped = sorted(self._pending.items())
+        for _, exchange in dropped:
             exchange.timer.cancel()
         self._pending.clear()
         self.topic_ids.clear()
         self.topic_names.clear()
+        self.rto_us, self._srtt, self._rttvar = T_RETRY_US, None, 0
+        for _, exchange in dropped:
+            self._fail(exchange, SessionError(
+                "{} dropped with the session".format(exchange)))
         if self.on_disconnect is not None:
             self.on_disconnect()
         if self._rejoin is not None:

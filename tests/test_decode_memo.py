@@ -108,3 +108,12 @@ def test_broadcast_decodes_each_fanout_frame_once(monkeypatch):
     assert sorted(delivered.values()) == [1, 1] + [17] * 20
     # Each distinct frame is decoded once in the whole process.
     assert calls == len(delivered) == 22
+
+
+def test_the_server_keeps_its_join_requests_out_of_the_memo():
+    # Each ConnectionRequest is heard once, by the server alone; in the
+    # memo it would only push out the ConnectionAck every node decodes.
+    rig, nodes = ready_pair()
+    assert len(rig.server.registry) == 2
+    info = codec.decode_shared.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)

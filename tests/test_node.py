@@ -221,6 +221,31 @@ class TestDispatch:
         rig.sim.run_until_idle()
         assert rig.broker.subscribers("telemetry") == []
 
+    def test_instructed_subscriptions_survive_a_rejoin(self):
+        rig = Rig()
+        node = self.make_ready(rig)
+        for msg in (codec.MqttSubscribe("telemetry"),
+                    codec.MqttSubscribe("status"),
+                    codec.MqttUnsubscribe("status")):
+            rig.publish_to(node, msg)
+        rig.sim.run_until_idle()
+        assert rig.broker.subscribers("telemetry") == [NODE_1]
+        readies = []
+        node.on_ready = lambda: readies.append(rig.sim.now)
+        broker_down = Swallow(rig.net, BROKER)
+        node.session.subscribe("anything")  # exhausts its retries: a drop
+        rig.sim.run_until(rig.sim.now + 2_500_000)
+        assert node.phase == INIT
+        assert rig.broker.subscribers("telemetry") == [NODE_1]  # not yet
+        broker_down.lift()
+        rig.ready(node, deadline_us=20_000_000)
+        assert rig.broker.subscribers("telemetry") == []  # a clean session
+        rig.sim.run_until_idle()
+        assert len(readies) == 1
+        assert rig.broker.subscribers("telemetry") == [NODE_1]
+        assert rig.broker.subscribers("status") == []
+        assert rig.broker.subscribers("anything") == []
+
     def test_publish_instruction_is_transparent(self):
         # An instructed publish must carry the embedded topic and data
         # out to that topic's subscribers untouched.

@@ -20,6 +20,7 @@ from romano.session import (
     N_RETRY,
     RECONNECT_US,
     RetriesExhausted,
+    RTO_MAX_US,
     SessionError,
     T_RETRY_US,
 )
@@ -42,6 +43,7 @@ class StubBroker:
         self.topic_ids: dict[str, int] = {}
         self.mute: set = set()          # packet classes to ignore
         self.connack_codes: list = []   # for the next CONNECTs, then 0
+        self.delay_us = 0               # how late each reply goes out
         net.attach(addr, self._on_datagram)
 
     def _topic_id(self, name: str) -> int:
@@ -64,8 +66,14 @@ class StubBroker:
             reply = sn.Unsuback(pkt.msg_id)
         elif isinstance(pkt, sn.Publish) and pkt.qos == 1:
             reply = sn.Puback(pkt.topic_id, pkt.msg_id)
-        if reply is not None:
-            self.net.send(self.addr, src, sn.encode_packet(reply))
+        if reply is None:
+            return
+        frame = sn.encode_packet(reply)
+        if self.delay_us:
+            self.sim.after(self.delay_us,
+                           lambda: self.net.send(self.addr, src, frame))
+        else:
+            self.net.send(self.addr, src, frame)
 
     def sends(self, kind) -> list[tuple[int, sn.SnPacket]]:
         return [(t, p) for t, p in self.log if isinstance(p, kind)]
@@ -383,13 +391,105 @@ class TestRetransmission:
         assert session.retransmits == N_RETRY
 
     def test_join_1000_retransmissions_match_the_traced_count(self):
-        # 3 370 is session.retransmits of `bench/run.py --workload
+        # 2 234 is session.retransmits of `bench/run.py --workload
         # join-1000 --seed 1 --trace 1`, counted there at each resend
         world = World(ScenarioConfig(seed=1, n_robots=1000))
         world.run_ready()
         sessions = [world.commander, world.server.session,
                     *(node.session for node in world.nodes)]
-        assert sum(s.retransmits for s in sessions) == 3370
+        assert sum(s.retransmits for s in sessions) == 2234
+
+
+class TestRetryTimeout:
+    def test_prompt_replies_keep_the_first_retry_at_t_retry(self):
+        sim, net, stub, session = make_session(latency_us=5_000)
+        connect(sim, session)
+        for topic in ("a", "b", "c"):
+            session.subscribe(topic)
+        sim.run_until_idle()
+        assert session.rto_us == T_RETRY_US and session.retransmits == 0
+
+    def test_late_replies_raise_the_timeout_so_the_next_goes_out_once(self):
+        sim, net, stub, session = make_session()
+        stub.delay_us = 800_000
+        connect(sim, session)
+        # the CONNECT went out twice, its CONNACK sampled 0.3 s after the
+        # resend: SRTT 0.3 s, RTTVAR 0.15 s
+        assert [t for t, _ in stub.sends(sn.Connect)] == [0, T_RETRY_US]
+        assert session.rto_us == 900_000
+        t0 = sim.now
+        done = []
+        session.subscribe("common", on_ok=lambda: done.append(sim.now))
+        sim.run_until_idle()
+        assert [t for t, _ in stub.sends(sn.Subscribe)] == [t0]
+        assert done == [t0 + 800_000]
+        assert session.rto_us == RTO_MAX_US  # 0.3625 + 4 * 0.2375 s, capped
+
+    def test_a_lost_first_request_does_not_inflate_the_timeout(self):
+        sim, net, stub, session = make_session(latency_us=5_000)
+        Swallow(net, BROKER, count=1)
+        session.connect()
+        sim.run_until_idle()
+        assert [t for t, _ in stub.sends(sn.Connect)] == [T_RETRY_US + 5_000]
+        assert session.state == ACTIVE and session.retransmits == 1
+        assert session.rto_us == T_RETRY_US
+
+    def test_a_drop_starts_the_next_session_from_t_retry(self):
+        sim, net, stub, session = make_session()
+        stub.delay_us = 800_000
+        connect(sim, session)
+        assert session.rto_us == 900_000
+        stub.mute.add(sn.Subscribe)
+        t0 = sim.now
+        session.subscribe("common")
+        session.unsubscribe("other")   # answered at 0.8 s: rto_us goes to 1 s
+        assert sim.run_until_true(lambda: session.rto_us == RTO_MAX_US,
+                                  t0 + 900_000 - 1)
+        run_until_drop(sim, session, t0 + (N_RETRY + 1) * 900_000)
+        # every resend waited the timeout the exchange started with
+        assert [t - t0 for t, _ in stub.sends(sn.Subscribe)] == [
+            i * 900_000 for i in range(N_RETRY + 1)]
+        assert sim.now == t0 + (N_RETRY + 1) * 900_000 + RECONNECT_US - 1
+        assert session.rto_us == T_RETRY_US
+        stub.delay_us = 0
+        stub.mute.add(sn.Connect)
+        sim.run_until(sim.now + 1 + T_RETRY_US)
+        resent = [t for t, _ in stub.sends(sn.Connect)][-2:]
+        assert resent[1] - resent[0] == T_RETRY_US
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 10 * RTO_MAX_US), min_size=1))
+    def test_the_timeout_stays_within_its_bounds(self, samples):
+        sim, net, stub, session = make_session()
+        for rtt_us in samples:
+            session._sample_rtt(rtt_us)
+            assert T_RETRY_US <= session.rto_us <= RTO_MAX_US
+
+
+class TestDropFailsPending:
+    def test_a_drop_fails_every_exchange_it_forgets(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.publish("t", b"x")   # learn the topic id first
+        sim.run_until_idle()
+        stub.mute.update((sn.Subscribe, sn.Publish, sn.Unsubscribe))
+        events = []
+        session.on_disconnect = lambda: events.append(("drop", sim.now))
+        session.subscribe("common", on_fail=lambda e: events.append(
+            (type(e), sim.now)))
+        sim.run_until(T_RETRY_US // 2)
+        session.unsubscribe("u", on_fail=lambda e: events.append(
+            ("unsubscribe", type(e), sim.now)))
+        session.publish("t", b"y", qos=1, on_fail=lambda e: events.append(
+            ("publish", type(e), sim.now)))
+        sim.run_until(2_100_000)
+        # the exhausted SUBSCRIBE first, then the rest in msg-id order,
+        # each before the owner hears of the drop
+        assert events == [(RetriesExhausted, EXHAUSTED_US),
+                          ("unsubscribe", SessionError, EXHAUSTED_US),
+                          ("publish", SessionError, EXHAUSTED_US),
+                          ("drop", EXHAUSTED_US)]
+        assert session._pending == {}
 
 
 class TestMsgIdExhaustion:
