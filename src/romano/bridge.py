@@ -7,9 +7,9 @@ to the far end over a reliable, ordered channel (a TCP-like pipe,
 modeled as a lossless FIFO link with fixed latency).  The far end
 republishes into its own network under the same topic.
 
-Each relay frame is an ``(origin, topic, data)`` tuple: the origin tag
-says which network a payload entered first and never reaches
-subscribers.  Echo back into the bridge is cut at the broker: relay
+A relay frame is a ``(sender, topic, data)`` tuple, the sender being the
+forwarding relay's client id; each end keeps the frames it republishes
+in ``crossings``.  Echo back into the bridge is cut at the broker: relay
 sessions subscribe with the no-local option, so a relay is never fanned
 its own republication and a message can cross at most once.
 """
@@ -29,16 +29,15 @@ class BridgeEnd:
     one's ``peer`` to the other, then starts both."""
 
     def __init__(self, session: ClientSession, broker: Broker,
-                 origin_tag: int, topics: tuple[str, ...]) -> None:
+                 topics: tuple[str, ...]) -> None:
         self.sim = session.sim
         self.session = session
         self.broker = broker
-        self.origin_tag = origin_tag
         self.topics = topics
         self.peer: Optional["BridgeEnd"] = None  # set by the owner
         self.forwarded = 0
         self.republished = 0
-        self.crossings: list[tuple[int, str, bytes]] = []  # origin, topic, data
+        self.crossings: list[tuple[str, str, bytes]] = []  # relay frames
         session.on_message = self._on_local_delivery
 
     def start(self) -> None:
@@ -62,12 +61,12 @@ class BridgeEnd:
         self.forwarded += 1
         self.sim.call_at(self.sim.now + BRIDGE_LATENCY_US,
                          self.peer._on_channel,
-                         (self.origin_tag, topic, data))
+                         (self.session.client_id, topic, data))
 
     # -- channel -> local network ---------------------------------------------------
 
-    def _on_channel(self, frame: tuple[int, str, bytes]) -> None:
-        origin, topic, data = frame
-        self.crossings.append((origin, topic, data))
+    def _on_channel(self, frame: tuple[str, str, bytes]) -> None:
+        _, topic, data = frame
+        self.crossings.append(frame)
         self.republished += 1
         self.session.publish(topic, data)

@@ -28,7 +28,9 @@ is parsed once in the process.
 A client's identity is its address: sessions are keyed by the sender,
 and fan-out is routed to it.  A CONNECT whose client id is not its
 sender's address is answered with REJECTED_NOT_SUPPORTED, counted as a
-bad packet, and changes no session.
+bad packet, and changes no session.  An address the broker holds no
+session for gets REJECTED_NOT_SUPPORTED for a REGISTER or SUBSCRIBE, and
+its PUBLISH is counted as a bad packet and not forwarded.
 """
 
 from __future__ import annotations
@@ -192,6 +194,10 @@ class Broker:
         self._reply(src, sn.Connack(sn.ReturnCode.ACCEPTED))
 
     def _on_register(self, src: str, pkt: sn.Register, raw) -> None:
+        if src not in self.sessions:
+            self._reply(src, sn.Regack(0, pkt.msg_id,
+                                       sn.ReturnCode.REJECTED_NOT_SUPPORTED))
+            return
         tid = self._intern_topic(pkt.topic_name)
         code = (sn.ReturnCode.ACCEPTED if tid
                 else sn.ReturnCode.REJECTED_CONGESTION)
@@ -224,12 +230,14 @@ class Broker:
         self._reply(src, sn.Unsuback(pkt.msg_id))
 
     def _on_publish(self, src: str, pkt: sn.Publish, raw) -> None:
+        sender = self.sessions.get(src)
         topic = self._topics.get(pkt.topic_id)
-        if topic is None:
+        if sender is None or topic is None:
             if pkt.qos > 0:
                 self._reply(src, sn.Puback(
                     pkt.topic_id, pkt.msg_id,
-                    sn.ReturnCode.REJECTED_INVALID_TOPIC_ID))
+                    sn.ReturnCode.REJECTED_NOT_SUPPORTED if sender is None
+                    else sn.ReturnCode.REJECTED_INVALID_TOPIC_ID))
             self.bad_packets += 1
             return
         if pkt.qos > 0:
@@ -237,8 +245,7 @@ class Broker:
         topic.published += 1
         if raw[2] or pkt.msg_id:  # not already the copy
             raw = sn.encode_publish(pkt.topic_id, pkt.data)
-        sender = self.sessions.get(src)
-        skip = src if sender is not None and sender.no_local else None
+        skip = src if sender.no_local else None
         dispatch, call_at = self._dispatch, self.sim.call_at
         interval = self.dispatch_interval_us
         now = due = self.sim.now

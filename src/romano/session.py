@@ -1,13 +1,16 @@
 """Client-side MQTT-SN session.
 
-Owns the topic name/id map and every in-flight exchange.  Exchanges
-that expect a reply (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, and
-QoS 1 PUBLISH) resend their frame up to ``N_RETRY`` times, a SUBSCRIBE
-or PUBLISH with its DUP flag set; an exhausted control exchange or a
-rejected CONNECT drops the session, which is the only in-band failure
-signal a QoS 0 deployment gets, and fails every other exchange still in
-flight.  A request that finds every msg id in flight fails at once,
-unsent.
+Owns the topic name/id map and every in-flight exchange.  Every PUBLISH
+goes out at QoS 0, the only QoS the broker grants, after a REGISTER
+when its topic has no id yet.  Exchanges that expect a reply (CONNECT,
+REGISTER, SUBSCRIBE and UNSUBSCRIBE) resend their frame up to
+``N_RETRY`` times, a SUBSCRIBE with its DUP flag set.  An exchange that
+exhausts its retries, or a rejected CONNECT, drops the session, which
+is the only in-band failure signal a QoS 0 deployment gets, and fails
+every other exchange still in flight.  A request that finds every msg
+id in flight fails at once, unsent.  An inbound PUBLISH on a topic id
+the session never learned, or above QoS 0, is stray: counted, dropped
+and never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -69,7 +72,6 @@ _REPLY_KINDS = {
     sn.Regack: "register",
     sn.Suback: "subscribe",
     sn.Unsuback: "unsubscribe",
-    sn.Puback: "publish",
 }
 
 
@@ -151,42 +153,30 @@ class ClientSession:
 
     # -- publishing --------------------------------------------------------------
 
-    def publish(self, topic: str, data: bytes, qos: int = 0,
+    def publish(self, topic: str, data: bytes,
                 on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
-        """Publish ``data``; registers the topic name first if needed.
-        A PUBLISH that cannot be encoded, or a QoS other than 0 or 1,
-        raises PacketError here, before anything is sent."""
-        if qos not in (0, 1):
-            raise sn.PacketError(
-                "QoS {} not supported, use 0 or 1".format(qos))
+        """Publish ``data`` at QoS 0; ``on_ok`` runs once it is sent.  A
+        topic with no id yet is registered first, and a failed REGISTER
+        reaches ``on_fail``.  A PUBLISH that cannot be encoded raises
+        PacketError here, before anything is sent."""
         topic_id = self.topic_ids.get(topic)
-        if topic_id is None:
-            # Encoded now, under topic id 0, only so a bad one raises here;
-            # once registered, the publish goes out under the granted id.
-            sn.encode_packet(sn.Publish(0, data, qos=qos))
-            self._register_then(topic, lambda: self.publish(
-                topic, data, qos, on_ok, on_fail), on_fail)
-        elif qos:
-            msg_id = self._take_msg_id()
-            request = sn.Publish(topic_id, data, msg_id, qos=1)
-            self._start(_Exchange("publish", msg_id, topic,
-                                  [(on_ok, on_fail)]), request)
-        else:
+        if topic_id is not None:
             self._send(sn.encode_publish(topic_id, data), topic)
             if on_ok is not None:
                 on_ok()
-
-    def _register_then(self, topic: str, proceed: Callable[[], None],
-                       on_fail: Optional[Callable[[Exception], None]]) -> None:
+            return
+        # Encoded now, under topic id 0, only so a bad one raises here;
+        # once registered, the publish goes out under the granted id.
+        sn.encode_packet(sn.Publish(0, data))
+        waiter = (lambda: self.publish(topic, data, on_ok, on_fail), on_fail)
         for exchange in self._pending.values():
             if exchange.kind == "register" and exchange.topic == topic:
-                exchange.waiters.append((proceed, on_fail))
+                exchange.waiters.append(waiter)
                 return
         msg_id = self._take_msg_id()
-        request = sn.Register(0, msg_id, topic)
-        self._start(_Exchange("register", msg_id, topic, [(proceed, on_fail)]),
-                    request)
+        self._start(_Exchange("register", msg_id, topic, [waiter]),
+                    sn.Register(0, msg_id, topic))
 
     # -- inbound -----------------------------------------------------------------
 
@@ -201,13 +191,9 @@ class ClientSession:
         cls = type(pkt)
         if cls is sn.Publish:
             topic = self.topic_names.get(pkt.topic_id)
-            if topic is None:
+            if topic is None or pkt.qos:  # unknown, or above the QoS granted
                 self.stray_packets += 1
-                return
-            if pkt.qos == 1:
-                self._send(sn.encode_packet(
-                    sn.Puback(pkt.topic_id, pkt.msg_id)), topic)
-            if self.on_message is not None:
+            elif self.on_message is not None:
                 self.on_message(topic, pkt.data)
             return
         kind = _REPLY_KINDS.get(cls)
@@ -257,7 +243,7 @@ class ClientSession:
 
     def _transmit(self, exchange: _Exchange, dup: bool = False) -> None:
         frame = exchange.frame
-        if dup and exchange.kind in ("subscribe", "publish"):
+        if dup and exchange.kind == "subscribe":
             frame = frame[:2] + bytes((frame[2] | sn.FLAG_DUP,)) + frame[3:]
         self._send(frame, exchange.topic)
         exchange.sent_us = self.sim.now
@@ -283,8 +269,7 @@ class ClientSession:
         del self._pending[exchange.key]
         self._fail(exchange, RetriesExhausted(
             "{} got no reply after {} retries".format(exchange, N_RETRY)))
-        if exchange.kind != "publish":  # a failed control exchange
-            self._drop_session()
+        self._drop_session()
 
     def _fail(self, exchange: _Exchange, err: SessionError) -> None:
         for _, on_fail in exchange.waiters:

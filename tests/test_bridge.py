@@ -31,9 +31,9 @@ class BridgeRig:
         self.net.set_link_pair(CLIENT_A, BROKER_A, LinkModel.fixed(5_000))
         self.net.set_link_pair(CLIENT_B, BROKER_B, LinkModel.fixed(5_000))
         self.end_a = BridgeEnd(ClientSession(self.net, RELAY_A, BROKER_A),
-                               self.broker_a, 0, tuple(topics))
+                               self.broker_a, tuple(topics))
         self.end_b = BridgeEnd(ClientSession(self.net, RELAY_B, BROKER_B),
-                               self.broker_b, 1, tuple(topics))
+                               self.broker_b, tuple(topics))
         self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
         self.end_a.start()
         self.end_b.start()
@@ -68,7 +68,7 @@ class TestCrossing:
         assert rig.on_topic(rig.inbox_a) == [b"advance"]  # local fan-out
         assert rig.end_a.forwarded == 1
         assert rig.end_b.republished == 1
-        assert rig.end_b.crossings == [(0, TOPIC, b"advance")]
+        assert rig.end_b.crossings == [(RELAY_A, TOPIC, b"advance")]
         # the republication must not bounce back into the channel
         assert rig.end_b.forwarded == 0
         assert rig.end_a.republished == 0
@@ -79,7 +79,7 @@ class TestCrossing:
         rig.settle()
         assert rig.on_topic(rig.inbox_a) == [b"ack"]
         assert rig.end_b.forwarded == 1
-        assert rig.end_a.crossings == [(1, TOPIC, b"ack")]
+        assert rig.end_a.crossings == [(RELAY_B, TOPIC, b"ack")]
         assert rig.end_a.forwarded == 0
 
     def test_channel_latency_is_applied(self):

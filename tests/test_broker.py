@@ -211,7 +211,7 @@ class TestFanOut:
         for addr in ("s0", "s1"):
             ids = Client(net, addr).join(["common"])
             net.attach(addr, lambda src, raw: got.append(raw))
-        Client(net, "p")
+        Client(net, "p").join()
         flags = (qos << sn.FLAG_QOS_SHIFT | dup * sn.FLAG_DUP
                  | retain * 0x10)  # the RETAIN flag
         frame = (bytes([7 + len(data), sn.MsgType.PUBLISH, flags])
@@ -270,6 +270,22 @@ class TestSessions:
         (_, pkt), = client.inbox
         assert isinstance(pkt, sn.Suback)
         assert pkt.return_code == sn.ReturnCode.REJECTED_NOT_SUPPORTED
+
+    @pytest.mark.parametrize("qos", [0, 1])
+    def test_register_and_publish_without_connect_are_refused(self, qos):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        ids = Client(net, "s").join(["common"])
+        client = Client(net, "c")
+        client.send(sn.Register(0, 1, "common"))
+        client.send(sn.Publish(ids["common"], b"x", msg_id=2 * qos, qos=qos))
+        sim.run_until_idle()
+        rejected = sn.ReturnCode.REJECTED_NOT_SUPPORTED
+        assert [p for _, p in client.inbox] == [
+            sn.Regack(0, 1, rejected),
+            *[sn.Puback(ids["common"], 2, rejected)] * qos]
+        assert broker.topic_stats("common") == (0, 0, 0)
+        assert broker.bad_packets == 1 and "c" not in broker.sessions
 
     def test_suback_grants_qos_0_to_a_qos_1_subscribe(self):
         # every fan-out copy goes at QoS 0, so that is the QoS granted
@@ -439,6 +455,7 @@ class TestGatedEgress:
     def test_full_gate_drops_a_reply_and_a_copy_with_their_topics(self):
         sim, net = make_net()
         broker = Broker(net, BROKER)
+        handle(broker, "p", sn.Connect("p"))
         sub = Client(net, "s")
         ids = sub.join(["common"])
         broker.gate.capacity = 1

@@ -290,12 +290,18 @@ class TestMalformed:
                 decode_message(wire)
 
     def test_movement_control_needs_type_field(self):
-        with pytest.raises(LengthMismatch):
-            decode_message(bytes([0x09, 0x03, 0x00]))
+        # and so does sensor data, whose type field is laid out the same
+        for code in (DataType.MOVEMENT_CONTROL, DataType.SENSOR_DATA):
+            with pytest.raises(LengthMismatch):
+                decode_message(bytes([code, 0x03, 0x00]))
 
     def test_empty_topic(self):
-        with pytest.raises(LengthMismatch):
-            decode_message(bytes([0x06, 0x02]))
+        for code in (DataType.MQTT_SUBSCRIBE, DataType.MQTT_PUBLISH_REQUEST):
+            with pytest.raises(LengthMismatch):
+                decode_message(bytes([code, 0x02]))
+        for msg in (MqttSubscribe(""), MqttPublishRequest("", b"x")):
+            with pytest.raises(codec.CodecError, match="must not be empty"):
+                encode_message(msg)
 
 
 class TestUnknownCodes:
@@ -328,14 +334,19 @@ class TestLimits:
         assert decode_message(wire) == msg
 
     def test_payload_overflow(self):
-        with pytest.raises(OversizePayload):
-            encode_message(NormalData(bytes(254)))
+        # a 254-octet topic would put its last octet at index 256
+        for msg in (NormalData(bytes(254)), MqttPublishRequest("t" * 254)):
+            with pytest.raises(OversizePayload):
+                encode_message(msg)
 
     def test_magnitude_bounds(self):
         assert movement_control(0, 0xFFFF).magnitude == 0xFFFF
         for bad in (-1, 0x10000):
             with pytest.raises(OversizePayload):
                 movement_control(0, bad)
+        for data in (b"", b"\x00", b"\x00\x01\x02"):
+            with pytest.raises(LengthMismatch):
+                MovementControl(0, data).magnitude
 
     def test_u16_field_bounds(self):
         with pytest.raises(OversizePayload):

@@ -363,16 +363,18 @@ class TestCli:
         assert "rate 25 msg/s, 2 robots" in out
 
     def test_scalability_command(self, tmp_path, capsys):
-        code = self.run("scalability", "--robots", "3", "--rate", "20",
-                        "--messages", "10",
-                        "--out-dir", str(tmp_path / "sc"))
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "slope 8000.000 us/robot" in out
-        sections = [line for line in
-                    (tmp_path / "sc" / "wire_trace.log").read_text().splitlines()
-                    if line.startswith("# n_robots=")]
-        assert sections == ["# n_robots=1", "# n_robots=2", "# n_robots=3"]
+        # without --robots the sweep runs 1 to 10 robots
+        for robots, top in ((["--robots", "3"], 3), ([], 10)):
+            out_dir = tmp_path / f"sc{top}"
+            code = self.run("scalability", *robots, "--rate", "20",
+                            "--messages", "10", "--out-dir", str(out_dir))
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "slope 8000.000 us/robot" in out
+            sections = [line for line in
+                        (out_dir / "wire_trace.log").read_text().splitlines()
+                        if line.startswith("# n_robots=")]
+            assert sections == [f"# n_robots={n}" for n in range(1, top + 1)]
 
     def test_demo_command(self, tmp_path, capsys):
         code = self.run("demo", "--demo", "group-control", "--robots", "2",
@@ -456,6 +458,8 @@ class TestCli:
         (["sweep", "--rates", "-1"], "rate_mps must be positive"),
         (["sweep", "--rates", "nan"], "rate_mps must be finite"),
         (["sweep", "--rates", "10,0"], "rate_mps must be positive"),
+        (["sweep", "--rates", "x"], "bad grid value in 'x'"),
+        (["sweep", "--rates", ","], "empty sweep grid"),
     ])
     def test_bad_rate_exits_2(self, tmp_path, capsys, argv, error):
         code = self.run(*argv, "--robots", "2", "--messages", "5",

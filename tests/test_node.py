@@ -130,6 +130,27 @@ class TestEstablishment:
         gaps = [b - a for a, b in zip(joins, joins[1:])]
         assert gaps == [ACK_WAIT_US] * 3
 
+    def test_a_drop_while_awaiting_the_ack_cancels_the_join_retry(self):
+        rig = Rig()
+        node = rig.add_node(NODE_1)
+        Swallow(rig.net, NODE_1, connection_ack)  # the node keeps waiting
+        node.start()
+        # the join request is on the wire, so its retry is armed
+        assert rig.sim.run_until_true(
+            lambda: rig.tap.from_src(NODE_1, sn.Publish), 10_000_000)
+        assert node.phase == AWAIT_ACK
+        broker_down = Swallow(rig.net, BROKER)
+        node.session.subscribe("anything")  # exhausts its retries: a drop
+        assert rig.sim.run_until_true(lambda: node.phase == INIT,
+                                      rig.sim.now + ACK_WAIT_US)
+        dropped_at = rig.sim.now
+        broker_down.lift()
+        rig.sim.run_until(dropped_at + RECONNECT_US + LATENCY_US)
+        # the join retry, due in the gap, would have gone out first
+        sent = [(t, type(p)) for t, p in rig.tap.from_src(NODE_1)
+                if t > dropped_at]
+        assert sent == [(dropped_at + RECONNECT_US + LATENCY_US, sn.Connect)]
+
     def test_broker_down_at_boot(self):
         rig = Rig()
         broker_down = Swallow(rig.net, BROKER)
@@ -346,6 +367,24 @@ class TestHeartbeats:
         rig.ready(node)
         rig.sim.run_until(node.ready_time_us + 10_500_000)
         assert node.heartbeats_sent == 10
+
+    def test_one_heartbeat_per_period_after_a_rejoin(self):
+        # The period outlasts the outage and the rejoin, so a timer the
+        # drop left armed would fire once the node is READY again.
+        period = 6_000_000
+        rig = Rig(heartbeat_period_us=period)
+        node = rig.add_node(NODE_1)
+        node.start()
+        rig.ready(node)
+        broker_down = Swallow(rig.net, BROKER)
+        node.session.subscribe("anything")  # exhausts its retries: a drop
+        assert rig.sim.run_until_true(lambda: node.phase == INIT,
+                                      rig.sim.now + period)
+        broker_down.lift()
+        rig.ready(node)
+        assert node.heartbeats_sent == 0
+        rig.sim.run_until(node.ready_time_us + 3 * period + period // 2)
+        assert node.heartbeats_sent == 3
 
     def test_neighbor_tracking_and_freshness(self):
         rig = Rig(heartbeat_period_us=1_000_000)

@@ -1,4 +1,4 @@
-"""Client session tests: exchange lifecycle, QoS 1 retries, failure modes.
+"""Client session tests: exchange lifecycle, retries, failure modes.
 
 A scripted stub stands in for the broker so tests can withhold or
 corrupt individual replies and observe exact wire timing.
@@ -64,8 +64,6 @@ class StubBroker:
             reply = sn.Suback(self._topic_id(pkt.topic_name), pkt.msg_id)
         elif isinstance(pkt, sn.Unsubscribe):
             reply = sn.Unsuback(pkt.msg_id)
-        elif isinstance(pkt, sn.Publish) and pkt.qos == 1:
-            reply = sn.Puback(pkt.topic_id, pkt.msg_id)
         if reply is None:
             return
         frame = sn.encode_packet(reply)
@@ -147,6 +145,15 @@ class TestConnect:
         assert session.topic_ids == {}
         sim.run_until(sim.now + RECONNECT_US - 1)
         assert len(stub.sends(sn.Connect)) == 2  # the retry timer is gone
+
+    def test_connect_while_one_is_in_flight_sends_nothing(self):
+        sim, net, stub, session = make_session(latency_us=5_000)
+        oks = []
+        session.connect(on_ok=lambda: oks.append("first"))
+        session.connect(on_ok=lambda: oks.append("second"))
+        sim.run_until_idle()
+        assert [t for t, _ in stub.sends(sn.Connect)] == [5_000]
+        assert oks == ["first"] and session.state == ACTIVE
 
     def test_unexpected_connack_is_stray(self):
         sim, net, stub, session = make_session()
@@ -237,69 +244,8 @@ class TestPublishPath:
         session.publish("t", b"y", on_ok=lambda: sent.append(sim.now))
         assert sent == [sim.now]  # synchronous once the topic id is known
 
-    def test_qos2_to_a_known_topic_is_refused_unsent(self):
-        sim, net, stub, session = make_session()
-        connect(sim, session)
-        session.publish("t", b"x")
-        sim.run_until_idle()
-        with pytest.raises(sn.PacketError, match="QoS 2"):
-            session.publish("t", b"y", qos=2)
-        sim.run_until_idle()
-        assert [p.data for _, p in stub.sends(sn.Publish)] == [b"x"]
-        assert session._pending == {}
-
-    def test_qos2_to_a_fresh_topic_is_refused_unregistered(self):
-        sim, net, stub, session = make_session()
-        connect(sim, session)
-        with pytest.raises(sn.PacketError, match="QoS 2"):
-            session.publish("u", b"z", qos=2)
-        sim.run_until_idle()
-        assert stub.sends(sn.Register) == [] and session._pending == {}
-        assert "u" not in session.topic_ids
-
-    def test_qos1_completes_on_puback(self):
-        sim, net, stub, session = make_session(latency_us=5_000)
-        connect(sim, session)
-        done = []
-        session.publish("t", b"x", qos=1, on_ok=lambda: done.append(sim.now))
-        sim.run_until_idle()
-        assert len(done) == 1
-        assert stub.sends(sn.Publish)[0][1].qos == 1
-
 
 class TestRetransmission:
-    def test_qos1_retry_spacing_and_dup_flag(self):
-        sim, net, stub, session = make_session()
-        connect(sim, session)
-        session.publish("t", b"x")  # pre-register the topic
-        sim.run_until_idle()
-        stub.mute.add(sn.Publish)
-        errors = []
-        t0 = sim.now
-        session.publish("t", b"y", qos=1, on_fail=errors.append)
-        sim.run_until_idle()
-        tries = [(t, p) for t, p in stub.sends(sn.Publish) if p.data == b"y"]
-        assert [t - t0 for t, _ in tries] == \
-            [i * T_RETRY_US for i in range(N_RETRY + 1)]
-        assert [p.dup for _, p in tries] == [False, True, True, True]
-        assert isinstance(errors[0], RetriesExhausted)
-        # a failed QoS 1 publish is not a control exchange
-        assert session.state == ACTIVE
-
-    def test_lost_puback_triggers_dup_not_data_loss(self):
-        sim, net, stub, session = make_session()
-        connect(sim, session)
-        session.publish("t", b"x")
-        sim.run_until_idle()
-        Swallow(net, CLIENT, lambda src, data: data[1] == sn.MsgType.PUBACK,
-                count=1)
-        done = []
-        session.publish("t", b"y", qos=1, on_ok=lambda: done.append(sim.now))
-        sim.run_until_idle()
-        tries = [p for _, p in stub.sends(sn.Publish) if p.data == b"y"]
-        assert len(tries) == 2 and tries[1].dup
-        assert len(done) == 1
-
     def test_failed_register_fails_every_waiting_publish(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
@@ -316,18 +262,17 @@ class TestRetransmission:
     def test_reply_of_another_kind_leaves_the_exchange_pending(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
-        session.publish("t", b"x")
-        sim.run_until_idle()
-        stub.mute.add(sn.Publish)
+        stub.mute.add(sn.Subscribe)
         done = []
-        session.publish("t", b"y", qos=1, on_ok=lambda: done.append(sim.now))
+        session.subscribe("t", on_ok=lambda: done.append(sim.now))
         sim.run_until(sim.now + 1_000)  # well inside the first retry wait
-        (_, pkt), = stub.sends(sn.Publish)[1:]
-        stub.push(CLIENT, sn.Suback(pkt.topic_id, pkt.msg_id))
-        stub.push(CLIENT, sn.Puback(pkt.topic_id, pkt.msg_id))
+        (_, pkt), = stub.sends(sn.Subscribe)
+        stub.push(CLIENT, sn.Unsuback(pkt.msg_id))
+        stub.push(CLIENT, sn.Suback(7, pkt.msg_id))
         sim.run_until_idle()
         assert session.stray_packets == 1 and len(done) == 1
-        assert len(stub.sends(sn.Publish)) == 2  # no retransmission
+        assert session.topic_ids == {"t": 7}
+        assert len(stub.sends(sn.Subscribe)) == 1  # no retransmission
 
     def test_control_exhaustion_drops_the_session(self):
         sim, net, stub, session = make_session()
@@ -345,18 +290,15 @@ class TestRetransmission:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(kind=st.sampled_from([sn.Connect, sn.Register, sn.Subscribe,
-                                 sn.Unsubscribe, sn.Publish]),
+                                 sn.Unsubscribe]),
            topic=st.text(max_size=20),
            data=st.binary(max_size=sn.MAX_PUBLISH_DATA))
     def test_a_retransmission_resends_the_first_frame(self, kind, topic,
                                                       data):
-        # MQTT-SN v1.2: a resent SUBSCRIBE or PUBLISH differs from the
-        # first only in its DUP flag; any other request is resent as is.
+        # MQTT-SN v1.2: a resent SUBSCRIBE differs from the first only in
+        # its DUP flag; any other request is resent as is.
         sim, net, stub, session = make_session()
         connect(sim, session)
-        if kind is sn.Publish:
-            session.publish(topic, b"")  # learn the topic id first
-            sim.run_until_idle()
         code, start = {
             sn.Connect: (sn.MsgType.CONNECT, session.connect),
             sn.Register: (sn.MsgType.REGISTER,
@@ -365,8 +307,6 @@ class TestRetransmission:
                            lambda: session.subscribe(topic)),
             sn.Unsubscribe: (sn.MsgType.UNSUBSCRIBE,
                              lambda: session.unsubscribe(topic)),
-            sn.Publish: (sn.MsgType.PUBLISH,
-                         lambda: session.publish(topic, data, qos=1)),
         }[kind]
         stub.mute.add(kind)
         frames = []
@@ -383,7 +323,7 @@ class TestRetransmission:
         sim.run_until(sim.now + EXHAUSTED_US + RECONNECT_US - 1)
         first, *resent = frames
         request = sn.decode_packet(first)
-        if kind in (sn.Subscribe, sn.Publish):
+        if kind is sn.Subscribe:
             again = sn.encode_packet(replace(request, dup=True))
         else:
             again = first
@@ -470,9 +410,7 @@ class TestDropFailsPending:
     def test_a_drop_fails_every_exchange_it_forgets(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
-        session.publish("t", b"x")   # learn the topic id first
-        sim.run_until_idle()
-        stub.mute.update((sn.Subscribe, sn.Publish, sn.Unsubscribe))
+        stub.mute.update((sn.Subscribe, sn.Register, sn.Unsubscribe))
         events = []
         session.on_disconnect = lambda: events.append(("drop", sim.now))
         session.subscribe("common", on_fail=lambda e: events.append(
@@ -480,8 +418,8 @@ class TestDropFailsPending:
         sim.run_until(T_RETRY_US // 2)
         session.unsubscribe("u", on_fail=lambda e: events.append(
             ("unsubscribe", type(e), sim.now)))
-        session.publish("t", b"y", qos=1, on_fail=lambda e: events.append(
-            ("publish", type(e), sim.now)))
+        session.publish("t", b"y", on_fail=lambda e: events.append(
+            ("publish", type(e), sim.now)))   # waits on its REGISTER
         sim.run_until(2_100_000)
         # the exhausted SUBSCRIBE first, then the rest in msg-id order,
         # each before the owner hears of the drop
@@ -507,10 +445,9 @@ class TestMsgIdExhaustion:
         errors = []
         session.subscribe("s", on_fail=errors.append)
         session.unsubscribe("known", on_fail=errors.append)
-        session.publish("known", b"q", qos=1, on_fail=errors.append)
         session.publish("fresh", b"r", on_fail=errors.append)  # must REGISTER
         session.subscribe("quiet")  # no on_fail: nothing to report to
-        assert [type(e) for e in errors] == [SessionError] * 4
+        assert [type(e) for e in errors] == [SessionError] * 3
         assert len(session._pending) == 0xFFFF
         assert session.send_failures == 0xFFFF  # nothing more was sent
 
@@ -528,6 +465,17 @@ class TestUnencodableRequests:
         run_until_drop(sim, session, EXHAUSTED_US)
         assert session.state == DISCONNECTED and session._pending == {}
 
+    def test_oversize_publish_to_a_known_topic_fails_at_the_call(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        session.publish("t", b"x")
+        sim.run_until_idle()
+        with pytest.raises(sn.OversizePacket):
+            session.publish("t", b"y" * (sn.MAX_PUBLISH_DATA + 1))
+        sim.run_until_idle()
+        assert [p.data for _, p in stub.sends(sn.Publish)] == [b"x"]
+        assert session._pending == {}
+
     def test_oversize_publish_to_a_fresh_topic_fails_at_the_call(self):
         sim, net, stub, session = make_session()
         connect(sim, session)
@@ -536,6 +484,7 @@ class TestUnencodableRequests:
         assert session._pending == {}
         sim.run_until_idle()
         assert stub.sends(sn.Register) == []
+        assert "fresh" not in session.topic_ids
 
     def test_publish_after_register_carries_the_granted_id(self):
         sim, net, stub, session = make_session()
@@ -571,7 +520,8 @@ class TestInbound:
         assert got == [] and session.stray_packets == 2
         assert stub.sends(sn.Puback) == []  # nor is it acked
 
-    def test_inbound_qos1_gets_exactly_one_puback(self):
+    def test_inbound_qos1_is_stray_and_not_acked(self):
+        # the broker grants QoS 0 only, so a QoS 1 copy is outside it
         sim, net, stub, session = make_session()
         connect(sim, session)
         got = []
@@ -580,9 +530,18 @@ class TestInbound:
         sim.run_until_idle()
         tid = stub.topic_ids["common"]
         stub.push(CLIENT, sn.Publish(tid, b"x", msg_id=3, qos=1))
+        stub.push(CLIENT, sn.Publish(tid, b"y"))
         sim.run_until_idle()
-        assert stub.sends(sn.Puback) == [(0, sn.Puback(tid, 3))]
-        assert got == [("common", b"x")]  # delivered once as well
+        assert stub.sends(sn.Puback) == [] and session.stray_packets == 1
+        assert got == [("common", b"y")]
+
+    def test_a_request_from_the_broker_is_stray(self):
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        stub.push(CLIENT, sn.Register(5, 1, "pushed"))
+        sim.run_until_idle()
+        assert session.stray_packets == 1 and session.topic_ids == {}
+        assert stub.sends(sn.Regack) == []
 
     def test_unsubscribe_forgets_the_topic(self):
         sim, net, stub, session = make_session()
