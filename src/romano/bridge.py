@@ -9,16 +9,16 @@ republishes into its own network under the same topic.
 
 A relay frame is a ``(sender, topic, data)`` tuple, the sender being the
 forwarding relay's client id; each end keeps the frames it republishes
-in ``crossings``.  Echo back into the bridge is cut at the broker: relay
-sessions subscribe with the no-local option, so a relay is never fanned
-its own republication and a message can cross at most once.
+in ``crossings``.  Echo back into the bridge is cut at the broker: a
+relay is a local client of its broker, and the broker never sends a
+local client a copy of its own PUBLISH, so a message can cross at most
+once.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .broker import Broker
 from .session import ACTIVE, ClientSession
 
 BRIDGE_LATENCY_US = 50_000  # one-way delay of the relay channel
@@ -28,11 +28,10 @@ class BridgeEnd:
     """One side of the bridge.  Its owner pairs two ends by setting each
     one's ``peer`` to the other, then starts both."""
 
-    def __init__(self, session: ClientSession, broker: Broker,
+    def __init__(self, session: ClientSession,
                  topics: tuple[str, ...]) -> None:
         self.sim = session.sim
         self.session = session
-        self.broker = broker
         self.topics = topics
         self.peer: Optional["BridgeEnd"] = None  # set by the owner
         self.forwarded = 0
@@ -42,7 +41,6 @@ class BridgeEnd:
 
     def start(self) -> None:
         def connected() -> None:
-            self.broker.set_no_local(self.session.client_id)
             for topic in self.topics:
                 self.session.subscribe(topic)
 

@@ -12,25 +12,27 @@ models the border router's transmitter: a bounded FIFO with a minimum
 spacing between departures.  The gate adds no latency while idle; under
 sustained overload it fills and tail-drops at enqueue, which is the
 radio-buffer-overflow failure mode seen at high publish rates.  Clients
-listed as local (collocated server-side processes) bypass the gate.
+listed as local (collocated server-side processes) bypass the gate, and
+are never fanned a copy of their own PUBLISH; radio clients are, as
+MQTT-SN v1.2 has no no-local option.
 
 A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
 been lost on the link.  Fan-out copies are never suppressed.  Each is a
 plain QoS 0 PUBLISH (flags octet 0x00, msg id 0), so a SUBACK grants QoS
-0 whatever the SUBSCRIBE asked for; a PUBLISH that arrived
-in that form is forwarded as its received octets, and any other, or one
-handed to ``handle`` without them, is framed anew.  Inbound frames
-decode through ``mqttsn.decode_shared``, so a frame the broker forwards
-is parsed once in the process.
+0 whatever the SUBSCRIBE asked for; a PUBLISH that arrived in that form
+is forwarded as its received octets, and any other is framed anew.
+Inbound frames decode through ``mqttsn.decode_shared``, so a frame the
+broker forwards is parsed once in the process.
 
 A client's identity is its address: sessions are keyed by the sender,
-and fan-out is routed to it.  A CONNECT whose client id is not its
-sender's address is answered with REJECTED_NOT_SUPPORTED, counted as a
-bad packet, and changes no session.  An address the broker holds no
-session for gets REJECTED_NOT_SUPPORTED for a REGISTER or SUBSCRIBE, and
-its PUBLISH is counted as a bad packet and not forwarded.
+opened only by an accepted CONNECT, and fan-out is routed to it.  A
+CONNECT whose client id is not its sender's address is answered with
+REJECTED_NOT_SUPPORTED, counted as a bad packet, and changes no
+session.  An address the broker holds no session for gets
+REJECTED_NOT_SUPPORTED for a REGISTER or SUBSCRIBE, and its PUBLISH is
+counted as a bad packet and not forwarded.
 """
 
 from __future__ import annotations
@@ -104,12 +106,6 @@ class _Topic:
     copies_dropped: int = 0
 
 
-@dataclass
-class _Session:
-    no_local: bool = False
-    subscriptions: list[int] = field(default_factory=list)
-
-
 class Broker:
     def __init__(self, network: Network, addr: str, *,
                  dispatch_interval_us: int = DEFAULT_DISPATCH_INTERVAL_US,
@@ -121,7 +117,8 @@ class Broker:
         self.addr = addr
         self.dispatch_interval_us = dispatch_interval_us
         self.local_clients = set(local_clients)
-        self.sessions: dict[str, _Session] = {}
+        # client id -> ids of its subscribed topics, for each connected client
+        self.sessions: dict[str, list[int]] = {}
         self.gate = RadioGate(self.sim, radio_buffer_capacity,
                               radio_tx_interval_us, self._send)
         self.bad_packets = 0
@@ -156,14 +153,6 @@ class Broker:
         t = self._topics[tid]
         return (t.published, t.copies_enqueued, t.copies_dropped)
 
-    def set_no_local(self, client_id: str) -> None:
-        """Suppress fan-out back to this client's own publishes.
-
-        Used by bridge relay sessions so a republished message is never
-        echoed into the relay that injected it.
-        """
-        self._session(client_id).no_local = True
-
     # -- packet handling -----------------------------------------------------
 
     def _on_datagram(self, src: str, data: bytes) -> None:
@@ -186,11 +175,11 @@ class Broker:
             self.bad_packets += 1
             self._reply(src, sn.Connack(sn.ReturnCode.REJECTED_NOT_SUPPORTED))
             return
-        session = self._session(src)
+        subscriptions = self.sessions.setdefault(src, [])
         if pkt.clean_session:
-            for tid in session.subscriptions:
+            for tid in subscriptions:
                 self._topics[tid].subscribers.pop(src, None)
-            session.subscriptions.clear()
+            subscriptions.clear()
         self._reply(src, sn.Connack(sn.ReturnCode.ACCEPTED))
 
     def _on_register(self, src: str, pkt: sn.Register, raw) -> None:
@@ -214,29 +203,28 @@ class Broker:
                                        sn.ReturnCode.REJECTED_CONGESTION))
             return
         topic = self._topics[tid]
-        session = self._session(src)
         if src not in topic.subscribers:
             topic.subscribers[src] = None
-            session.subscriptions.append(tid)
+            self.sessions[src].append(tid)
         self._reply(src, sn.Suback(tid, pkt.msg_id))  # grants QoS 0
 
     def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe, raw) -> None:
         tid = self._topic_ids.get(pkt.topic_name)
         if tid is not None:
             self._topics[tid].subscribers.pop(src, None)
-            session = self.sessions.get(src)
-            if session and tid in session.subscriptions:
-                session.subscriptions.remove(tid)
+            subscriptions = self.sessions.get(src)
+            if subscriptions and tid in subscriptions:
+                subscriptions.remove(tid)
         self._reply(src, sn.Unsuback(pkt.msg_id))
 
     def _on_publish(self, src: str, pkt: sn.Publish, raw) -> None:
-        sender = self.sessions.get(src)
+        connected = src in self.sessions
         topic = self._topics.get(pkt.topic_id)
-        if sender is None or topic is None:
+        if not connected or topic is None:
             if pkt.qos > 0:
                 self._reply(src, sn.Puback(
                     pkt.topic_id, pkt.msg_id,
-                    sn.ReturnCode.REJECTED_NOT_SUPPORTED if sender is None
+                    sn.ReturnCode.REJECTED_NOT_SUPPORTED if not connected
                     else sn.ReturnCode.REJECTED_INVALID_TOPIC_ID))
             self.bad_packets += 1
             return
@@ -245,7 +233,7 @@ class Broker:
         topic.published += 1
         if raw[2] or pkt.msg_id:  # not already the copy
             raw = sn.encode_publish(pkt.topic_id, pkt.data)
-        skip = src if sender.no_local else None
+        skip = src if src in self.local_clients else None
         dispatch, call_at = self._dispatch, self.sim.call_at
         interval = self.dispatch_interval_us
         now = due = self.sim.now
@@ -315,12 +303,6 @@ class Broker:
             self.unroutable += 1
 
     # -- internals -------------------------------------------------------------
-
-    def _session(self, client_id: str) -> _Session:
-        session = self.sessions.get(client_id)
-        if session is None:
-            session = self.sessions[client_id] = _Session()
-        return session
 
     def _intern_topic(self, name: str) -> int:
         """The topic's id; 0 once all 16-bit ids are taken by other names."""

@@ -210,7 +210,7 @@ class BridgedWorld(World):
         topics = cfg.bridge_topic_list()
         self.end_a, self.end_b = (
             BridgeEnd(ClientSession(self.net, relay_addr(c.cell), c.addr),
-                      c.broker, topics)
+                      topics)
             for c in self.cells)
         self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
 

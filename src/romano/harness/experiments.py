@@ -45,7 +45,7 @@ def publish_times(base_us: int, rate_mps: float, count: int) -> list[int]:
 
 @dataclass
 class RobotStats:
-    index: int            # 1-based, also the subscription position
+    index: int            # 1-based robot number
     romano_id: str
     delays: list[int] = field(default_factory=list)
 
@@ -63,6 +63,7 @@ class ThroughputResult:
     link_dropped: int
     overflow_onset: Optional[int]   # messages published when the radio
     conservation_ok: bool           # buffer first overflowed, if ever
+    subscribers: list[str]          # of "common", in subscription order
     trace: WireTrace
     robots: list[Robot]
 
@@ -122,15 +123,15 @@ def run_throughput(cfg: ScenarioConfig) -> ThroughputResult:
     onset = (overflow["published_so_far"]
              if overflow and overflow["topic"] == codec.TOPIC_COMMON else None)
 
-    n_subs = len(world.broker.subscribers(codec.TOPIC_COMMON))
+    subscribers = world.broker.subscribers(codec.TOPIC_COMMON)
     delivered = sum(r.received for r in stats)
-    conservation_ok = (published * n_subs
+    conservation_ok = (published * len(subscribers)
                        == delivered + buffer_dropped + link_dropped)
     return ThroughputResult(
         cfg=cfg, published=published, per_robot=stats,
         buffer_dropped=buffer_dropped, link_dropped=link_dropped,
         overflow_onset=onset, conservation_ok=conservation_ok,
-        trace=world.trace, robots=world.robots)
+        subscribers=subscribers, trace=world.trace, robots=world.robots)
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
@@ -167,49 +168,36 @@ class ScalabilityResult:
         return max(max(r.delays) for r in self.per_n[n])
 
 
-def run_scalability(cfg: ScenarioConfig,
-                    n_values: Optional[Sequence[int]] = None) -> ScalabilityResult:
+def run_scalability(cfg: ScenarioConfig) -> ScalabilityResult:
     """Max broadcast delay versus swarm size over fixed-latency links.
 
-    Radio links are pinned to ``latency_hi_us`` exactly (no jitter, no
-    loss) so the dispatch spacing is the only delay that grows with the
+    One throughput run per swarm size from 1 to ``cfg.n_robots``, with
+    radio links pinned to ``latency_hi_us`` exactly (no jitter, no loss)
+    so the dispatch spacing is the only delay that grows with the
     swarm; the returned fit is max delay against robot count.
     """
-    if n_values is None:
-        n_values = list(range(1, cfg.n_robots + 1))
+    fixed = cfg.replace(latency_lo_us=cfg.latency_hi_us, loss_prob=0.0)
+    n_values = list(range(1, cfg.n_robots + 1))
     per_n: dict[int, list[RobotStats]] = {}
     traces: dict[int, WireTrace] = {}
-    robots: list[Robot] = []
     for n in n_values:
-        sub = cfg.replace(n_robots=n,
-                          latency_lo_us=cfg.latency_hi_us,
-                          loss_prob=0.0)
-        world = World(sub)
-        world.run_ready()
-        expected = world.cell.robot_addrs()
-        order = world.broker.subscribers(codec.TOPIC_COMMON)
-        if order != expected:
+        res = run_throughput(fixed.replace(n_robots=n))
+        if res.subscribers != [r.node.session.client_id for r in res.robots]:
             raise ExperimentError(
-                f"n={n}: subscription order {order} != robot order")
-        stats = _attach_recorders(world)
-        _broadcast_probes(world, sub.n_messages)
-        world.sim.run_until_idle()
-        for entry in stats:
-            if entry.received != sub.n_messages:
+                f"n={n}: subscription order {res.subscribers} != robot order")
+        for entry in res.per_robot:
+            if entry.received != res.published:
                 raise ExperimentError(
                     f"n={n}: robot {entry.index} got {entry.received}"
-                    f" of {sub.n_messages} probes")
-        per_n[n] = stats
-        traces[n] = world.trace
-        robots = world.robots
+                    f" of {res.published} probes")
+        per_n[n], traces[n] = res.per_robot, res.trace
 
-    xs = [float(n) for n in n_values]
     ys = [float(max(max(r.delays) for r in per_n[n])) for n in n_values]
-    if len(xs) >= 2:
-        slope, intercept, r_squared = linear_fit(xs, ys)
+    if len(n_values) >= 2:
+        slope, intercept, r_squared = linear_fit(n_values, ys)
     else:
         slope, intercept, r_squared = 0.0, ys[0], 1.0
-    return ScalabilityResult(cfg=cfg, n_values=list(n_values), per_n=per_n,
+    return ScalabilityResult(cfg=cfg, n_values=n_values, per_n=per_n,
                              slope_us=slope, intercept_us=intercept,
                              r_squared=r_squared, traces=traces,
-                             robots=robots)
+                             robots=res.robots)

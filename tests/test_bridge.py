@@ -31,9 +31,9 @@ class BridgeRig:
         self.net.set_link_pair(CLIENT_A, BROKER_A, LinkModel.fixed(5_000))
         self.net.set_link_pair(CLIENT_B, BROKER_B, LinkModel.fixed(5_000))
         self.end_a = BridgeEnd(ClientSession(self.net, RELAY_A, BROKER_A),
-                               self.broker_a, tuple(topics))
+                               tuple(topics))
         self.end_b = BridgeEnd(ClientSession(self.net, RELAY_B, BROKER_B),
-                               self.broker_b, tuple(topics))
+                               tuple(topics))
         self.end_a.peer, self.end_b.peer = self.end_b, self.end_a
         self.end_a.start()
         self.end_b.start()
@@ -102,6 +102,17 @@ class TestCrossing:
         rig.settle()
         assert rig.inbox_b == []
         assert rig.end_a.forwarded == 0
+
+    def test_a_delivery_outside_the_allow_list_is_not_forwarded(self):
+        rig = BridgeRig()
+        done = []
+        rig.end_a.session.subscribe("local-only", on_ok=lambda: done.append(1))
+        rig.settle()
+        assert done
+        rig.client_a.publish("local-only", b"secret")
+        rig.settle()
+        assert rig.end_a.forwarded == 0 and rig.end_b.republished == 0
+        assert rig.inbox_b == []
 
     def test_soak_interleaved_no_duplicates(self):
         rig = BridgeRig()

@@ -222,17 +222,25 @@ class TestFanOut:
         assert got == [sn.encode_packet(sn.Publish(ids["common"], data))] * 2
 
     def test_no_local_skips_only_the_publisher(self):
+        # A local client gets no copy of its own PUBLISH; a radio client
+        # in the same position does, as MQTT-SN has no no-local option.
         sim, net = make_net()
-        broker = Broker(net, BROKER)
+        Broker(net, BROKER, local_clients={"relay"})
         relay = Client(net, "relay")
+        radio = Client(net, "radio")
         other = Client(net, "other")
         ids = relay.join(["common"])
+        radio.join(["common"])
         other.join(["common"])
-        broker.set_no_local("relay")
         relay.send(sn.Publish(ids["common"], b"fwd"))
         sim.run_until_idle()
         assert relay.publishes() == []
         assert [p.data for _, p in other.publishes()] == [b"fwd"]
+        radio.send(sn.Publish(ids["common"], b"own"))
+        sim.run_until_idle()
+        assert [p.data for _, p in relay.publishes()] == [b"own"]
+        assert [p.data for _, p in radio.publishes()] == [b"fwd", b"own"]
+        assert [p.data for _, p in other.publishes()] == [b"fwd", b"own"]
 
     def test_duplicate_subscription_delivers_once(self):
         sim, net = make_net()
@@ -355,6 +363,9 @@ class TestSessions:
         regacks = [p for _, p in client.inbox if isinstance(p, sn.Regack)]
         assert [r.topic_id for r in regacks] == [1, 2, 1]
         assert broker.topic_name(2) == "beta"
+        # a name never registered has no id and no traffic
+        assert broker.topic_stats("gamma") == (0, 0, 0)
+        assert broker.topic_id("gamma") is None
 
     def test_topic_id_exhaustion_is_rejected_with_congestion(self):
         sim, net = make_net()

@@ -303,6 +303,11 @@ class TestMalformed:
             with pytest.raises(codec.CodecError, match="must not be empty"):
                 encode_message(msg)
 
+    def test_topic_not_utf8(self):
+        wire = bytes([DataType.MQTT_SUBSCRIBE, 0x04]) + b"\xc3\x28"
+        with pytest.raises(LengthMismatch, match="not valid UTF-8"):
+            decode_message(wire)
+
 
 class TestUnknownCodes:
     def test_exhaustive_code_space(self):

@@ -254,9 +254,11 @@ class TestThroughput:
 
 class TestScalability:
     def test_delay_grows_one_dispatch_step_per_robot(self):
-        cfg = ScenarioConfig(rate_mps=20.0, n_messages=30, seed=2,
-                             latency_lo_us=20_000, latency_hi_us=20_000)
-        res = run_scalability(cfg, n_values=[1, 2, 3])
+        cfg = ScenarioConfig(n_robots=3, rate_mps=20.0, n_messages=30,
+                             seed=2, latency_lo_us=20_000,
+                             latency_hi_us=20_000)
+        res = run_scalability(cfg)
+        assert res.n_values == [1, 2, 3]
         for n in res.n_values:
             for stats in res.per_n[n]:
                 want = 20_000 + (stats.index - 1) * 8_000
@@ -265,6 +267,15 @@ class TestScalability:
         assert res.slope_us == pytest.approx(8_000.0)
         assert res.intercept_us == pytest.approx(12_000.0)
         assert res.r_squared == pytest.approx(1.0)
+
+    def test_one_robot_fits_a_flat_line_through_its_delay(self):
+        cfg = ScenarioConfig(n_robots=1, rate_mps=20.0, n_messages=10,
+                             seed=2, latency_hi_us=30_000)
+        res = run_scalability(cfg)
+        assert res.n_values == [1]
+        assert res.max_delay_us(1) == 30_000
+        assert (res.slope_us, res.intercept_us, res.r_squared) == (
+            0.0, 30_000.0, 1.0)
 
 
 class TestReport:

@@ -137,6 +137,11 @@ class TestMalformed:
         with pytest.raises(sn.PacketLengthMismatch):
             sn.decode_packet(wire)
 
+    def test_declared_length_below_header(self):
+        for wire in (b"\x00\x04", b"\x01\x04"):
+            with pytest.raises(sn.PacketLengthMismatch, match="minimum"):
+                sn.decode_packet(wire)
+
     def test_unsupported_type(self):
         with pytest.raises(sn.UnsupportedPacket):
             sn.decode_packet(bytes([3, 0x18, 0x00]))  # DISCONNECT
