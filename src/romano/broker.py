@@ -20,9 +20,14 @@ A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
 been lost on the link.  Fan-out copies are never suppressed.  Each is a
-plain QoS 0 PUBLISH (flags octet 0x00, msg id 0), so a SUBACK grants QoS
-0 whatever the SUBSCRIBE asked for; a PUBLISH that arrived in that form
+plain QoS 0 PUBLISH (flags octet 0x00, msg id 0) under the normal topic
+id its subscribers learned from their SUBACK, so a SUBACK grants QoS 0
+whatever the SUBSCRIBE asked for; a PUBLISH that arrived in that form
 is forwarded as its received octets, and any other is framed anew.
+A PUBLISH under a predefined topic id (``codec.PREDEFINED_TOPICS``)
+names its topic by that table, and the topic gets its normal id on
+first use, as a REGISTER would give it; an id the table lacks makes
+the PUBLISH a bad packet.
 Inbound frames decode through ``mqttsn.decode_shared``, so a frame the
 broker forwards is parsed once in the process.
 
@@ -41,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from . import codec
 from . import mqttsn as sn
 from .simnet import Network, NoLink, Simulator
 
@@ -219,7 +225,12 @@ class Broker:
 
     def _on_publish(self, src: str, pkt: sn.Publish, raw) -> None:
         connected = src in self.sessions
-        topic = self._topics.get(pkt.topic_id)
+        if pkt.predefined:
+            name = codec.PREDEFINED_TOPICS.get(pkt.topic_id)
+            topic = (self._topics.get(self._intern_topic(name))
+                     if connected and name is not None else None)
+        else:
+            topic = self._topics.get(pkt.topic_id)
         if not connected or topic is None:
             if pkt.qos > 0:
                 self._reply(src, sn.Puback(
@@ -232,7 +243,7 @@ class Broker:
             self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
         if raw[2] or pkt.msg_id:  # not already the copy
-            raw = sn.encode_publish(pkt.topic_id, pkt.data)
+            raw = sn.encode_publish(topic.topic_id, pkt.data)
         skip = src if src in self.local_clients else None
         dispatch, call_at = self._dispatch, self.sim.call_at
         interval = self.dispatch_interval_us

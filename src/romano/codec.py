@@ -89,6 +89,12 @@ class MovementType(IntEnum):
 TOPIC_INIT_INFO = "init-info"
 TOPIC_COMMON = "common"
 
+# MQTT-SN predefined topic id -> topic name, known to every client and
+# broker, so a join request needs no REGISTER.  Not "common": a predefined
+# PUBLISH is framed anew for its subscribers, an encode and a decode per
+# broadcast, and the commander registers "common" once over a wired link.
+PREDEFINED_TOPICS = {1: TOPIC_INIT_INFO}
+
 
 # -- Errors ------------------------------------------------------------------
 

@@ -13,8 +13,11 @@ therefore carries at most 248 octets of data after its 7-octet header:
     octets 7-n  data
 
 Topic names are registered for 16-bit topic ids with REGISTER, or
-resolved through the SUBACK of a by-name SUBSCRIBE.  No other TopicIdType
-is supported: a PUBLISH, SUBSCRIBE or UNSUBSCRIBE with one raises.
+resolved through the SUBACK of a by-name SUBSCRIBE.  A PUBLISH may
+instead name a predefined topic id (TopicIdType 0b01), one that client
+and gateway both know in advance, so it needs no REGISTER.  No other
+TopicIdType is supported: a PUBLISH with a short name or the reserved
+type, or a SUBSCRIBE or UNSUBSCRIBE with any but the normal type, raises.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ FLAG_CLEAN_SESSION = 0x04
 
 FLAG_TOPIC_TYPE_MASK = 0x03
 TOPIC_TYPE_NORMAL = 0x00  # registered 16-bit topic id (name in SUBSCRIBE)
+TOPIC_TYPE_PREDEFINED = 0x01  # topic id known in advance (PUBLISH only)
 
 
 # -- Errors ------------------------------------------------------------------
@@ -130,6 +134,7 @@ class Publish:
     msg_id: int = 0
     qos: int = 0
     dup: bool = False
+    predefined: bool = False  # TopicIdType 0b01, not normal
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,10 +223,12 @@ def _frame(msg_type: int, encode: Callable[..., bytes], *fields) -> bytes:
     return bytes((total, msg_type)) + body
 
 
-def _flags(qos: int = 0, dup: bool = False) -> int:
+def _flags(qos: int = 0, dup: bool = False, predefined: bool = False) -> int:
     if qos not in (0, 1):
         raise PacketError("QoS {} not supported, use 0 or 1".format(qos))
     flags = (qos << FLAG_QOS_SHIFT) | TOPIC_TYPE_NORMAL
+    if predefined:
+        flags |= TOPIC_TYPE_PREDEFINED
     if dup:
         flags |= FLAG_DUP
     return flags
@@ -254,7 +261,8 @@ _ENCODERS = {
         pkt.topic_id, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
     Regack: (MsgType.REGACK, _encode_ack),
     Publish: (MsgType.PUBLISH, lambda pkt: _publish(
-        pkt.topic_id, pkt.data, _flags(pkt.qos, pkt.dup), pkt.msg_id)),
+        pkt.topic_id, pkt.data, _flags(pkt.qos, pkt.dup, pkt.predefined),
+        pkt.msg_id)),
     Puback: (MsgType.PUBACK, _encode_ack),
     Subscribe: (MsgType.SUBSCRIBE, lambda pkt: _BH.pack(
         _flags(pkt.qos, pkt.dup), pkt.msg_id) + pkt.topic_name.encode("utf-8")),
@@ -330,8 +338,11 @@ def _decode_register(data: bytes) -> Register:
 
 def _decode_publish(data: bytes) -> Publish:
     flags, topic_id, msg_id = _unpack(_BHH, data, "PUBLISH")
-    return Publish(topic_id, data[7:], msg_id, _qos(flags),
-                   bool(flags & FLAG_DUP))
+    # Clearing the predefined bit leaves the normal type, which _qos
+    # accepts, and turns the reserved type 0b11 into 0b10, which it refuses.
+    return Publish(topic_id, data[7:], msg_id,
+                   _qos(flags & ~TOPIC_TYPE_PREDEFINED), bool(flags & FLAG_DUP),
+                   bool(flags & TOPIC_TYPE_PREDEFINED))
 
 
 def _decode_subscribe(data: bytes) -> Subscribe:

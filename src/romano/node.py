@@ -2,8 +2,9 @@
 
 A node joins the overlay in a fixed order: connect to the broker with
 its IPv6 address as client id, subscribe to its own ROMANO-ID topic,
-publish a ConnectionRequest carrying its ID on "init-info", then wait
-up to 2 s for a ConnectionAck on its ID topic.  On timeout it republishes
+publish a ConnectionRequest carrying its ID on "init-info" (under its
+predefined topic id, so no REGISTER goes first), then wait up to 2 s
+for a ConnectionAck on its ID topic.  On timeout it republishes
 the request, indefinitely; only after the ack does it subscribe to
 "common" and become Ready.  A dropped session (an exhausted control
 exchange or a rejected connect) puts the node back in Init; the
@@ -81,9 +82,8 @@ class RomanoNode:
             self._ack_timer = None
         self.phase = AWAIT_ACK
         raw = codec.encode_message(codec.ConnectionRequest(self.romano_id))
-        # The ack wait starts when the request actually hits the wire
-        # (the very first publish is preceded by a REGISTER exchange),
-        # so retries are spaced exactly one ack-wait apart.
+        # The ack wait starts once the session has sent the request, so
+        # retries are spaced exactly one ack-wait apart.
         self.session.publish(codec.TOPIC_INIT_INFO, raw,
                              on_ok=self._arm_ack_timer)
 

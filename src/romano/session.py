@@ -1,16 +1,18 @@
 """Client-side MQTT-SN session.
 
 Owns the topic name/id map and every in-flight exchange.  Every PUBLISH
-goes out at QoS 0, the only QoS the broker grants, after a REGISTER
-when its topic has no id yet.  Exchanges that expect a reply (CONNECT,
-REGISTER, SUBSCRIBE and UNSUBSCRIBE) resend their frame up to
-``N_RETRY`` times, a SUBSCRIBE with its DUP flag set.  An exchange that
-exhausts its retries, or a rejected CONNECT, drops the session, which
-is the only in-band failure signal a QoS 0 deployment gets, and fails
-every other exchange still in flight.  A request that finds every msg
-id in flight fails at once, unsent.  An inbound PUBLISH on a topic id
-the session never learned, or above QoS 0, is stray: counted, dropped
-and never acknowledged.
+goes out at QoS 0, the only QoS the broker grants: at once under its
+predefined id for a topic in ``codec.PREDEFINED_TOPICS`` ("init-info"),
+and otherwise after a REGISTER when its topic has no id yet.  Exchanges
+that expect a reply (CONNECT, REGISTER, SUBSCRIBE and UNSUBSCRIBE)
+resend their frame up to ``N_RETRY`` times, a SUBSCRIBE with its DUP
+flag set.  An exchange that exhausts its retries, or a rejected
+CONNECT, drops the session, which is the only in-band failure signal a
+QoS 0 deployment gets, and fails every other exchange still in flight.
+A request that finds every msg id in flight fails at once, unsent.  An
+inbound PUBLISH on a topic id the session never learned, under a
+predefined topic id, or above QoS 0, is stray: counted, dropped and
+never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import codec
 from . import mqttsn as sn
 from .simnet import Network, NoLink, Timer
 
@@ -65,6 +68,9 @@ class BrokerReject(SessionError):
 # Every in-flight exchange waits in ClientSession._pending under its msg
 # id; CONNECT has none, so it takes 0, which no msg id (1..0xFFFF) uses.
 CONNECT_KEY = 0
+
+# topic name -> its predefined topic id
+_PREDEFINED_IDS = {name: tid for tid, name in codec.PREDEFINED_TOPICS.items()}
 
 # reply type -> kind of the exchange it completes
 _REPLY_KINDS = {
@@ -157,12 +163,15 @@ class ClientSession:
                 on_ok: Optional[Callable] = None,
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
         """Publish ``data`` at QoS 0; ``on_ok`` runs once it is sent.  A
-        topic with no id yet is registered first, and a failed REGISTER
+        topic with a predefined id goes under it; any other topic with
+        no id yet is registered first, and a failed REGISTER
         reaches ``on_fail``.  A PUBLISH that cannot be encoded raises
         PacketError here, before anything is sent."""
-        topic_id = self.topic_ids.get(topic)
+        flags, topic_id = sn.TOPIC_TYPE_NORMAL, self.topic_ids.get(topic)
+        if topic in _PREDEFINED_IDS:
+            flags, topic_id = sn.TOPIC_TYPE_PREDEFINED, _PREDEFINED_IDS[topic]
         if topic_id is not None:
-            self._send(sn.encode_publish(topic_id, data), topic)
+            self._send(sn.encode_publish(topic_id, data, flags), topic)
             if on_ok is not None:
                 on_ok()
             return
@@ -191,7 +200,8 @@ class ClientSession:
         cls = type(pkt)
         if cls is sn.Publish:
             topic = self.topic_names.get(pkt.topic_id)
-            if topic is None or pkt.qos:  # unknown, or above the QoS granted
+            # unknown, or not the plain QoS 0 copy a broker sends
+            if topic is None or pkt.qos or pkt.predefined:
                 self.stray_packets += 1
             elif self.on_message is not None:
                 self.on_message(topic, pkt.data)

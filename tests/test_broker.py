@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from romano import codec
 from romano import mqttsn as sn
 from romano.broker import Broker, RadioGate
 from romano.harness.config import ScenarioConfig
@@ -548,13 +549,16 @@ class TestGatedEgress:
 
 
 class TestTopicIdType:
-    """Only the normal TopicIdType is supported; any other is a bad packet."""
+    """A PUBLISH may name a topic by a normal or a predefined id; any
+    other TopicIdType, or a predefined id outside
+    ``codec.PREDEFINED_TOPICS``, is a bad packet."""
 
     def ready_world(self):
         world = World(ScenarioConfig(n_robots=2))
         world.run_ready()
         return world, world.cells[0].broker
 
+    # 0x01: predefined id 4, which the table lacks; 0x02: a short name
     @pytest.mark.parametrize("flags", [0x01, 0x02])
     def test_publish_is_not_fanned_out(self, flags):
         world, broker = self.ready_world()
@@ -567,6 +571,41 @@ class TestTopicIdType:
         world.sim.run_until_idle()
         assert broker.topic_stats("common") == published
         assert broker.bad_packets == bad + 1
+
+    def test_predefined_init_info_reaches_the_registry_as_a_plain_copy(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        registry = Client(net, "registry")
+        ids = registry.join([codec.TOPIC_INIT_INFO])
+        robot = Client(net, "robot")
+        robot.join()
+        robot.send(sn.Publish(1, b"join", predefined=True))
+        sim.run_until_idle()
+        assert codec.PREDEFINED_TOPICS[1] == codec.TOPIC_INIT_INFO
+        # flags 0x00 under the normal id the registry's SUBACK gave
+        assert [p for _, p in registry.publishes()] == [
+            sn.Publish(ids[codec.TOPIC_INIT_INFO], b"join")]
+        assert broker.topic_stats(codec.TOPIC_INIT_INFO) == (1, 1, 0)
+        assert broker.bad_packets == 0
+
+    def test_predefined_topic_is_interned_on_first_use(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        robot = Client(net, "robot")
+        robot.join()
+        assert broker.topic_id(codec.TOPIC_INIT_INFO) is None
+        robot.send(sn.Publish(1, b"join", predefined=True))
+        sim.run_until_idle()
+        assert broker.topic_id(codec.TOPIC_INIT_INFO) == 1
+        assert broker.topic_stats(codec.TOPIC_INIT_INFO) == (1, 0, 0)
+
+    def test_predefined_publish_from_a_sessionless_sender_is_bad(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        Client(net, "stranger").send(sn.Publish(1, b"join", predefined=True))
+        sim.run_until_idle()
+        assert broker.bad_packets == 1
+        assert broker.topic_id(codec.TOPIC_INIT_INFO) is None
 
     def test_subscribe_to_predefined_id_registers_nothing(self):
         world, broker = self.ready_world()

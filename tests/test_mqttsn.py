@@ -160,12 +160,31 @@ TOPIC_FRAMES = {
 }
 
 
-@pytest.mark.parametrize("topic_type", [0b01, 0b10, 0b11],
-                         ids=["predefined", "short", "reserved"])
-@pytest.mark.parametrize("name", sorted(TOPIC_FRAMES))
+# TopicIdTypes the decoder refuses: every one but normal on a SUBSCRIBE or
+# UNSUBSCRIBE, and a short name or the reserved type on a PUBLISH
+UNSUPPORTED_TOPIC_TYPES = [
+    (name, topic_type) for name in sorted(TOPIC_FRAMES)
+    for topic_type in (0b01, 0b10, 0b11)
+    if (name, topic_type) != ("PUBLISH", 0b01)]
+
+
+@pytest.mark.parametrize(
+    "name, topic_type", UNSUPPORTED_TOPIC_TYPES,
+    ids=["{}-{}".format(name, {0b01: "predefined", 0b10: "short",
+                               0b11: "reserved"}[topic_type])
+         for name, topic_type in UNSUPPORTED_TOPIC_TYPES])
 def test_topic_id_type_other_than_normal_is_unsupported(name, topic_type):
     raw = bytearray(TOPIC_FRAMES[name])
     sn.decode_packet(bytes(raw))  # the normal form decodes
     raw[2] |= topic_type
     with pytest.raises(sn.UnsupportedPacket):
         sn.decode_packet(bytes(raw))
+
+
+def test_publish_to_a_predefined_topic_id_round_trips():
+    pkt = sn.Publish(1, b"hi", predefined=True)
+    wire = sn.encode_packet(pkt)
+    assert wire == bytes([9, sn.MsgType.PUBLISH, sn.TOPIC_TYPE_PREDEFINED,
+                          0, 1, 0, 0]) + b"hi"
+    assert sn.encode_publish(1, b"hi", sn.TOPIC_TYPE_PREDEFINED) == wire
+    assert sn.decode_packet(wire) == pkt

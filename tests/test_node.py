@@ -86,13 +86,16 @@ class TestEstablishment:
         rig.ready(node)
         sent = [p for _, p in rig.tap.from_src(NODE_1)]
         kinds = [type(p).__name__ for p in sent]
-        # connect, subscribe own id, register + publish the join request,
-        # then subscribe the shared topic only after the ack
-        assert kinds == ["Connect", "Subscribe", "Register", "Publish",
-                         "Subscribe"]
+        # connect, subscribe own id, publish the join request under the
+        # predefined id of "init-info" (no REGISTER), then subscribe the
+        # shared topic only after the ack
+        assert kinds == ["Connect", "Subscribe", "Publish", "Subscribe"]
         assert sent[1].topic_name == node.romano_id
-        assert sent[4].topic_name == codec.TOPIC_COMMON
-        join = codec.decode_message(sent[3].data)
+        assert sent[2].predefined
+        assert codec.PREDEFINED_TOPICS[sent[2].topic_id] == \
+            codec.TOPIC_INIT_INFO
+        assert sent[3].topic_name == codec.TOPIC_COMMON
+        join = codec.decode_message(sent[2].data)
         assert join == codec.ConnectionRequest(node.romano_id)
 
     def test_ready_state_and_subscriptions(self):

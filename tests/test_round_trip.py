@@ -56,7 +56,7 @@ PACKETS = {
     sn.Register: st.builds(sn.Register, U16, U16, text(room(sn.Register))),
     sn.Regack: st.builds(sn.Regack, U16, U16, U8),
     sn.Publish: st.builds(sn.Publish, U16, octets(room(sn.Publish)), U16,
-                          QOS, st.booleans()),
+                          QOS, st.booleans(), st.booleans()),
     sn.Puback: st.builds(sn.Puback, U16, U16, U8),
     sn.Subscribe: st.builds(sn.Subscribe, U16, text(room(sn.Subscribe)),
                             QOS, st.booleans()),

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from romano import codec
 from romano import mqttsn as sn
 from romano.harness.config import ScenarioConfig
 from romano.harness.world import World
@@ -234,6 +235,22 @@ class TestPublishPath:
         sim.run_until_idle()
         assert len(stub.sends(sn.Register)) == 1
         assert [p.data for _, p in stub.sends(sn.Publish)] == [b"a", b"b"]
+
+    def test_init_info_goes_under_its_predefined_id(self):
+        sim, net, stub, session = make_session(latency_us=5_000)
+        connect(sim, session)
+        sent = []
+        session.publish(codec.TOPIC_INIT_INFO, b"join",
+                        on_ok=lambda: sent.append(sim.now))
+        assert sent == [sim.now]  # at once, with no REGISTER first
+        session.publish(codec.TOPIC_COMMON, b"beat")  # registered first
+        sim.run_until_idle()
+        assert [p.topic_name for _, p in stub.sends(sn.Register)] == [
+            codec.TOPIC_COMMON]
+        assert [p for _, p in stub.sends(sn.Publish)] == [
+            sn.Publish(1, b"join", predefined=True),
+            sn.Publish(stub.topic_ids[codec.TOPIC_COMMON], b"beat")]
+        assert codec.PREDEFINED_TOPICS == {1: codec.TOPIC_INIT_INFO}
 
     def test_qos0_on_ok_fires_at_send(self):
         sim, net, stub, session = make_session(latency_us=5_000)
@@ -519,6 +536,21 @@ class TestInbound:
         sim.run_until_idle()
         assert got == [] and session.stray_packets == 2
         assert stub.sends(sn.Puback) == []  # nor is it acked
+
+    def test_inbound_predefined_publish_is_stray(self):
+        # a broker sends copies under normal ids only, so a predefined id
+        # is never read as the normal id it happens to equal
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        got = []
+        session.on_message = lambda topic, data: got.append((topic, data))
+        session.subscribe("common")
+        sim.run_until_idle()
+        tid = stub.topic_ids["common"]
+        stub.push(CLIENT, sn.Publish(tid, b"x", predefined=True))
+        stub.push(CLIENT, sn.Publish(tid, b"y"))
+        sim.run_until_idle()
+        assert session.stray_packets == 1 and got == [("common", b"y")]
 
     def test_inbound_qos1_is_stray_and_not_acked(self):
         # the broker grants QoS 0 only, so a QoS 1 copy is outside it
