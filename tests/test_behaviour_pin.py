@@ -72,58 +72,58 @@ FILES = {
 PINS = {
     "command-gate-drops": (
         "cdd44ac06414993998c2c09959c2c6a0e7e7ca38c1d5d51ef92ee62e59fb502d",
-        "7753052c043824e3a598c14489b25600c41d0367c863cdc900f9931beb358355",
-        "6b32eadc1a23ae53cce83944efff35394ef91ad7361672524e1f033af366ac38",
+        "f3fb17380a29391a8f4b8d54bb7dd07fc47e155f7afa85c9c0d32c2b323b6117",
+        "f93377067a69141faa15d037038b86e5f33a5a078bd2edd7300956b7c5d00bab",
     ),
     "command-lossy-join": (
-        "bfba7cf6c4b05377939b0e7d5f9401f28c5c0e1d4f4002401c55bea5d5d095df",
-        "486f9bd403aa63da9152d77d88afcf1a0f290898b45ecff1256bf9e4bfb6fe7b",
-        "1bf5dc15b7fa63e4511368f55475e7ded9638ac5c32e57b4317c00343a6d1794",
+        "9c804a3dd3fb9e526b32bf2d3acdd3ab4d25d0ac723b59ee77405c61d484e78c",
+        "ba953a363428956c656801e3a54cc7a6760b76a27c7a7eace4a890ec3a847cc7",
+        "70afa3b26ae5e40631ff77d7cea3645e4bc222ddd4d22596f1b240c08d2b147f",
     ),
     "demo-bridge": (
         "735e97aec11b4eb13dae03fce709ab19d12df824f60bf744205152d3b7a66ad2",
-        "de325c8533ca6addac994310e11ef538080252434530969fba41b866c7245b0a",
-        "c968fc42d441f867fcf3c35b01b06e133ea12033726c4b5a332c2d8c4d38382d",
+        "0f8469bdb37a118be612e222f904fcce162135bfb8005ee314531e50ba1a0e70",
+        "2b2e26500d4d9de286441ba02622e81d3f907dbb42d361f5617061cccf8aea98",
     ),
     "demo-dispersal": (
         "900ac95c9540fa56ca8a1176b354ab204c44b3a4ec767eb8213b6c64602445fd",
-        "d3bb953f2d526c4976608c8af31ddc6711636b76208462900a0e54a1a03efb0d",
-        "9d280cd4b3dd1851d091710e9527d81db57870793c4537c8a4e8cbef859a5e8b",
+        "1c94e8675caa9f247ac344490bf22e591932dd85267d5d8dc4cf79fb6283c046",
+        "aff020b69df7e8d890fa3a95b5a3610e08a1ab79c8288512f89e95a00b3f392b",
     ),
     "demo-group-control": (
         "f800dc8292aed678aed48b4c0d528242288e369b060d44a588cf6c6d1ed30b16",
-        "40c2d4b8b4cb647b23b7e52de44353517feab2cf885044d076c9534e4a06fd82",
-        "10c03f1f71fcf56af95100a13513e1089e5ec3824d4bcda8107434f5552b8821",
+        "84164dd3f19ae289d21e1cc1115c90f8f3394e1ac90a705f675e53cf445312d5",
+        "729f25e10539f93d987e825e622839884b408a760e2c2d46a4c7d146c2edcbd5",
     ),
     "demo-path-copy": (
         "6e0add636a1c52eb3d2570364a8c9279b87b69a2490a0e4bf50d1be4d33c8cde",
-        "98dd6921c0286cc54940e2b22fbaba42ff3a3f63e609c3f7afe739d4b13f8194",
-        "8abc5e513767772c59dcea2e75571105bfb30728af6ea2c94a78c448febfc5bb",
+        "0f0ec7a13960e7fbecb32a9a1a2b515a6b874e29d1df28e9367d331c108e253f",
+        "8546e6fa8f9df19000232de7b1bffd3482b01ea3ef540c08537b5fa4276d5aae",
     ),
     "scalability": (
         "57bb1c1c50f05c8452e6dd71133ce52ee91b4e23021dd8ee84f0c58674b22b19",
-        "b34b64276c4a0b7de181666bb641f1e6b2548cde8c70f3c2b2ca88d7df3966a1",
+        "5fb58e58383a2b6db8c5bafb95b7249255fe4711766721edce6c33ab1083d29e",
         "8bf73acf12d8d9e92c8d90e0ce1826c2c07534dadecb1e74bfcb8d99b1d2b1bb",
     ),
     "sweep": (
-        "a62040283b85a113e5da3e97cc8b1165385c669e21e6c7f46e0e2e333e16d7ba",
-        "69708a377dcef9f2be5b1df6871644df564ba10e8567002619fd75b5a35f3484",
-        "ab97694bf0fdd83fcd96f158065a1a342697b5280dfd904cd224193d961a6506",
+        "affaf27ba41e6dd495c877f07d274b9d1f31a2ac93b43a019518ed7c2d81b934",
+        "bb30430cd11bc668cb8a4f688f1102e7b61162e436995fad2b02419773fb9c15",
+        "10f4d9c08ba2a0e1a73533a579fe96b2140cbf059d45967760c221ffbe9ef532",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-clean": (
-        "8add17067a41f2b18cb1554e806a8ca414adf55abd2eaf8e660942e8f5602197",
-        "29f3d6298283a7443e66f3c96229467c52fc4f070c4f53a9b66299b7b3c2093f",
+        "cb7e917446373b8957f0de70ed6e265e0f25e9f206f40d117136aa3110453d78",
+        "c89015824a4b4566b645f0400bd9f17e634566fddd0557177eadc001bd8e7e10",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-lossy": (
-        "58d01d8bfd908c0f3460b0616a35d6ef812a2861080a52d93d14218015bb7673",
-        "0b3c2643f83417feadf95bd6e374264265e1fd2a42c716111af50f1f6a176f0a",
+        "e8e4a91c2f34ee88855bbb7c8f9c2d8800f80a05d00db0366de788d979362a2d",
+        "e026230dc362995c746179117da51d4ab0ef864cf0180f84a3f9c6b58aa654a6",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-overflow": (
-        "7c87a082b5cbd85ffdde17fdc98673c2bedfbed61df382150bd62854a32eac22",
-        "d755ed480d61e23555a8fb211b936272f7306a6e835cc16fba95cef065ab6e7a",
+        "73cf53b102b03125490b49f6de8c0125395b144d3014d385a2f44ad9c34ac498",
+        "2acde0ef06df5a87b1b7235f7203ec93f79550bb49cafd525621ac534495bac5",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
 }

@@ -348,13 +348,13 @@ class TestRetransmission:
         assert session.retransmits == N_RETRY
 
     def test_join_1000_retransmissions_match_the_traced_count(self):
-        # 2 234 is session.retransmits of `bench/run.py --workload
+        # 1 629 is session.retransmits of `bench/run.py --workload
         # join-1000 --seed 1 --trace 1`, counted there at each resend
         world = World(ScenarioConfig(seed=1, n_robots=1000))
         world.run_ready()
         sessions = [world.commander, world.server.session,
                     *(node.session for node in world.nodes)]
-        assert sum(s.retransmits for s in sessions) == 2234
+        assert sum(s.retransmits for s in sessions) == 1629
 
 
 class TestRetryTimeout:
