@@ -3,8 +3,10 @@
 A :class:`Cell` is one broker domain.  The broker, registry server and
 commander sit on wired links (zero latency, lossless, exempt from the
 radio gate); each robot reaches the broker over a radio link drawn from
-the scenario's latency window and loss probability.  Addresses follow a
-fixed scheme so ROMANO IDs are unique across cells:
+the scenario's latency window and loss probability, one ``LinkModel``
+that all of a cell's robots share (give one robot its own with
+``Network.set_link_pair``; changing the shared one changes them all).
+Addresses follow a fixed scheme so ROMANO IDs are unique across cells:
 
     broker     fe80::212:4b00:<cell>:1
     registry   fe80::212:4b00:<cell>:2
@@ -76,10 +78,11 @@ class Cell:
         self.nodes: list[RomanoNode] = []
         self._unready = 0   # index of the first node ready() saw not READY
         self.robots: list[Robot] = []
+        radio = LinkModel((cfg.latency_lo_us, cfg.latency_hi_us),
+                          cfg.loss_prob)
         for i in range(1, cfg.n_robots + 1):
             addr = robot_addr(i, cell)
-            net.set_link_pair(addr, self.addr, LinkModel(
-                (cfg.latency_lo_us, cfg.latency_hi_us), cfg.loss_prob))
+            net.set_link_pair(addr, self.addr, radio)
             node = RomanoNode(ClientSession(net, addr, self.addr))
             pose = poses[i - 1] if poses else Pose()
             self.nodes.append(node)

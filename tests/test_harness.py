@@ -152,6 +152,15 @@ class TestWorld:
         assert set(world.broker.subscribers(codec.TOPIC_COMMON)) == {
             robot_addr(i) for i in range(1, 4)}
 
+    def test_a_cells_robots_share_one_radio_link_model(self):
+        cfg = ScenarioConfig(n_robots=3, loss_prob=0.1)
+        world = World(cfg)
+        links = [world.net._links[(addr, world.broker.addr)]
+                 for addr in world.cell.robot_addrs()]
+        assert all(link is links[0] for link in links)
+        assert (links[0].latency_us, links[0].loss_prob) == (
+            (cfg.latency_lo_us, cfg.latency_hi_us), 0.1)
+
     def test_ready_sees_a_node_fall_back_after_the_scan_passed_it(self):
         world = World(ScenarioConfig(n_robots=3, seed=5))
         world.run_ready()
