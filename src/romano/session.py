@@ -164,9 +164,9 @@ class ClientSession:
                 on_fail: Optional[Callable[[Exception], None]] = None) -> None:
         """Publish ``data`` at QoS 0; ``on_ok`` runs once it is sent.  A
         topic with a predefined id goes under it; any other topic with
-        no id yet is registered first, and a failed REGISTER
-        reaches ``on_fail``.  A PUBLISH that cannot be encoded raises
-        PacketError here, before anything is sent."""
+        no id yet is registered first, and a failed REGISTER reaches
+        ``on_fail``.  A PUBLISH that cannot be encoded raises PacketError
+        here, before anything is sent."""
         flags, topic_id = sn.TOPIC_TYPE_NORMAL, self.topic_ids.get(topic)
         if topic in _PREDEFINED_IDS:
             flags, topic_id = sn.TOPIC_TYPE_PREDEFINED, _PREDEFINED_IDS[topic]
