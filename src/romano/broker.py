@@ -20,10 +20,9 @@ A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
 been lost on the link.  Fan-out copies are never suppressed.  Each is a
-plain QoS 0 PUBLISH (flags octet 0x00, msg id 0) under the normal topic
-id its subscribers learned from their SUBACK, so a SUBACK grants QoS 0
-whatever the SUBSCRIBE asked for; a PUBLISH that arrived in that form
-is forwarded as its received octets, and any other is framed anew.
+plain QoS 0 PUBLISH (msg id 0), so a SUBACK grants QoS 0 whatever the
+SUBSCRIBE asked for: a QoS 0 PUBLISH is forwarded as its received
+octets, and any other is framed anew under the normal topic id.
 A PUBLISH under a predefined topic id (``codec.PREDEFINED_TOPICS``)
 names its topic by that table, and the topic gets its normal id on
 first use, as a REGISTER would give it; an id the table lacks makes
@@ -242,7 +241,7 @@ class Broker:
         if pkt.qos > 0:
             self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
-        if raw[2] or pkt.msg_id:  # not already the copy
+        if raw[2] & ~sn.TOPIC_TYPE_PREDEFINED or pkt.msg_id:  # not plain QoS 0
             raw = sn.encode_publish(topic.topic_id, pkt.data)
         skip = src if src in self.local_clients else None
         dispatch, call_at = self._dispatch, self.sim.call_at

@@ -10,9 +10,9 @@ flag set.  An exchange that exhausts its retries, or a rejected
 CONNECT, drops the session, which is the only in-band failure signal a
 QoS 0 deployment gets, and fails every other exchange still in flight.
 A request that finds every msg id in flight fails at once, unsent.  An
-inbound PUBLISH on a topic id the session never learned, under a
-predefined topic id, or above QoS 0, is stray: counted, dropped and
-never acknowledged.
+inbound PUBLISH on an id the session never learned nor
+``codec.PREDEFINED_TOPICS`` holds, or above QoS 0, is stray: counted,
+dropped and never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -199,9 +199,10 @@ class ClientSession:
             return
         cls = type(pkt)
         if cls is sn.Publish:
-            topic = self.topic_names.get(pkt.topic_id)
+            topic = (codec.PREDEFINED_TOPICS if pkt.predefined
+                     else self.topic_names).get(pkt.topic_id)
             # unknown, or not the plain QoS 0 copy a broker sends
-            if topic is None or pkt.qos or pkt.predefined:
+            if topic is None or pkt.qos:
                 self.stray_packets += 1
             elif self.on_message is not None:
                 self.on_message(topic, pkt.data)

@@ -572,21 +572,35 @@ class TestTopicIdType:
         assert broker.topic_stats("common") == published
         assert broker.bad_packets == bad + 1
 
-    def test_predefined_init_info_reaches_the_registry_as_a_plain_copy(self):
+    def test_predefined_init_info_reaches_the_registry_as_received(self):
         sim, net = make_net()
         broker = Broker(net, BROKER)
         registry = Client(net, "registry")
-        ids = registry.join([codec.TOPIC_INIT_INFO])
+        registry.join([codec.TOPIC_INIT_INFO])
         robot = Client(net, "robot")
         robot.join()
         robot.send(sn.Publish(1, b"join", predefined=True))
         sim.run_until_idle()
         assert codec.PREDEFINED_TOPICS[1] == codec.TOPIC_INIT_INFO
+        # the QoS 0 frame is forwarded as its octets, so it is decoded
+        # once in the process
+        assert [p for _, p in registry.publishes()] == [
+            sn.Publish(1, b"join", predefined=True)]
+        assert broker.topic_stats(codec.TOPIC_INIT_INFO) == (1, 1, 0)
+        assert broker.bad_packets == 0
+
+    def test_predefined_qos1_publish_is_copied_under_the_normal_id(self):
+        sim, net = make_net()
+        Broker(net, BROKER)
+        registry = Client(net, "registry")
+        ids = registry.join([codec.TOPIC_INIT_INFO])
+        robot = Client(net, "robot")
+        robot.join()
+        robot.send(sn.Publish(1, b"join", msg_id=5, qos=1, predefined=True))
+        sim.run_until_idle()
         # flags 0x00 under the normal id the registry's SUBACK gave
         assert [p for _, p in registry.publishes()] == [
             sn.Publish(ids[codec.TOPIC_INIT_INFO], b"join")]
-        assert broker.topic_stats(codec.TOPIC_INIT_INFO) == (1, 1, 0)
-        assert broker.bad_packets == 0
 
     def test_predefined_topic_is_interned_on_first_use(self):
         sim, net = make_net()

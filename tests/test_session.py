@@ -537,9 +537,9 @@ class TestInbound:
         assert got == [] and session.stray_packets == 2
         assert stub.sends(sn.Puback) == []  # nor is it acked
 
-    def test_inbound_predefined_publish_is_stray(self):
-        # a broker sends copies under normal ids only, so a predefined id
-        # is never read as the normal id it happens to equal
+    def test_inbound_predefined_publish_names_its_topic_by_the_table(self):
+        # a predefined id is read through codec.PREDEFINED_TOPICS, never
+        # as the normal id it may equal; one the table lacks is stray
         sim, net, stub, session = make_session()
         connect(sim, session)
         got = []
@@ -547,10 +547,12 @@ class TestInbound:
         session.subscribe("common")
         sim.run_until_idle()
         tid = stub.topic_ids["common"]
-        stub.push(CLIENT, sn.Publish(tid, b"x", predefined=True))
+        stub.push(CLIENT, sn.Publish(1, b"x", predefined=True))
         stub.push(CLIENT, sn.Publish(tid, b"y"))
+        stub.push(CLIENT, sn.Publish(9, b"z", predefined=True))
         sim.run_until_idle()
-        assert session.stray_packets == 1 and got == [("common", b"y")]
+        assert got == [(codec.PREDEFINED_TOPICS[1], b"x"), ("common", b"y")]
+        assert session.stray_packets == 1
 
     def test_inbound_qos1_is_stray_and_not_acked(self):
         # the broker grants QoS 0 only, so a QoS 1 copy is outside it
