@@ -90,10 +90,8 @@ TOPIC_INIT_INFO = "init-info"
 TOPIC_COMMON = "common"
 
 # MQTT-SN predefined topic id -> topic name, known to every client and
-# broker, so a join request needs no REGISTER.  Not "common": a predefined
-# PUBLISH is framed anew for its subscribers, an encode and a decode per
-# broadcast, and the commander registers "common" once over a wired link.
-PREDEFINED_TOPICS = {1: TOPIC_INIT_INFO}
+# broker, so a PUBLISH to either topic needs no REGISTER.
+PREDEFINED_TOPICS = {1: TOPIC_INIT_INFO, 2: TOPIC_COMMON}
 
 
 # -- Errors ------------------------------------------------------------------

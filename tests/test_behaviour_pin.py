@@ -72,12 +72,12 @@ FILES = {
 PINS = {
     "command-gate-drops": (
         "cdd44ac06414993998c2c09959c2c6a0e7e7ca38c1d5d51ef92ee62e59fb502d",
-        "f3fb17380a29391a8f4b8d54bb7dd07fc47e155f7afa85c9c0d32c2b323b6117",
+        "be24f949f51e6cca07bac35e70e6b76cd06718088e2a58cdc38e6e99a3cabfc6",
         "f93377067a69141faa15d037038b86e5f33a5a078bd2edd7300956b7c5d00bab",
     ),
     "command-lossy-join": (
         "9c804a3dd3fb9e526b32bf2d3acdd3ab4d25d0ac723b59ee77405c61d484e78c",
-        "ba953a363428956c656801e3a54cc7a6760b76a27c7a7eace4a890ec3a847cc7",
+        "e25e9e1e5b4ba10aa4cff5686cbc5de2576fe1575a4f2c566e2b259bb1a95034",
         "70afa3b26ae5e40631ff77d7cea3645e4bc222ddd4d22596f1b240c08d2b147f",
     ),
     "demo-bridge": (
@@ -92,7 +92,7 @@ PINS = {
     ),
     "demo-group-control": (
         "f800dc8292aed678aed48b4c0d528242288e369b060d44a588cf6c6d1ed30b16",
-        "84164dd3f19ae289d21e1cc1115c90f8f3394e1ac90a705f675e53cf445312d5",
+        "2401a3ce3e17443123cbcd0ef5f71d08eb6ec82f5a88fed794f7f16db7044c8a",
         "729f25e10539f93d987e825e622839884b408a760e2c2d46a4c7d146c2edcbd5",
     ),
     "demo-path-copy": (
@@ -102,28 +102,28 @@ PINS = {
     ),
     "scalability": (
         "57bb1c1c50f05c8452e6dd71133ce52ee91b4e23021dd8ee84f0c58674b22b19",
-        "5fb58e58383a2b6db8c5bafb95b7249255fe4711766721edce6c33ab1083d29e",
+        "cd53834c0d354505aabe8701912f657bf5ac7c6e6397e6d0bc421bcf6bb49302",
         "8bf73acf12d8d9e92c8d90e0ce1826c2c07534dadecb1e74bfcb8d99b1d2b1bb",
     ),
     "sweep": (
         "affaf27ba41e6dd495c877f07d274b9d1f31a2ac93b43a019518ed7c2d81b934",
         "bb30430cd11bc668cb8a4f688f1102e7b61162e436995fad2b02419773fb9c15",
-        "10f4d9c08ba2a0e1a73533a579fe96b2140cbf059d45967760c221ffbe9ef532",
+        "708466262dcc78120695d42c4633c0a5c1b02d2947950f9584cd8a2fc6be6c27",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-clean": (
         "cb7e917446373b8957f0de70ed6e265e0f25e9f206f40d117136aa3110453d78",
-        "c89015824a4b4566b645f0400bd9f17e634566fddd0557177eadc001bd8e7e10",
+        "3b1b26759b2b8848ae67c0469964de8f840a9c9b0d55eff617b3c829963368c7",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-lossy": (
         "e8e4a91c2f34ee88855bbb7c8f9c2d8800f80a05d00db0366de788d979362a2d",
-        "e026230dc362995c746179117da51d4ab0ef864cf0180f84a3f9c6b58aa654a6",
+        "db8fc788d4c1401fbc69771afe16cc5fc0b14cd91079219c1717515538593ede",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
     "throughput-overflow": (
         "73cf53b102b03125490b49f6de8c0125395b144d3014d385a2f44ad9c34ac498",
-        "2acde0ef06df5a87b1b7235f7203ec93f79550bb49cafd525621ac534495bac5",
+        "4036ee7c1d6a44f70ee206aac67ae2c1acc9ee69ad047d87d6d2367bff6f7e13",
         "8f1529a7191a389c900183a12d82e2d2cce7a0c230eb9e761acf47ce8b6169e7",
     ),
 }

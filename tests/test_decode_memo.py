@@ -102,12 +102,12 @@ def test_broadcast_decodes_each_fanout_frame_once(monkeypatch):
         world.commander.publish(codec.TOPIC_COMMON,
                                 encode_probe(seq, world.sim.now, 32))
     world.sim.run_until_idle()
-    # The broker gets the commander's REGISTER for "common" and each
-    # probe, the commander its REGACK, and 16 robots each probe as the
-    # octets the broker got.
-    assert sorted(delivered.values()) == [1, 1] + [17] * 20
+    # The broker gets each probe, under the predefined id of "common"
+    # with no REGISTER first, and 16 robots each probe as the octets the
+    # broker got.
+    assert sorted(delivered.values()) == [17] * 20
     # Each distinct frame is decoded once in the whole process.
-    assert calls == len(delivered) == 22
+    assert calls == len(delivered) == 20
 
 
 def test_the_server_keeps_its_join_requests_out_of_the_memo():

@@ -236,21 +236,24 @@ class TestPublishPath:
         assert len(stub.sends(sn.Register)) == 1
         assert [p.data for _, p in stub.sends(sn.Publish)] == [b"a", b"b"]
 
-    def test_init_info_goes_under_its_predefined_id(self):
+    def test_well_known_topics_go_under_their_predefined_ids(self):
         sim, net, stub, session = make_session(latency_us=5_000)
         connect(sim, session)
         sent = []
         session.publish(codec.TOPIC_INIT_INFO, b"join",
                         on_ok=lambda: sent.append(sim.now))
-        assert sent == [sim.now]  # at once, with no REGISTER first
-        session.publish(codec.TOPIC_COMMON, b"beat")  # registered first
+        session.publish(codec.TOPIC_COMMON, b"beat",
+                        on_ok=lambda: sent.append(sim.now))
+        assert sent == [sim.now] * 2  # at once, with no REGISTER first
+        session.publish("squad", b"x")  # any other topic registers first
         sim.run_until_idle()
-        assert [p.topic_name for _, p in stub.sends(sn.Register)] == [
-            codec.TOPIC_COMMON]
+        assert [p.topic_name for _, p in stub.sends(sn.Register)] == ["squad"]
         assert [p for _, p in stub.sends(sn.Publish)] == [
             sn.Publish(1, b"join", predefined=True),
-            sn.Publish(stub.topic_ids[codec.TOPIC_COMMON], b"beat")]
-        assert codec.PREDEFINED_TOPICS == {1: codec.TOPIC_INIT_INFO}
+            sn.Publish(2, b"beat", predefined=True),
+            sn.Publish(stub.topic_ids["squad"], b"x")]
+        assert codec.PREDEFINED_TOPICS == {1: codec.TOPIC_INIT_INFO,
+                                           2: codec.TOPIC_COMMON}
 
     def test_qos0_on_ok_fires_at_send(self):
         sim, net, stub, session = make_session(latency_us=5_000)
