@@ -78,11 +78,11 @@ class Cell:
         self.nodes: list[RomanoNode] = []
         self._unready = 0   # index of the first node ready() saw not READY
         self.robots: list[Robot] = []
-        radio = LinkModel((cfg.latency_lo_us, cfg.latency_hi_us),
-                          cfg.loss_prob)
+        self.radio = LinkModel((cfg.latency_lo_us, cfg.latency_hi_us),
+                               cfg.loss_prob)  # every robot's link
         for i in range(1, cfg.n_robots + 1):
             addr = robot_addr(i, cell)
-            net.set_link_pair(addr, self.addr, radio)
+            net.set_link_pair(addr, self.addr, self.radio)
             node = RomanoNode(ClientSession(net, addr, self.addr))
             pose = poses[i - 1] if poses else Pose()
             self.nodes.append(node)

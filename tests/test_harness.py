@@ -16,7 +16,7 @@ from romano.harness.experiments import (decode_probe, encode_probe,
                                         run_scalability, run_throughput)
 from romano.harness.world import World, WorldNotReady, robot_addr
 from romano.node import READY
-from romano.simnet import LinkModel, Simulator, WireTrace
+from romano.simnet import LinkModel, NoLink, Simulator, WireTrace
 
 from faults import Swallow
 
@@ -155,11 +155,15 @@ class TestWorld:
     def test_a_cells_robots_share_one_radio_link_model(self):
         cfg = ScenarioConfig(n_robots=3, loss_prob=0.1)
         world = World(cfg)
-        links = [world.net._links[(addr, world.broker.addr)]
-                 for addr in world.cell.robot_addrs()]
-        assert all(link is links[0] for link in links)
-        assert (links[0].latency_us, links[0].loss_prob) == (
+        radio = world.cell.radio
+        assert (radio.latency_us, radio.loss_prob) == (
             (cfg.latency_lo_us, cfg.latency_hi_us), 0.1)
+        radio.connected = False   # cuts every robot's link, both ways
+        for addr in world.cell.robot_addrs():
+            for src, dst in ((addr, world.broker.addr),
+                             (world.broker.addr, addr)):
+                with pytest.raises(NoLink):
+                    world.net.send(src, dst, b"")
 
     def test_ready_sees_a_node_fall_back_after_the_scan_passed_it(self):
         world = World(ScenarioConfig(n_robots=3, seed=5))
