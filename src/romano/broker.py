@@ -19,10 +19,11 @@ MQTT-SN v1.2 has no no-local option.
 A request retransmitted while its reply still waits in the gate is not
 answered twice: the queued reply answers both.  Once that reply has
 departed, a retransmission is answered again, since the reply may have
-been lost on the link.  Fan-out copies are never suppressed.  Each is a
-plain QoS 0 PUBLISH (msg id 0), so a SUBACK grants QoS 0 whatever the
-SUBSCRIBE asked for: a QoS 0 PUBLISH is forwarded as its received
-octets, and any other is framed anew under the normal topic id.
+been lost on the link.  Fan-out copies are never suppressed.  The
+decoder refuses a PUBLISH at any QoS but 0, so the broker sends no
+PUBACK, a SUBACK grants QoS 0 whatever the SUBSCRIBE asked for, and
+every accepted PUBLISH is forwarded as the octets it arrived in.
+Replies are framed straight from their fields.
 A PUBLISH under a predefined topic id (``codec.PREDEFINED_TOPICS``)
 names its topic by that table, and the topic gets its normal id on
 first use, as a REGISTER would give it; an id the table lacks makes
@@ -178,40 +179,42 @@ class Broker:
     def _on_connect(self, src: str, pkt: sn.Connect, raw) -> None:
         if pkt.client_id != src:
             self.bad_packets += 1
-            self._reply(src, sn.Connack(sn.ReturnCode.REJECTED_NOT_SUPPORTED))
+            self._reply(src, sn.encode_connack(
+                sn.ReturnCode.REJECTED_NOT_SUPPORTED))
             return
         subscriptions = self.sessions.setdefault(src, [])
         if pkt.clean_session:
             for tid in subscriptions:
                 self._topics[tid].subscribers.pop(src, None)
             subscriptions.clear()
-        self._reply(src, sn.Connack(sn.ReturnCode.ACCEPTED))
+        self._reply(src, sn.encode_connack(sn.ReturnCode.ACCEPTED))
 
     def _on_register(self, src: str, pkt: sn.Register, raw) -> None:
         if src not in self.sessions:
-            self._reply(src, sn.Regack(0, pkt.msg_id,
-                                       sn.ReturnCode.REJECTED_NOT_SUPPORTED))
+            self._reply(src, sn.encode_regack(
+                0, pkt.msg_id, sn.ReturnCode.REJECTED_NOT_SUPPORTED))
             return
         tid = self._intern_topic(pkt.topic_name)
         code = (sn.ReturnCode.ACCEPTED if tid
                 else sn.ReturnCode.REJECTED_CONGESTION)
-        self._reply(src, sn.Regack(tid, pkt.msg_id, code))
+        self._reply(src, sn.encode_regack(tid, pkt.msg_id, code))
 
     def _on_subscribe(self, src: str, pkt: sn.Subscribe, raw) -> None:
         if src not in self.sessions:
-            self._reply(src, sn.Suback(0, pkt.msg_id,
-                                       sn.ReturnCode.REJECTED_NOT_SUPPORTED))
+            self._reply(src, sn.encode_suback(
+                0, pkt.msg_id, sn.ReturnCode.REJECTED_NOT_SUPPORTED))
             return
         tid = self._intern_topic(pkt.topic_name)
         if not tid:
-            self._reply(src, sn.Suback(0, pkt.msg_id,
-                                       sn.ReturnCode.REJECTED_CONGESTION))
+            self._reply(src, sn.encode_suback(
+                0, pkt.msg_id, sn.ReturnCode.REJECTED_CONGESTION))
             return
         topic = self._topics[tid]
         if src not in topic.subscribers:
             topic.subscribers[src] = None
             self.sessions[src].append(tid)
-        self._reply(src, sn.Suback(tid, pkt.msg_id))  # grants QoS 0
+        self._reply(src, sn.encode_suback(
+            tid, pkt.msg_id, sn.ReturnCode.ACCEPTED))
 
     def _on_unsubscribe(self, src: str, pkt: sn.Unsubscribe, raw) -> None:
         tid = self._topic_ids.get(pkt.topic_name)
@@ -220,7 +223,7 @@ class Broker:
             subscriptions = self.sessions.get(src)
             if subscriptions and tid in subscriptions:
                 subscriptions.remove(tid)
-        self._reply(src, sn.Unsuback(pkt.msg_id))
+        self._reply(src, sn.encode_packet(sn.Unsuback(pkt.msg_id)))
 
     def _on_publish(self, src: str, pkt: sn.Publish, raw) -> None:
         connected = src in self.sessions
@@ -231,18 +234,9 @@ class Broker:
         else:
             topic = self._topics.get(pkt.topic_id)
         if not connected or topic is None:
-            if pkt.qos > 0:
-                self._reply(src, sn.Puback(
-                    pkt.topic_id, pkt.msg_id,
-                    sn.ReturnCode.REJECTED_NOT_SUPPORTED if not connected
-                    else sn.ReturnCode.REJECTED_INVALID_TOPIC_ID))
             self.bad_packets += 1
             return
-        if pkt.qos > 0:
-            self._reply(src, sn.Puback(pkt.topic_id, pkt.msg_id))
         topic.published += 1
-        if raw[2] & ~sn.TOPIC_TYPE_PREDEFINED or pkt.msg_id:  # not plain QoS 0
-            raw = sn.encode_publish(topic.topic_id, pkt.data)
         skip = src if src in self.local_clients else None
         dispatch, call_at = self._dispatch, self.sim.call_at
         interval = self.dispatch_interval_us
@@ -264,8 +258,6 @@ class Broker:
         sn.Subscribe: _on_subscribe,
         sn.Unsubscribe: _on_unsubscribe,
         sn.Publish: _on_publish,
-        # subscriber-side acks are not tracked at QoS 0/1 fan-out
-        sn.Puback: lambda self, src, pkt, raw: None,
     }
 
     # -- egress ---------------------------------------------------------------
@@ -273,8 +265,7 @@ class Broker:
     # Each frame goes to a local client at once, or is offered to the
     # gate, which tail-drops it with a drop-buffer trace row when full.
 
-    def _reply(self, dest: str, pkt: sn.SnPacket) -> None:
-        raw = sn.encode_packet(pkt)
+    def _reply(self, dest: str, raw: bytes) -> None:
         key = (dest, raw)
         if key in self._queued_replies:
             self.duplicate_replies += 1  # the queued copy answers this too

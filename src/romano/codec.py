@@ -34,12 +34,11 @@ and UdpSendGo); other application types register through the
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import ClassVar, Union
 
-from .mqttsn import DECODE_MEMO_SIZE
+from .mqttsn import DECODE_MEMO_SIZE, frozen
 
 # -- Protocol constants ------------------------------------------------------
 
@@ -127,54 +126,54 @@ class InvalidField(CodecError):
 
 # -- Message types -----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ConnectionRequest:
     romano_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ConnectionAck:
     """Join acknowledgement; carries no payload."""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RequestConnectedNodesInfo:
     romano_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ConnectedNodesInfo:
     romano_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Heartbeat:
     romano_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NormalData:
     type_code: ClassVar[int] = DataType.NORMAL_DATA
     data: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MqttSubscribe:
     topic: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MqttUnsubscribe:
     topic: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MqttPublishRequest:
     topic: str
     data: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MovementControl:
     control_type: int
     data: bytes = b""
@@ -188,14 +187,14 @@ class MovementControl:
         return int.from_bytes(self.data, "big")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SensorData:
     type_code: ClassVar[int] = DataType.SENSOR_DATA
     sensor_type: int
     data: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CustomData:
     """Message of a registered application-defined type."""
 

@@ -1,9 +1,11 @@
 """MQTT-SN v1.2 packet codec for the subset a ROMANO deployment uses.
 
 Supported packets: CONNECT, CONNACK, REGISTER, REGACK, SUBSCRIBE,
-SUBACK, UNSUBSCRIBE, UNSUBACK, PUBLISH, PUBACK.  All packets use the
-single-octet length form, so no packet may exceed 255 octets; a PUBLISH
-therefore carries at most 248 octets of data after its 7-octet header:
+SUBACK, UNSUBSCRIBE, UNSUBACK and PUBLISH at QoS 0, the only QoS a ROMANO
+deployment uses, so a PUBLISH at any other QoS raises and there is no
+PUBACK.  All packets use the single-octet length form, so no packet may
+exceed 255 octets; a PUBLISH carries at most 248 octets of data after
+its 7-octet header:
 
     octet 0     packet length
     octet 1     message type
@@ -23,7 +25,7 @@ type, or a SUBSCRIBE or UNSUBSCRIBE with any but the normal type, raises.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 from functools import lru_cache, partial
 from typing import Callable, Union
@@ -44,7 +46,6 @@ class MsgType(IntEnum):
     REGISTER = 0x0A
     REGACK = 0x0B
     PUBLISH = 0x0C
-    PUBACK = 0x0D
     SUBSCRIBE = 0x12
     SUBACK = 0x13
     UNSUBSCRIBE = 0x14
@@ -101,50 +102,66 @@ class MalformedString(PacketError):
 
 # -- Packet types ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+def frozen(cls):
+    """``@dataclass(frozen=True, slots=True)`` whose ``__init__``, built
+    once from ``fields(cls)`` with the same signature and defaults, sets
+    each slot through its member descriptor (``cls.field.__set__``), not
+    through ``object.__setattr__``: in two thirds of the time."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        env["_s_" + f.name] = getattr(cls, f.name).__set__
+        params.append(", " + f.name)
+        if f.default is not MISSING:
+            env["_d_" + f.name] = f.default
+            params.append("=_d_" + f.name)
+        body.append("_s_{0}(self, {0}); ".format(f.name))
+    # the descriptors and defaults reach __init__ as closure cells
+    scope: dict = {}
+    exec("def make({}):\n def __init__(self{}):\n  {}pass\n return __init__"
+         .format(", ".join(env), "".join(params), "".join(body)), scope)
+    init = scope["make"](**env)
+    init.__qualname__ = cls.__init__.__qualname__
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@frozen
 class Connect:
     client_id: str
     clean_session: bool = True
     duration: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Connack:
     return_code: int = ReturnCode.ACCEPTED
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Register:
     topic_id: int
     msg_id: int
     topic_name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Regack:
     topic_id: int
     msg_id: int
     return_code: int = ReturnCode.ACCEPTED
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Publish:
     topic_id: int
     data: bytes
     msg_id: int = 0
-    qos: int = 0
-    dup: bool = False
     predefined: bool = False  # TopicIdType 0b01, not normal
 
 
-@dataclass(frozen=True, slots=True)
-class Puback:
-    topic_id: int
-    msg_id: int
-    return_code: int = ReturnCode.ACCEPTED
-
-
-@dataclass(frozen=True, slots=True)
+@frozen
 class Subscribe:
     msg_id: int
     topic_name: str
@@ -152,7 +169,7 @@ class Subscribe:
     dup: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Suback:
     topic_id: int
     msg_id: int
@@ -160,20 +177,20 @@ class Suback:
     qos: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Unsubscribe:
     msg_id: int
     topic_name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Unsuback:
     msg_id: int
 
 
 SnPacket = Union[
-    Connect, Connack, Register, Regack, Publish, Puback,
-    Subscribe, Suback, Unsubscribe, Unsuback,
+    Connect, Connack, Register, Regack, Publish, Subscribe, Suback,
+    Unsubscribe, Unsuback,
 ]
 
 
@@ -223,15 +240,10 @@ def _frame(msg_type: int, encode: Callable[..., bytes], *fields) -> bytes:
     return bytes((total, msg_type)) + body
 
 
-def _flags(qos: int = 0, dup: bool = False, predefined: bool = False) -> int:
+def _flags(qos: int = 0, dup: bool = False) -> int:
     if qos not in (0, 1):
         raise PacketError("QoS {} not supported, use 0 or 1".format(qos))
-    flags = (qos << FLAG_QOS_SHIFT) | TOPIC_TYPE_NORMAL
-    if predefined:
-        flags |= TOPIC_TYPE_PREDEFINED
-    if dup:
-        flags |= FLAG_DUP
-    return flags
+    return (qos << FLAG_QOS_SHIFT) | (FLAG_DUP if dup else 0)
 
 
 def _encode_connect(pkt: Connect) -> bytes:
@@ -240,17 +252,18 @@ def _encode_connect(pkt: Connect) -> bytes:
             + pkt.client_id.encode("utf-8"))
 
 
-def _encode_ack(pkt: Union[Regack, Puback]) -> bytes:
-    return _HHB.pack(pkt.topic_id, pkt.msg_id, pkt.return_code)
-
-
 def _publish(topic_id: int, data: bytes, flags=0, msg_id=0) -> bytes:
     return _BHH.pack(flags, topic_id, msg_id) + data
 
 
-# encode_publish(topic_id, data, flags=0, msg_id=0): a PUBLISH frame, plain
-# QoS 0 by default, with the octets and errors encode_packet gives a Publish
+# Framers straight from the fields, with the octets and errors encode_packet
+# gives the matching packet: encode_publish(topic_id, data, flags=0,
+# msg_id=0), encode_connack(return_code), encode_regack(topic_id, msg_id,
+# return_code) and encode_suback(topic_id, msg_id, return_code), at QoS 0.
 encode_publish = partial(_frame, MsgType.PUBLISH, _publish)
+encode_connack = partial(_frame, MsgType.CONNACK, _B.pack)
+encode_regack = partial(_frame, MsgType.REGACK, _HHB.pack)
+encode_suback = partial(_frame, MsgType.SUBACK, _BHHB.pack, 0)
 
 # packet class -> (message type code, body encoder), keyed by exact type;
 # ``+ pkt.data`` takes bytes-like data only, where bytes(3) gives 3 zeros
@@ -259,11 +272,12 @@ _ENCODERS = {
     Connack: (MsgType.CONNACK, lambda pkt: _B.pack(pkt.return_code)),
     Register: (MsgType.REGISTER, lambda pkt: _HH.pack(
         pkt.topic_id, pkt.msg_id) + pkt.topic_name.encode("utf-8")),
-    Regack: (MsgType.REGACK, _encode_ack),
+    Regack: (MsgType.REGACK, lambda pkt: _HHB.pack(
+        pkt.topic_id, pkt.msg_id, pkt.return_code)),
     Publish: (MsgType.PUBLISH, lambda pkt: _publish(
-        pkt.topic_id, pkt.data, _flags(pkt.qos, pkt.dup, pkt.predefined),
+        pkt.topic_id, pkt.data,
+        TOPIC_TYPE_PREDEFINED if pkt.predefined else TOPIC_TYPE_NORMAL,
         pkt.msg_id)),
-    Puback: (MsgType.PUBACK, _encode_ack),
     Subscribe: (MsgType.SUBSCRIBE, lambda pkt: _BH.pack(
         _flags(pkt.qos, pkt.dup), pkt.msg_id) + pkt.topic_name.encode("utf-8")),
     Suback: (MsgType.SUBACK, lambda pkt: _BHHB.pack(
@@ -340,8 +354,9 @@ def _decode_publish(data: bytes) -> Publish:
     flags, topic_id, msg_id = _unpack(_BHH, data, "PUBLISH")
     # Clearing the predefined bit leaves the normal type, which _qos
     # accepts, and turns the reserved type 0b11 into 0b10, which it refuses.
+    if _qos(flags & ~TOPIC_TYPE_PREDEFINED):
+        raise UnsupportedPacket("PUBLISH at QoS 1, where only 0 is supported")
     return Publish(topic_id, data[7:], msg_id,
-                   _qos(flags & ~TOPIC_TYPE_PREDEFINED), bool(flags & FLAG_DUP),
                    bool(flags & TOPIC_TYPE_PREDEFINED))
 
 
@@ -370,7 +385,6 @@ _DECODERS = {int(code): decode for code, decode in (
     (MsgType.REGISTER, _decode_register),
     (MsgType.REGACK, lambda data: Regack(*_exact(_HHB, data, "REGACK"))),
     (MsgType.PUBLISH, _decode_publish),
-    (MsgType.PUBACK, lambda data: Puback(*_exact(_HHB, data, "PUBACK"))),
     (MsgType.SUBSCRIBE, _decode_subscribe),
     (MsgType.SUBACK, _decode_suback),
     (MsgType.UNSUBSCRIBE, _decode_unsubscribe),

@@ -11,8 +11,8 @@ CONNECT, drops the session, which is the only in-band failure signal a
 QoS 0 deployment gets, and fails every other exchange still in flight.
 A request that finds every msg id in flight fails at once, unsent.  An
 inbound PUBLISH on an id the session never learned nor
-``codec.PREDEFINED_TOPICS`` holds, or above QoS 0, is stray: counted,
-dropped and never acknowledged.
+``codec.PREDEFINED_TOPICS`` holds is stray: counted and dropped.  So is
+one above QoS 0, which does not decode, and it is never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -81,7 +81,7 @@ _REPLY_KINDS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Exchange:
     kind: str
     key: Optional[int]                # msg id or CONNECT_KEY; None: no id free
@@ -177,7 +177,7 @@ class ClientSession:
             return
         # Encoded now, under topic id 0, only so a bad one raises here;
         # once registered, the publish goes out under the granted id.
-        sn.encode_packet(sn.Publish(0, data))
+        sn.encode_publish(0, data)
         waiter = (lambda: self.publish(topic, data, on_ok, on_fail), on_fail)
         for exchange in self._pending.values():
             if exchange.kind == "register" and exchange.topic == topic:
@@ -201,8 +201,7 @@ class ClientSession:
         if cls is sn.Publish:
             topic = (codec.PREDEFINED_TOPICS if pkt.predefined
                      else self.topic_names).get(pkt.topic_id)
-            # unknown, or not the plain QoS 0 copy a broker sends
-            if topic is None or pkt.qos:
+            if topic is None:
                 self.stray_packets += 1
             elif self.on_message is not None:
                 self.on_message(topic, pkt.data)
@@ -258,8 +257,8 @@ class ClientSession:
             frame = frame[:2] + bytes((frame[2] | sn.FLAG_DUP,)) + frame[3:]
         self._send(frame, exchange.topic)
         exchange.sent_us = self.sim.now
-        exchange.timer = self.sim.after(
-            exchange.rto, lambda: self._on_retry_timeout(exchange))
+        exchange.timer = Timer(self.sim.call_at(
+            exchange.sent_us + exchange.rto, self._on_retry_timeout, exchange))
 
     def _sample_rtt(self, rtt_us: int) -> None:
         """RFC 6298 section 2 in integer us, with alpha 1/8, beta 1/4, K 4."""

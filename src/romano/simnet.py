@@ -38,14 +38,15 @@ class SimulationLimit(Exception):
 # -- Event loop ---------------------------------------------------------------
 
 # An entry is the list [time_us, seq, fn, args]; seq is unique, so
-# entries never compare past it.  A cancelled entry has fn set to None
-# and stays queued until it reaches the head.
-_FN = 2
+# entries never compare past it.  A cancelled entry has fn and args set
+# to None, so it holds nothing alive, and stays queued until it reaches
+# the head.
+_FN, _ARGS = 2, 3
 
 
 class Timer:
-    """Handle for a callback scheduled with :meth:`Simulator.at`;
-    cancellation is lazy."""
+    """Handle for a queued entry, as :meth:`Simulator.at` returns or a
+    caller wraps around :meth:`Simulator.call_at`'s; cancellation is lazy."""
 
     __slots__ = ("_entry",)
 
@@ -53,7 +54,7 @@ class Timer:
         self._entry = entry
 
     def cancel(self) -> None:
-        self._entry[_FN] = None
+        self._entry[_FN] = self._entry[_ARGS] = None
 
 
 class Simulator:

@@ -56,7 +56,7 @@ def test_criterion_1_codec_soundness():
             (bytes([0x04, 0x0A]) + b"abcd1234" + b"\x00", codec.LengthMismatch),
             (bytes([0x7F, 0x02]), codec.UnknownType),
             (b"", sn.TruncatedPacket),
-            (sn.encode_packet(sn.Puback(1, 2))[:5], sn.TruncatedPacket),
+            (sn.encode_packet(sn.Regack(1, 2))[:5], sn.TruncatedPacket),
             (sn.encode_packet(sn.Connack()) + b"\x00", sn.PacketLengthMismatch),
             (bytes([3, 0x18, 0x00]), sn.UnsupportedPacket),
     ]:

@@ -191,23 +191,26 @@ class TestFanOut:
         pub.send(sn.Connect("p"))
         pub.send(sn.Register(0, 1, "common"))
         sim.run_until_idle()
-        pub.send(sn.Publish(broker.topic_id("common"), b"x", msg_id=7, qos=1))
+        tid = broker.topic_id("common")
+        qos1 = sn.encode_publish(tid, b"x", 1 << sn.FLAG_QOS_SHIFT, 7)
+        net.send("p", BROKER, qos1)
+        pub.send(sn.Publish(tid, b"y"))
         sim.run_until_idle()
-        # publisher got its PUBACK, subscriber a QoS 0 copy
-        assert any(isinstance(p, sn.Puback) for _, p in pub.inbox)
-        (_, copy), = sub.publishes()
-        assert copy.qos == 0 and copy.msg_id == 0
+        # the QoS 1 PUBLISH is a bad packet, neither copied nor answered
+        assert [type(p) for _, p in pub.inbox] == [sn.Connack, sn.Regack]
+        assert [p for _, p in sub.publishes()] == [sn.Publish(tid, b"y")]
+        assert broker.bad_packets == 1
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(qos=st.integers(0, 1), dup=st.booleans(), retain=st.booleans(),
            msg_id=st.one_of(st.just(0), st.integers(1, 0xFFFF)),
            data=st.binary(max_size=sn.MAX_PUBLISH_DATA))
-    def test_every_copy_is_the_plain_qos0_frame(self, qos, dup, retain,
-                                                msg_id, data):
-        # A plain QoS 0 frame goes out as received, any other re-encoded;
-        # either way each copy has flags 0x00 and msg id 0.
+    def test_every_copy_is_the_frame_received(self, qos, dup, retain,
+                                              msg_id, data):
+        # A QoS 0 frame goes out as received, DUP, RETAIN and msg id
+        # included, as they mean nothing at QoS 0; a QoS 1 one is refused.
         sim, net = make_net()
-        Broker(net, BROKER)
+        broker = Broker(net, BROKER)
         got = []
         for addr in ("s0", "s1"):
             ids = Client(net, addr).join(["common"])
@@ -220,7 +223,8 @@ class TestFanOut:
                  + msg_id.to_bytes(2, "big") + data)
         net.send("p", BROKER, frame)
         sim.run_until_idle()
-        assert got == [sn.encode_packet(sn.Publish(ids["common"], data))] * 2
+        assert got == [frame] * 2 * (qos == 0)
+        assert broker.bad_packets == qos
 
     def test_no_local_skips_only_the_publisher(self):
         # A local client gets no copy of its own PUBLISH; a radio client
@@ -287,12 +291,12 @@ class TestSessions:
         ids = Client(net, "s").join(["common"])
         client = Client(net, "c")
         client.send(sn.Register(0, 1, "common"))
-        client.send(sn.Publish(ids["common"], b"x", msg_id=2 * qos, qos=qos))
+        # at QoS 1 the PUBLISH is a bad packet before its sender is looked at
+        net.send("c", BROKER, sn.encode_publish(
+            ids["common"], b"x", qos << sn.FLAG_QOS_SHIFT, 2 * qos))
         sim.run_until_idle()
         rejected = sn.ReturnCode.REJECTED_NOT_SUPPORTED
-        assert [p for _, p in client.inbox] == [
-            sn.Regack(0, 1, rejected),
-            *[sn.Puback(ids["common"], 2, rejected)] * qos]
+        assert [p for _, p in client.inbox] == [sn.Regack(0, 1, rejected)]
         assert broker.topic_stats("common") == (0, 0, 0)
         assert broker.bad_packets == 1 and "c" not in broker.sessions
 
@@ -404,11 +408,9 @@ class TestSessions:
         broker = Broker(net, BROKER)
         client = Client(net, "c")
         client.send(sn.Connect("c"))
-        client.send(sn.Publish(99, b"x", msg_id=5, qos=1))
+        client.send(sn.Publish(99, b"x", msg_id=5))
         sim.run_until_idle()
-        pubacks = [p for _, p in client.inbox if isinstance(p, sn.Puback)]
-        assert pubacks == [sn.Puback(
-            99, 5, sn.ReturnCode.REJECTED_INVALID_TOPIC_ID)]
+        assert [type(p) for _, p in client.inbox] == [sn.Connack]
         assert broker.bad_packets == 1
 
     def test_malformed_datagram_counted(self):
@@ -589,18 +591,18 @@ class TestTopicIdType:
         assert broker.topic_stats(codec.TOPIC_INIT_INFO) == (1, 1, 0)
         assert broker.bad_packets == 0
 
-    def test_predefined_qos1_publish_is_copied_under_the_normal_id(self):
+    def test_predefined_qos1_publish_is_a_bad_packet(self):
         sim, net = make_net()
-        Broker(net, BROKER)
+        broker = Broker(net, BROKER)
         registry = Client(net, "registry")
-        ids = registry.join([codec.TOPIC_INIT_INFO])
+        registry.join([codec.TOPIC_INIT_INFO])
         robot = Client(net, "robot")
         robot.join()
-        robot.send(sn.Publish(1, b"join", msg_id=5, qos=1, predefined=True))
+        net.send("robot", BROKER, sn.encode_publish(
+            1, b"join", 1 << sn.FLAG_QOS_SHIFT | sn.TOPIC_TYPE_PREDEFINED, 5))
         sim.run_until_idle()
-        # flags 0x00 under the normal id the registry's SUBACK gave
-        assert [p for _, p in registry.publishes()] == [
-            sn.Publish(ids[codec.TOPIC_INIT_INFO], b"join")]
+        assert registry.publishes() == [] and broker.bad_packets == 1
+        assert [type(p) for _, p in robot.inbox] == [sn.Connack]
 
     def test_predefined_topic_is_interned_on_first_use(self):
         sim, net = make_net()

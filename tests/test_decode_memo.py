@@ -2,12 +2,13 @@
 ``codec.decode_shared``.
 
 A fan-out delivers one frame as the same octets to every subscriber, and
-the broker forwards a plain QoS 0 PUBLISH as the octets it received, so
+the broker forwards each PUBLISH it accepts as the octets it received, so
 each distinct frame is decoded once in the process and the result shared.
 That is sound only while every decoded object is immutable and every
 receiver still sees its own errors and its own extension codes.
 """
 import dataclasses
+import inspect
 from collections import Counter
 
 import pytest
@@ -36,6 +37,54 @@ def test_every_decoded_class_is_a_frozen_dataclass(encoders):
         assert dataclasses.is_dataclass(cls), cls
         assert cls.__dataclass_params__.frozen, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls  # slotted
+
+
+# Every packet and message class, and a value for each type its fields use.
+CLASSES = [*sn._ENCODERS, *codec._ENCODERS]
+SAMPLE = {"int": 7, "str": "s", "bytes": b"d", "bool": True,
+          "tuple[str, ...]": ("0123abcd",)}
+
+
+def plain_twin(cls):
+    """The plain frozen dataclass of ``cls``'s name, fields and defaults."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type, dataclasses.field(default=f.default))
+                       for f in dataclasses.fields(cls)],
+        frozen=True, slots=True)
+
+
+def sample(cls):
+    return cls(*(SAMPLE[f.type] for f in dataclasses.fields(cls)))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_built_init_acts_as_a_plain_frozen_dataclass_init(cls):
+    twin = plain_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [SAMPLE[f.type] for f in dataclasses.fields(cls)]
+    required = [SAMPLE[f.type] for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING]
+    for args, kwargs in [(values, {}), ((), dict(zip(names, values))),
+                         (values[:1], dict(zip(names[1:], values[1:]))),
+                         (required, {})]:
+        obj, ref = cls(*args, **kwargs), twin(*args, **kwargs)
+        assert repr(obj) == repr(ref) and hash(obj) == hash(ref)
+        assert obj == cls(*args, **kwargs) and obj != ref
+    obj = sample(cls)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1)
+    assert obj == sample(cls)
+
+
+def test_classes_of_equal_fields_are_unequal():
+    assert sn.Connack(0) != sn.Unsuback(0)
+    assert sn.Regack(1, 2, 0) != sn.Suback(1, 2, 0)
+    objs = [sample(cls) for cls in CLASSES]
+    for i, obj in enumerate(objs):
+        assert [other == obj for other in objs] == [
+            j == i for j in range(len(objs))], obj
 
 
 def ready_pair() -> tuple:

@@ -56,8 +56,7 @@ PACKETS = {
     sn.Register: st.builds(sn.Register, U16, U16, text(room(sn.Register))),
     sn.Regack: st.builds(sn.Regack, U16, U16, U8),
     sn.Publish: st.builds(sn.Publish, U16, octets(room(sn.Publish)), U16,
-                          QOS, st.booleans(), st.booleans()),
-    sn.Puback: st.builds(sn.Puback, U16, U16, U8),
+                          st.booleans()),
     sn.Subscribe: st.builds(sn.Subscribe, U16, text(room(sn.Subscribe)),
                             QOS, st.booleans()),
     sn.Suback: st.builds(sn.Suback, U16, U16, U8, QOS),
@@ -98,8 +97,7 @@ def test_largest_packets_fill_the_length_octet(pkt):
 
 # type code -> octets of a packet made of fixed fields alone
 FIXED_SIZE = {sn.MsgType.CONNACK: 3, sn.MsgType.REGACK: 7,
-              sn.MsgType.PUBACK: 7, sn.MsgType.SUBACK: 8,
-              sn.MsgType.UNSUBACK: 4}
+              sn.MsgType.SUBACK: 8, sn.MsgType.UNSUBACK: 4}
 
 
 @pytest.mark.parametrize("raw", [
@@ -133,9 +131,8 @@ def test_decodable_fixed_size_frame_re_encodes_to_itself(data):
 # -- integer fields outside their octets -----------------------------------------
 
 BASES = [sn.Connect("x"), sn.Connack(), sn.Register(1, 1, "a"),
-         sn.Regack(1, 1), sn.Publish(1, b""), sn.Puback(1, 1),
-         sn.Subscribe(1, "a"), sn.Suback(1, 1), sn.Unsubscribe(1, "a"),
-         sn.Unsuback(1)]
+         sn.Regack(1, 1), sn.Publish(1, b""), sn.Subscribe(1, "a"),
+         sn.Suback(1, 1), sn.Unsubscribe(1, "a"), sn.Unsuback(1)]
 
 # (valid packet, integer field, largest value its octets hold); the QoS
 # is a flag value with a check of its own
@@ -305,7 +302,7 @@ def test_any_data_that_is_not_octets_is_a_codec_error(encode, base, error,
         encode(replace(base, data=raw))
 
 
-# -- the plain QoS 0 PUBLISH framing ------------------------------------------
+# -- framing straight from the fields ------------------------------------------
 
 PUBLISH_DATA = st.one_of(
     st.builds(lambda raw, as_buffer: as_buffer(raw),
@@ -336,6 +333,30 @@ def test_encode_publish_is_encode_packet_of_a_plain_publish(topic_id, data):
     assert isinstance(got, bytes) == fits
 
 
+def _field(top: int):
+    """Integers inside ``0..top``, its edges and just past them, and far."""
+    return st.one_of(st.integers(0, top), st.sampled_from((-1, top + 1)),
+                     st.integers())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(topic_id=_field(0xFFFF), msg_id=_field(0xFFFF),
+       return_code=st.one_of(_field(0xFF), st.sampled_from(sn.ReturnCode)))
+def test_reply_framers_equal_encode_packet(topic_id, msg_id, return_code):
+    for framer, pkt, fields in [
+            (sn.encode_connack, sn.Connack(return_code), (return_code,)),
+            (sn.encode_regack, sn.Regack(topic_id, msg_id, return_code),
+             (topic_id, msg_id, return_code)),
+            (sn.encode_suback, sn.Suback(topic_id, msg_id, return_code),
+             (topic_id, msg_id, return_code))]:
+        got = _outcome(lambda: framer(*fields))
+        assert got == _outcome(lambda: sn.encode_packet(pkt)), pkt
+        fits = (0 <= return_code <= 0xFF
+                and (framer is sn.encode_connack
+                     or 0 <= topic_id <= 0xFFFF and 0 <= msg_id <= 0xFFFF))
+        assert isinstance(got, bytes) == fits, pkt
+
+
 @pytest.mark.parametrize("msg", [
     codec.MqttSubscribe(UNENCODABLE),
     codec.MqttPublishRequest("t" + UNENCODABLE, b"x"),
@@ -354,8 +375,7 @@ class Publish:
     topic_id: int
     data: bytes
     msg_id: int = 0
-    qos: int = 0
-    dup: bool = False
+    predefined: bool = False
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,12 @@ class TestRetryTimeout:
         resent = [t for t, _ in stub.sends(sn.Connect)][-2:]
         assert resent[1] - resent[0] == T_RETRY_US
 
+    def test_a_reply_just_before_the_timeout_cancels_the_retry(self):
+        sim, net, stub, session = make_session()
+        stub.delay_us = T_RETRY_US - 1
+        connect(sim, session)
+        assert len(stub.sends(sn.Connect)) == 1 and session.retransmits == 0
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, 10 * RTO_MAX_US), min_size=1))
     def test_the_timeout_stays_within_its_bounds(self, samples):
@@ -448,6 +454,23 @@ class TestDropFailsPending:
                           ("publish", SessionError, EXHAUSTED_US),
                           ("drop", EXHAUSTED_US)]
         assert session._pending == {}
+
+    def test_a_drop_cancels_every_pending_retry(self):
+        # the UNSUBSCRIBE still has retries left when the SUBSCRIBE's run
+        # out, yet nothing leaves the session between the drop and the
+        # reconnect
+        sim, net, stub, session = make_session()
+        connect(sim, session)
+        stub.mute.update((sn.Subscribe, sn.Unsubscribe))
+        session.subscribe("common")
+        sim.run_until(EXHAUSTED_US - 3 * T_RETRY_US // 2)
+        session.unsubscribe("u")
+        run_until_drop(sim, session, EXHAUSTED_US)
+        assert [t for t, _ in stub.log if t >= EXHAUSTED_US] == []
+        assert session.retransmits == N_RETRY + 1
+        sim.run_until(sim.now + 1)
+        assert [type(p) for t, p in stub.log if t >= EXHAUSTED_US] == [
+            sn.Connect]
 
 
 class TestMsgIdExhaustion:
@@ -535,10 +558,11 @@ class TestInbound:
         got = []
         session.on_message = lambda topic, data: got.append(data)
         stub.push(CLIENT, sn.Publish(77, b"stray"))
-        stub.push(CLIENT, sn.Publish(77, b"stray", msg_id=4, qos=1))
+        stub.push(CLIENT, sn.Publish(77, b"stray", msg_id=4))
+        sent = len(stub.log)
         sim.run_until_idle()
         assert got == [] and session.stray_packets == 2
-        assert stub.sends(sn.Puback) == []  # nor is it acked
+        assert len(stub.log) == sent  # nor is it answered
 
     def test_inbound_predefined_publish_names_its_topic_by_the_table(self):
         # a predefined id is read through codec.PREDEFINED_TOPICS, never
@@ -566,10 +590,12 @@ class TestInbound:
         session.subscribe("common")
         sim.run_until_idle()
         tid = stub.topic_ids["common"]
-        stub.push(CLIENT, sn.Publish(tid, b"x", msg_id=3, qos=1))
+        sent = len(stub.log)
+        net.send(BROKER, CLIENT, sn.encode_publish(
+            tid, b"x", 1 << sn.FLAG_QOS_SHIFT, 3))  # QoS 1, msg id 3
         stub.push(CLIENT, sn.Publish(tid, b"y"))
         sim.run_until_idle()
-        assert stub.sends(sn.Puback) == [] and session.stray_packets == 1
+        assert len(stub.log) == sent and session.stray_packets == 1
         assert got == [("common", b"y")]
 
     def test_a_request_from_the_broker_is_stray(self):

@@ -7,6 +7,7 @@ import io
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from romano.simnet import (
     PORT_APP,
     SimulationLimit,
     Simulator,
+    Timer,
     TraceRecord,
     WireTrace,
 )
@@ -153,6 +155,22 @@ class TestEventLoop:
         sim.run_until_idle()
         assert seen == ["call_at at the same tick"]
         assert sim.now == 15
+
+    def test_a_cancelled_timer_keeps_its_arguments_alive_no_longer(self):
+        # A session's retry timer takes its exchange as the argument, and
+        # the exchange holds the timer: a cancel must break that cycle.
+        sim = Simulator()
+
+        class Box:
+            pass
+
+        box = Box()
+        box.timer = Timer(sim.call_at(10, print, box))
+        ref = weakref.ref(box)
+        box.timer.cancel()
+        del box
+        assert ref() is None
+        assert sim.step() is False
 
     def test_run_until_is_inclusive_and_advances_clock(self):
         sim = Simulator()
