@@ -92,13 +92,12 @@ class RadioGate:
     def _depart(self) -> None:
         self._pending = False
         item = self._buf.popleft()
-        sim = self.sim
-        self._next_free_us = sim.now + self.tx_interval_us
+        self._next_free_us = self.sim.now + self.tx_interval_us
         self.transmitted += 1
         self.on_transmit(item)
         if self._buf and not self._pending:   # on_transmit may re-arm it
             self._pending = True
-            sim.call_at(max(sim.now, self._next_free_us), self._depart)
+            self.sim.call_at(self._next_free_us, self._depart)
 
 
 @dataclass

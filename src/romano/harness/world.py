@@ -99,9 +99,11 @@ class Cell:
             node.start()
 
     def ready(self) -> bool:
-        # Scan on from the first node last seen not READY.  A node can
-        # drop back to INIT, so all are checked again before True.
+        # Scan on from the first node last seen not READY once it is READY.
+        # A node can drop back to INIT, so all are checked again before True.
         nodes, i = self.nodes, self._unready
+        if i < len(nodes) and nodes[i].phase != READY:
+            return False
         while i < len(nodes) and nodes[i].phase == READY:
             i += 1
         if i == len(nodes):

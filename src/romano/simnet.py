@@ -61,7 +61,7 @@ class Simulator:
     """Runs events in (time, scheduling order), whichever of :meth:`at`
     and :meth:`call_at` scheduled them.  An entry no earlier than the last
     in the sorted run joins it in O(1), any other the heap; each step
-    takes the smaller head."""
+    takes the smaller head unless it is past the run's deadline."""
 
     def __init__(self, seed: int = 0):
         self.now = 0
@@ -69,6 +69,7 @@ class Simulator:
         self._run: deque[list] = deque()
         self._heap: list[list] = []
         self._next_seq = 0
+        self._deadline_us = 2 ** 63 - 1   # no run: past any int64 time
 
     def call_at(self, time_us: int, fn: Callable[..., None], *args) -> list:
         """Run ``fn(*args)`` at ``time_us``; returns the queued entry, which
@@ -92,15 +93,17 @@ class Simulator:
         return self.at(self.now + delay_us, fn)
 
     def step(self) -> bool:
-        """Run the next pending event; False if the queue is empty."""
+        """Run the next event; False if none is due by the run's deadline."""
         run, heap = self._run, self._heap
         while run or heap:
-            if run and (not heap or run[0] < heap[0]):
-                time_us, _, fn, args = run.popleft()
-            else:
-                time_us, _, fn, args = heappop(heap)
+            entry = (run.popleft() if run and (not heap or run[0] < heap[0])
+                     else heappop(heap))
+            time_us, _, fn, args = entry
             if fn is None:
                 continue
+            if time_us > self._deadline_us:
+                heappush(heap, entry)   # the head again by (time, seq)
+                return False
             self.now = time_us
             fn(*args)
             return True
@@ -119,21 +122,17 @@ class Simulator:
             " idle".format(max_events))
 
     def run_until_true(self, pred: Callable[[], bool], deadline_us: int) -> bool:
-        """Step until ``pred()`` holds; False if the deadline passes first."""
-        run, heap = self._run, self._heap
-        while not pred():
-            # A cancelled head must not hide a next event past the deadline.
-            while run and run[0][_FN] is None:
-                run.popleft()
-            while heap and heap[0][_FN] is None:
-                heappop(heap)
-            past = deadline_us + 1   # stands in for a head that is missing
-            if min(run[0][0] if run else past,
-                   heap[0][0] if heap else past) > deadline_us:
-                self.now = max(self.now, deadline_us)
-                return False
-            self.step()
-        return True
+        """Step until ``pred()`` holds; False if the deadline passes first.
+        Until it returns, :meth:`step` stops at ``deadline_us``."""
+        outer, self._deadline_us = self._deadline_us, deadline_us
+        try:
+            while not pred():
+                if not self.step():
+                    self.now = max(self.now, deadline_us)
+                    return False
+            return True
+        finally:
+            self._deadline_us = outer
 
 
 # -- Wire trace ---------------------------------------------------------------

@@ -169,16 +169,38 @@ class TestWorld:
         world = World(ScenarioConfig(n_robots=3, seed=5))
         world.run_ready()
         assert world.ready()   # every node has been scanned as READY
-        first = world.nodes[0]
-        world.net.set_link_pair(robot_addr(1), world.broker.addr,
-                                LinkModel(connected=False))
-        # With the link down the SUBSCRIBE exhausts its retries, which
-        # ends the session and sends the node back to INIT.
-        first.session.subscribe("unreachable")
-        assert world.sim.run_until_true(lambda: first.phase != READY,
+        cell, (first, second, _) = world.cell, world.nodes
+        for i in (1, 2):
+            world.net.set_link_pair(robot_addr(i), world.broker.addr,
+                                    LinkModel(connected=False))
+
+        def fall_back(node) -> None:
+            # With the link down the SUBSCRIBE exhausts its retries, which
+            # ends the session and sends the node back to INIT.
+            node.session.subscribe("unreachable")
+            assert world.sim.run_until_true(lambda: node.phase != READY,
+                                            world.sim.now + 60 * 10**6)
+
+        def second_still_joining() -> bool:
+            # Each event of the rejoin: the cursor's node is not READY, so
+            # ready() exits at it, with the cursor where it was.
+            if second.phase == READY:
+                return True
+            assert not world.ready() and cell._unready == 1
+            return False
+
+        fall_back(second)
+        assert first.phase == READY and not world.ready()
+        assert cell._unready == 1
+        fall_back(first)   # behind the cursor, while the second is joining
+        assert not second_still_joining()
+        world.net.set_link_pair(robot_addr(2), world.broker.addr, cell.radio)
+        assert world.sim.run_until_true(second_still_joining,
                                         world.sim.now + 60 * 10**6)
-        assert all(node.phase == READY for node in world.nodes[1:])
-        assert not world.ready()
+        # Past the cursor every node is READY, so the scan starts over
+        # and finds the first node still down.
+        assert first.phase != READY and not world.ready()
+        assert cell._unready == 0
 
     @pytest.mark.parametrize("world_class", [World, BridgedWorld],
                              ids=lambda cls: cls.__name__)

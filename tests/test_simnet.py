@@ -247,6 +247,57 @@ class TestEventLoop:
         sim.run_until_idle()
         assert seen == [50, 100]
 
+    @pytest.mark.parametrize("head_in", ["run", "heap"])
+    def test_a_stopped_run_leaves_the_next_event_in_its_place(self, head_in):
+        sim = Simulator()
+        seen = []
+        if head_in == "heap":   # later than A and B, so they join the heap
+            sim.call_at(20, seen.append, "D")
+        sim.call_at(11, seen.append, "A")
+        sim.call_at(11, seen.append, "B")
+        assert not sim.run_until_true(lambda: False, 10)
+        assert seen == [] and sim.now == 10
+        sim.call_at(11, seen.append, "C")
+        sim.run_until_idle()
+        assert seen == ["A", "B", "C"] + ["D"] * (head_in == "heap")
+
+    def test_a_nested_run_restores_the_outer_deadline(self):
+        sim = Simulator()
+        seen = []
+
+        def nested() -> None:
+            seen.append("nested")
+            assert not sim.run_until_true(lambda: False, 20)
+            assert sim.now == 20
+
+        sim.call_at(10, nested)
+        for t in (15, 50, 150):
+            sim.call_at(t, seen.append, t)
+        # The inner run's deadline must not stop the outer run early, nor
+        # leave it with none.
+        assert not sim.run_until_true(lambda: False, 100)
+        assert seen == ["nested", 15, 50] and sim.now == 100
+        sim.run_until_idle()
+        assert seen == ["nested", 15, 50, 150]
+
+    def test_a_raising_pred_leaves_no_deadline_behind(self):
+        sim = Simulator()
+        seen = []
+        for t in (5, 10**9, 2 * 10**9):
+            sim.call_at(t, seen.append, t)
+
+        def pred() -> bool:
+            if seen:
+                raise RuntimeError("pred failed")
+            return False
+
+        with pytest.raises(RuntimeError):
+            sim.run_until_true(pred, 10)
+        assert seen == [5]
+        assert sim.step() and seen == [5, 10**9]
+        sim.run_until_idle()
+        assert seen == [5, 10**9, 2 * 10**9] and sim.now == 2 * 10**9
+
     def test_recurring_timer_trips_the_event_budget(self):
         sim = Simulator()
 
