@@ -325,7 +325,7 @@ def decode_packet(data: bytes) -> SnPacket:
 
 
 # Entries of each codec's decode memo, about 0.4 MB.  A frame must stay
-# while its copies fly: a dozen on a 16-robot broadcast, 40 if 40 heartbeat.
+# while its copies fly: a dozen on a 16-robot broadcast.
 DECODE_MEMO_SIZE = 256
 
 

@@ -16,9 +16,8 @@ CONNECT forgot them.
 Incoming ROMANO messages are dispatched by data type regardless of
 which topic delivered them.  A built-in MovementControl order goes
 straight to the drive layer's ``on_movement`` callback, any other to the
-MovementControl data handler.  Heartbeats are optional; when enabled
-the node publishes its ID on "common" at a fixed period, and remembers
-the last time it heard every peer.
+MovementControl data handler.  A type with no handler, a roster among
+them, is dropped: the registry alone records who is connected.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .session import ClientSession
 from .simnet import Timer
 
 ACK_WAIT_US = 2_000_000
-DEFAULT_HEARTBEAT_PERIOD_US = 1_000_000
-HEARTBEAT_STALE_PERIODS = 3
 
 INIT = "init"
 AWAIT_ACK = "await-ack"
@@ -43,16 +40,12 @@ _DATA_CLASSES = frozenset((codec.NormalData, codec.SensorData,
 
 
 class RomanoNode:
-    def __init__(self, session: ClientSession, *,
-                 heartbeat_period_us: Optional[int] = None) -> None:
+    def __init__(self, session: ClientSession) -> None:
         self.sim = session.sim
         self.session = session
         self.romano_id = codec.derive_romano_id(session.client_id)
         self.phase = INIT
         self.ready_time_us: Optional[int] = None
-        self.heartbeat_period_us = heartbeat_period_us
-        self.heartbeats_sent = 0
-        self.neighbors: dict[str, int] = {}  # ROMANO ID -> last heard, us
         self.unknown_types = 0
         self.unknown_controls = 0
         self.malformed = 0
@@ -63,7 +56,6 @@ class RomanoNode:
         self._data_handlers: dict[int, Callable] = {}
         self._extension_codes: frozenset[int] = frozenset()
         self._ack_timer: Optional[Timer] = None
-        self._heartbeat_timer: Optional[Timer] = None
         self._instructed: dict[str, None] = {}  # subscribed on instruction
         session.on_message = self._on_romano
         session.on_disconnect = self._on_disconnect
@@ -104,8 +96,6 @@ class RomanoNode:
         self.ready_time_us = self.sim.now
         for topic in self._instructed:  # empty until a rejoin
             self.session.subscribe(topic)
-        if self.heartbeat_period_us:
-            self._schedule_heartbeat()
         if self.on_ready is not None:
             self.on_ready()
 
@@ -114,9 +104,6 @@ class RomanoNode:
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
         self.phase = INIT
         self.ready_time_us = None
 
@@ -132,27 +119,6 @@ class RomanoNode:
         self._data_handlers[int(type_code)] = handler
         if int(type_code) not in codec.BUILTIN_TYPE_CODES:
             self._extension_codes |= {int(type_code)}
-
-    # -- heartbeats --------------------------------------------------------------------
-
-    def _schedule_heartbeat(self) -> None:
-        self._heartbeat_timer = self.sim.after(self.heartbeat_period_us,
-                                               self._heartbeat_tick)
-
-    def _heartbeat_tick(self) -> None:
-        if self.phase != READY:
-            return
-        raw = codec.encode_message(codec.Heartbeat(self.romano_id))
-        self.session.publish(codec.TOPIC_COMMON, raw)
-        self.heartbeats_sent += 1
-        self._schedule_heartbeat()
-
-    def neighbor_fresh(self, romano_id: str) -> bool:
-        """True if a heartbeat from the peer arrived within 3 periods."""
-        period = self.heartbeat_period_us or DEFAULT_HEARTBEAT_PERIOD_US
-        last = self.neighbors.get(romano_id)
-        return last is not None and \
-            self.sim.now - last <= HEARTBEAT_STALE_PERIODS * period
 
     # -- dispatch -----------------------------------------------------------------------
 
@@ -185,13 +151,6 @@ class RomanoNode:
         if handler is not None:
             handler(self, msg)
 
-    def _on_heartbeat(self, msg: codec.Heartbeat) -> None:
-        self.neighbors[msg.romano_id] = self.sim.now
-
-    def _on_roster(self, msg: codec.ConnectedNodesInfo) -> None:
-        for romano_id in msg.romano_ids:
-            self.neighbors.setdefault(romano_id, self.sim.now)
-
     def _on_subscribe(self, msg: codec.MqttSubscribe) -> None:
         self._instructed[msg.topic] = None
         self.session.subscribe(msg.topic)
@@ -215,10 +174,9 @@ class RomanoNode:
             self.unknown_controls += 1
 
     # control message type -> handler once READY.  ConnectionRequest and
-    # RequestConnectedNodesInfo are server business; nodes ignore them.
+    # RequestConnectedNodesInfo are server business; nodes drop them and
+    # every other type not named here.
     _HANDLERS = {
-        codec.Heartbeat: _on_heartbeat,
-        codec.ConnectedNodesInfo: _on_roster,
         codec.MqttSubscribe: _on_subscribe,
         codec.MqttUnsubscribe: _on_unsubscribe,
         codec.MqttPublishRequest:

@@ -11,10 +11,6 @@ each stays within the 255-octet frame.  Messages decode through
 every frame the server hears is a one-off ConnectionRequest, and in the
 memo it would only evict the frames every node decodes.
 
-Given a heartbeat period, the server also subscribes to "common" and
-evicts nodes not heard for ``HEARTBEAT_STALE_PERIODS`` periods, the
-same horizon a node uses to call a peer stale.
-
 The server outlives broker outages as every client does: its session
 connects again after a drop, and the server runs again once that
 session holds "init-info".
@@ -22,13 +18,8 @@ session holds "init-info".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import codec
-from .node import HEARTBEAT_STALE_PERIODS
 from .session import ACTIVE, ClientSession
-from .simnet import Timer
 
 # 30 ids make a 242-octet message; the frame itself could hold 31, but
 # 2 + 31*8 = 250 octets would not fit the 248-octet publish data cap.
@@ -36,24 +27,14 @@ MAX_IDS_PER_INFO = 30
 CONNECTION_ACK = codec.encode_message(codec.ConnectionAck())
 
 
-@dataclass
-class NodeRecord:
-    romano_id: str
-    join_time_us: int
-    last_heartbeat_us: Optional[int] = None
-
-
 class RegistryServer:
-    def __init__(self, session: ClientSession, *,
-                 heartbeat_period_us: Optional[int] = None) -> None:
+    def __init__(self, session: ClientSession) -> None:
         self.sim = session.sim
         self.session = session
-        self.heartbeat_period_us = heartbeat_period_us
-        self.registry: dict[str, NodeRecord] = {}
+        # ROMANO ID -> time of its latest join, us; a rejoin keeps its place
+        self.registry: dict[str, int] = {}
         self.acks_sent = 0
-        self.evicted = 0
         self.ignored = 0
-        self._sweep_timer: Optional[Timer] = None
         session.on_message = self._on_romano
 
     @property
@@ -62,14 +43,8 @@ class RegistryServer:
                 and codec.TOPIC_INIT_INFO in self.session.topic_ids)
 
     def start(self) -> None:
-        def subscribed() -> None:
-            if self.heartbeat_period_us:
-                self.session.subscribe(codec.TOPIC_COMMON)
-                self._schedule_sweep()
-
         self.session.connect(
-            on_ok=lambda: self.session.subscribe(codec.TOPIC_INIT_INFO,
-                                                 on_ok=subscribed))
+            on_ok=lambda: self.session.subscribe(codec.TOPIC_INIT_INFO))
 
     # -- message handling ------------------------------------------------------
 
@@ -88,11 +63,7 @@ class RegistryServer:
     def _on_join(self, topic: str, romano_id: str) -> None:
         if topic != codec.TOPIC_INIT_INFO:
             return  # a join request counts only on init-info
-        record = self.registry.get(romano_id)
-        if record is None:
-            self.registry[romano_id] = NodeRecord(romano_id, self.sim.now)
-        else:
-            record.join_time_us = self.sim.now
+        self.registry[romano_id] = self.sim.now
         self.session.publish(romano_id, CONNECTION_ACK)
         self.acks_sent += 1
 
@@ -105,35 +76,9 @@ class RegistryServer:
             raw = codec.encode_message(codec.ConnectedNodesInfo(tuple(chunk)))
             self.session.publish(requester_id, raw)
 
-    def _on_heartbeat(self, topic: str, romano_id: str) -> None:
-        record = self.registry.get(romano_id)
-        if record is not None:
-            record.last_heartbeat_us = self.sim.now
-
-    # message type -> handler of the sender's ROMANO ID
+    # message type -> handler of the sender's ROMANO ID; any other type
+    # counts in ``ignored``
     _HANDLERS = {
         codec.ConnectionRequest: _on_join,
         codec.RequestConnectedNodesInfo: _on_roster_request,
-        codec.Heartbeat: _on_heartbeat,
     }
-
-    # -- heartbeat eviction -------------------------------------------------------
-
-    def _schedule_sweep(self) -> None:
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-        self._sweep_timer = self.sim.after(self.heartbeat_period_us,
-                                           self._sweep)
-
-    def _sweep(self) -> None:
-        if not self.running:
-            return
-        horizon = HEARTBEAT_STALE_PERIODS * self.heartbeat_period_us
-        for romano_id, record in list(self.registry.items()):
-            seen = record.last_heartbeat_us
-            if seen is None:
-                seen = record.join_time_us
-            if self.sim.now - seen > horizon:
-                del self.registry[romano_id]
-                self.evicted += 1
-        self._schedule_sweep()

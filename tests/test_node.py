@@ -46,8 +46,7 @@ class WireTap:
 class Rig:
     """Broker + registry + tap, with nodes on fixed-latency radio links."""
 
-    def __init__(self, seed: int = 0, latency_us: int = LATENCY_US,
-                 heartbeat_period_us=None):
+    def __init__(self, seed: int = 0, latency_us: int = LATENCY_US):
         self.sim = Simulator(seed=seed)
         self.net = Network(self.sim)
         self.broker = Broker(self.net, BROKER,
@@ -57,15 +56,13 @@ class Rig:
         self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER))
         self.server.start()
         self.latency_us = latency_us
-        self.heartbeat_period_us = heartbeat_period_us
         self.nodes: list[RomanoNode] = []
 
-    def add_node(self, addr: str, **kw) -> RomanoNode:
+    def add_node(self, addr: str) -> RomanoNode:
         self.net.set_link_pair(addr, BROKER,
                                LinkModel.fixed(self.latency_us))
         session = ClientSession(self.net, addr, BROKER)
-        node = RomanoNode(session,
-                          heartbeat_period_us=self.heartbeat_period_us, **kw)
+        node = RomanoNode(session)
         self.nodes.append(node)
         return node
 
@@ -108,7 +105,7 @@ class TestEstablishment:
         assert node.ready_time_us == ready_at[0]
         assert rig.broker.subscribers(node.romano_id) == [NODE_1]
         assert NODE_1 in rig.broker.subscribers(codec.TOPIC_COMMON)
-        assert rig.server.registry[node.romano_id].romano_id == node.romano_id
+        assert rig.server.registry[node.romano_id] < node.ready_time_us
 
     def test_no_common_subscription_before_ack(self):
         rig = Rig()
@@ -333,7 +330,7 @@ class TestDispatch:
         assert list(got.values()) == [[msg] for msg in msgs]
         assert node.unknown_types == 1 and node.early_messages == 3
 
-    def test_roster_is_recorded_only_when_ready(self):
+    def test_a_roster_is_early_before_ready_and_dropped_after(self):
         rig = Rig()
         node = rig.add_node(NODE_1)
         ack = Swallow(rig.net, NODE_1, connection_ack)
@@ -343,16 +340,24 @@ class TestDispatch:
         assert node.phase == AWAIT_ACK
         rig.publish_to(node, roster)
         rig.sim.run_until(rig.sim.now + 500_000)
-        assert node.early_messages == 1 and node.neighbors == {}
+        assert node.early_messages == 1
         ack.lift()
         rig.ready(node)
-        node.neighbors["00100002"] = 7   # a peer heard before keeps its time
-        sent_at = rig.sim.now
+
+        def state():
+            return (node.phase, node.unknown_types, node.unknown_controls,
+                    node.malformed, node.early_messages, node.stray_acks)
+
+        def delivered():
+            return len(rig.net.trace.query(kind="deliver", dst=NODE_1))
+
+        before, copies = state(), delivered()
+        # a READY node has no handler for either, so both change nothing
         rig.publish_to(node, roster)
+        rig.publish_to(node, codec.Heartbeat("00100002"))
         rig.sim.run_until_idle()
-        assert node.neighbors == {"00100002": 7,
-                                  "00100003": sent_at + LATENCY_US}
-        assert node.early_messages == 1
+        assert delivered() == copies + 2
+        assert state() == before == (READY, 0, 0, 0, 1, 0)
 
     def test_stray_ack_after_ready_is_counted(self):
         rig = Rig()
@@ -360,50 +365,6 @@ class TestDispatch:
         rig.publish_to(node, codec.ConnectionAck())
         rig.sim.run_until_idle()
         assert node.stray_acks == 1 and node.phase == READY
-
-
-class TestHeartbeats:
-    def test_period_and_count(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        node = rig.add_node(NODE_1)
-        node.start()
-        rig.ready(node)
-        rig.sim.run_until(node.ready_time_us + 10_500_000)
-        assert node.heartbeats_sent == 10
-
-    def test_one_heartbeat_per_period_after_a_rejoin(self):
-        # The period outlasts the outage and the rejoin, so a timer the
-        # drop left armed would fire once the node is READY again.
-        period = 6_000_000
-        rig = Rig(heartbeat_period_us=period)
-        node = rig.add_node(NODE_1)
-        node.start()
-        rig.ready(node)
-        broker_down = Swallow(rig.net, BROKER)
-        node.session.subscribe("anything")  # exhausts its retries: a drop
-        assert rig.sim.run_until_true(lambda: node.phase == INIT,
-                                      rig.sim.now + period)
-        broker_down.lift()
-        rig.ready(node)
-        assert node.heartbeats_sent == 0
-        rig.sim.run_until(node.ready_time_us + 3 * period + period // 2)
-        assert node.heartbeats_sent == 3
-
-    def test_neighbor_tracking_and_freshness(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        a = rig.add_node(NODE_1)
-        b = rig.add_node(NODE_2)
-        a.start()
-        b.start()
-        rig.ready(a)
-        rig.ready(b)
-        rig.sim.run_until(rig.sim.now + 2_000_000)
-        assert b.romano_id in a.neighbors
-        assert a.neighbor_fresh(b.romano_id)
-        # silence the peer: freshness must expire after three periods
-        rig.net.set_link_pair(NODE_2, BROKER, LinkModel(connected=False))
-        rig.sim.run_until(rig.sim.now + 4_000_000)
-        assert not a.neighbor_fresh(b.romano_id)
 
 
 def test_node_ids_follow_the_address():

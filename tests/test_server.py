@@ -1,4 +1,4 @@
-"""Registry server tests: joins, roster chunking, eviction, recovery."""
+"""Registry server tests: joins, roster chunking, recovery."""
 import pytest
 
 from romano import codec
@@ -18,14 +18,13 @@ PROBE = "fe80::212:4b00:10:1"
 class Rig:
     """Server behind a real broker; a probe client plays the swarm."""
 
-    def __init__(self, **server_kw):
+    def __init__(self):
         self.sim = Simulator(seed=0)
         self.net = Network(self.sim)
         for addr in (SERVER, PROBE):
             self.net.set_link_pair(addr, BROKER, LinkModel.fixed(1_000))
         self.broker = Broker(self.net, BROKER, local_clients={SERVER})
-        self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER),
-                                     **server_kw)
+        self.server = RegistryServer(ClientSession(self.net, SERVER, BROKER))
         self.server.start()
         self.probe = ClientSession(self.net, PROBE, BROKER)
         self.inbox: list[tuple[str, codec.RomanoMessage]] = []
@@ -41,7 +40,7 @@ class Rig:
         self.probe.publish(codec.TOPIC_INIT_INFO, raw)
 
     def settle(self, span_us: int = 200_000) -> None:
-        # the eviction sweep never idles, so run a bounded slice instead
+        # a bounded slice, long enough for any reply over the 1 ms links
         self.sim.run_until(self.sim.now + span_us)
 
     def listen_on(self, romano_id: str) -> None:
@@ -71,22 +70,32 @@ class TestJoins:
         rig.listen_on("00100001")
         rig.join("00100001")
         rig.settle()
-        first = rig.server.registry["00100001"].join_time_us
+        first = rig.server.registry["00100001"]
         rig.sim.run_until(rig.sim.now + 3_000_000)
         rig.join("00100001")
         rig.settle()
         assert len(rig.server.registry) == 1
-        assert rig.server.registry["00100001"].join_time_us > first
+        assert rig.server.registry["00100001"] > first
         assert len(rig.acks()) == 2
 
     def test_join_requests_elsewhere_are_ignored(self):
         # A ConnectionRequest seen anywhere but init-info must not register.
-        rig = Rig(heartbeat_period_us=1_000_000)
+        rig = Rig()
+        rig.server.session.subscribe(codec.TOPIC_COMMON)
+        rig.settle()
+        assert SERVER in rig.broker.subscribers(codec.TOPIC_COMMON)
         raw = codec.encode_message(codec.ConnectionRequest("00100001"))
         rig.probe.publish(codec.TOPIC_COMMON, raw)
         rig.settle()
         assert rig.server.registry == {}
         assert rig.server.acks_sent == 0
+        assert rig.server.ignored == 0
+
+    def test_a_silent_node_stays_registered(self):
+        rig = Rig()
+        rig.join("00100001")
+        rig.sim.run_until(rig.sim.now + 10_000_000)
+        assert "00100001" in rig.server.registry
 
     def test_garbage_on_init_info_is_counted(self):
         rig = Rig()
@@ -99,7 +108,8 @@ class TestJoins:
 
     @pytest.mark.parametrize("msg", [
         codec.NormalData(b"x"), codec.ConnectionAck(),
-        codec.ConnectedNodesInfo(("00100001",))],
+        codec.ConnectedNodesInfo(("00100001",)),
+        codec.Heartbeat("00100001")],
         ids=lambda msg: type(msg).__name__)
     def test_a_type_the_server_does_not_handle_is_ignored(self, msg):
         rig = Rig()
@@ -151,53 +161,6 @@ class TestRoster:
         rig.listen_on(stranger)
         self.request_roster(rig, stranger)
         assert rig.rosters() == [codec.ConnectedNodesInfo(())]
-
-
-class TestEviction:
-    def heartbeat(self, rig, romano_id):
-        raw = codec.encode_message(codec.Heartbeat(romano_id))
-        rig.probe.publish(codec.TOPIC_COMMON, raw)
-
-    def test_silent_node_is_evicted_after_three_periods(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        rig.join("00100001")
-        rig.join("00100002")
-        rig.settle()
-        stop_at = rig.sim.now + 6_000_000
-        # only one of the two keeps beating
-        while rig.sim.now < stop_at:
-            rig.sim.run_until(rig.sim.now + 1_000_000)
-            self.heartbeat(rig, "00100002")
-        rig.settle()
-        assert "00100001" not in rig.server.registry
-        assert "00100002" in rig.server.registry
-        assert rig.server.evicted == 1
-
-    def test_no_tracking_means_no_eviction(self):
-        rig = Rig()
-        rig.join("00100001")
-        rig.sim.run_until(rig.sim.now + 10_000_000)
-        assert "00100001" in rig.server.registry
-        assert rig.server.evicted == 0
-
-    def test_heartbeats_refresh_the_record(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        rig.join("00100001")
-        rig.settle()
-        self.heartbeat(rig, "00100001")
-        rig.settle()
-        assert rig.server.registry["00100001"].last_heartbeat_us is not None
-
-    def test_server_cut_off_from_the_broker_stops_sweeping(self):
-        rig = Rig(heartbeat_period_us=1_000_000)
-        rig.join("00100001")
-        rig.settle()
-        Swallow(rig.net, BROKER)
-        rig.server.session.subscribe("poke")
-        assert rig.sim.run_until_true(lambda: not rig.server.running,
-                                      rig.sim.now + 2_500_000)
-        rig.sim.run_until(rig.sim.now + 10_000_000)
-        assert "00100001" in rig.server.registry
 
 
 class TestRecovery:
