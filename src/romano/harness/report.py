@@ -51,15 +51,16 @@ def _delay_cells(delays: Sequence[int]) -> list[str]:
 
 def throughput_rows(res: ThroughputResult) -> list[list[str]]:
     cfg = res.cfg
+    rate = repr(float(cfg.rate_mps))  # exact, so no two rates read alike
     rows = []
     for stats in res.per_robot:
         ratio = stats.received / res.published if res.published else 1.0
-        rows.append(["robot", _f(cfg.rate_mps, 1), str(cfg.seed),
+        rows.append(["robot", rate, str(cfg.seed),
                      str(cfg.n_robots), str(stats.index), stats.romano_id,
                      str(res.published), str(stats.received), _f(ratio, 6)]
                     + _delay_cells(stats.delays) + ["", "", "", ""])
     all_delays = [d for s in res.per_robot for d in s.delays]
-    rows.append(["total", _f(cfg.rate_mps, 1), str(cfg.seed),
+    rows.append(["total", rate, str(cfg.seed),
                  str(cfg.n_robots), "", "", str(res.published),
                  str(res.delivered), _f(res.delivery_ratio, 6)]
                 + _delay_cells(all_delays)

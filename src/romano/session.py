@@ -7,12 +7,15 @@ and otherwise after a REGISTER when its topic has no id yet.  Exchanges
 that expect a reply (CONNECT, REGISTER, SUBSCRIBE and UNSUBSCRIBE)
 resend their frame up to ``N_RETRY`` times, a SUBSCRIBE with its DUP
 flag set.  An exchange that exhausts its retries, or a rejected
-CONNECT, drops the session, which is the only in-band failure signal a
-QoS 0 deployment gets, and fails every other exchange still in flight.
-A request that finds every msg id in flight fails at once, unsent.  An
-inbound PUBLISH on an id the session never learned nor
-``codec.PREDEFINED_TOPICS`` holds is stray: counted and dropped.  So is
-one above QoS 0, which does not decode, and it is never acknowledged.
+CONNECT, drops the session, which is the only failure signal a QoS 0
+client gets: ``on_disconnect`` runs, and every other exchange in flight
+is forgotten without running its callbacks.  A rejected REGISTER,
+SUBSCRIBE or UNSUBSCRIBE runs none of its callbacks and leaves the
+session up.  A request that finds every msg id in flight is not sent
+and counts in ``send_failures``.  An inbound PUBLISH on an id the
+session never learned nor ``codec.PREDEFINED_TOPICS`` holds is stray:
+counted and dropped.  So is one above QoS 0, which does not decode, and
+it is never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -26,7 +29,7 @@ drop starts the next session from ``T_RETRY_US``.
 
 Reconnecting is the client's job (MQTT-SN v1.2 section 6.13), and the
 session does it for every owner: ``RECONNECT_US`` after any drop it
-connects again with the callbacks of its last ``connect``, unless it is
+connects again with the ``on_ok`` of its last ``connect``, unless it is
 no longer disconnected by then.  A session never told to connect stays
 down.
 
@@ -53,18 +56,6 @@ CONNECTING = "connecting"
 ACTIVE = "active"
 
 
-class SessionError(Exception):
-    pass
-
-
-class RetriesExhausted(SessionError):
-    """No reply after N_RETRY retransmissions."""
-
-
-class BrokerReject(SessionError):
-    """Broker answered with a non-zero return code."""
-
-
 # Every in-flight exchange waits in ClientSession._pending under its msg
 # id; CONNECT has none, so it takes 0, which no msg id (1..0xFFFF) uses.
 CONNECT_KEY = 0
@@ -72,31 +63,18 @@ CONNECT_KEY = 0
 # topic name -> its predefined topic id
 _PREDEFINED_IDS = {name: tid for tid, name in codec.PREDEFINED_TOPICS.items()}
 
-# reply type -> kind of the exchange it completes
-_REPLY_KINDS = {
-    sn.Connack: "connect",
-    sn.Regack: "register",
-    sn.Suback: "subscribe",
-    sn.Unsuback: "unsubscribe",
-}
-
 
 @dataclass(slots=True)
 class _Exchange:
-    kind: str
+    reply: type                       # Connack, Regack, Suback or Unsuback
     key: Optional[int]                # msg id or CONNECT_KEY; None: no id free
     topic: Optional[str]
-    waiters: list                     # (on_ok, on_fail) pairs, either None
+    waiters: list                     # on_ok callbacks, each may be None
     retries_left: int = N_RETRY
     timer: Optional[Timer] = None
     frame: bytes = b""                # the request's octets, once sent
     rto: int = T_RETRY_US             # retry wait, fixed at the first send
     sent_us: int = 0                  # time of the last transmission
-
-    def __str__(self) -> str:
-        if self.topic is None:
-            return self.kind
-        return "{} of {!r}".format(self.kind, self.topic)
 
 
 class ClientSession:
@@ -119,20 +97,19 @@ class ClientSession:
         self._rttvar = 0
         self._pending: dict[int, _Exchange] = {}
         self._next_msg_id = 1
-        self._rejoin: Optional[tuple] = None  # last connect's callbacks
+        self._rejoin: Optional[tuple] = None  # (on_ok,) of the last connect
         network.attach(client_id, self._on_datagram)
 
     # -- connection -----------------------------------------------------------
 
-    def connect(self, on_ok: Optional[Callable] = None,
-                on_fail: Optional[Callable[[Exception], None]] = None) -> None:
+    def connect(self, on_ok: Optional[Callable] = None) -> None:
         """Connect; ``on_ok`` runs after every accepted CONNACK, this one
         and each that a reconnect after a drop brings."""
         if CONNECT_KEY in self._pending:
             return
-        self._rejoin = (on_ok, on_fail)
+        self._rejoin = (on_ok,)
         self.state = CONNECTING
-        self._start(_Exchange("connect", CONNECT_KEY, None, [self._rejoin]),
+        self._start(_Exchange(sn.Connack, CONNECT_KEY, None, [on_ok]),
                     sn.Connect(self.client_id))
 
     def _reconnect(self) -> None:
@@ -141,32 +118,25 @@ class ClientSession:
 
     # -- subscriptions ----------------------------------------------------------
 
-    def subscribe(self, topic: str, on_ok: Optional[Callable] = None,
-                  on_fail: Optional[Callable[[Exception], None]] = None,
-                  ) -> None:
+    def subscribe(self, topic: str, on_ok: Optional[Callable] = None) -> None:
         msg_id = self._take_msg_id()
-        request = sn.Subscribe(msg_id, topic)
-        self._start(_Exchange("subscribe", msg_id, topic, [(on_ok, on_fail)]),
-                    request)
+        self._start(_Exchange(sn.Suback, msg_id, topic, [on_ok]),
+                    sn.Subscribe(msg_id, topic))
 
-    def unsubscribe(self, topic: str, on_ok: Optional[Callable] = None,
-                    on_fail: Optional[Callable[[Exception], None]] = None,
-                    ) -> None:
+    def unsubscribe(self, topic: str) -> None:
         msg_id = self._take_msg_id()
-        request = sn.Unsubscribe(msg_id, topic)
-        self._start(_Exchange("unsubscribe", msg_id, topic,
-                              [(on_ok, on_fail)]), request)
+        self._start(_Exchange(sn.Unsuback, msg_id, topic, []),
+                    sn.Unsubscribe(msg_id, topic))
 
     # -- publishing --------------------------------------------------------------
 
     def publish(self, topic: str, data: bytes,
-                on_ok: Optional[Callable] = None,
-                on_fail: Optional[Callable[[Exception], None]] = None) -> None:
+                on_ok: Optional[Callable] = None) -> None:
         """Publish ``data`` at QoS 0; ``on_ok`` runs once it is sent.  A
         topic with a predefined id goes under it; any other topic with
-        no id yet is registered first, and a failed REGISTER reaches
-        ``on_fail``.  A PUBLISH that cannot be encoded raises PacketError
-        here, before anything is sent."""
+        no id yet is registered first, and nothing is sent if that
+        REGISTER fails.  A PUBLISH that cannot be encoded raises
+        PacketError here, before anything is sent."""
         flags, topic_id = sn.TOPIC_TYPE_NORMAL, self.topic_ids.get(topic)
         if topic in _PREDEFINED_IDS:
             flags, topic_id = sn.TOPIC_TYPE_PREDEFINED, _PREDEFINED_IDS[topic]
@@ -178,13 +148,13 @@ class ClientSession:
         # Encoded now, under topic id 0, only so a bad one raises here;
         # once registered, the publish goes out under the granted id.
         sn.encode_publish(0, data)
-        waiter = (lambda: self.publish(topic, data, on_ok, on_fail), on_fail)
+        waiter = lambda: self.publish(topic, data, on_ok)
         for exchange in self._pending.values():
-            if exchange.kind == "register" and exchange.topic == topic:
+            if exchange.reply is sn.Regack and exchange.topic == topic:
                 exchange.waiters.append(waiter)
                 return
         msg_id = self._take_msg_id()
-        self._start(_Exchange("register", msg_id, topic, [waiter]),
+        self._start(_Exchange(sn.Regack, msg_id, topic, [waiter]),
                     sn.Register(0, msg_id, topic))
 
     # -- inbound -----------------------------------------------------------------
@@ -206,16 +176,9 @@ class ClientSession:
             elif self.on_message is not None:
                 self.on_message(topic, pkt.data)
             return
-        kind = _REPLY_KINDS.get(cls)
-        if kind is None:
-            self.stray_packets += 1
-        else:
-            self._complete(kind, pkt)
-
-    def _complete(self, kind: str, pkt: sn.SnPacket) -> None:
         key = getattr(pkt, "msg_id", CONNECT_KEY)
         exchange = self._pending.get(key)
-        if exchange is None or exchange.kind != kind:
+        if exchange is None or exchange.reply is not cls:
             self.stray_packets += 1
             return
         del self._pending[key]
@@ -223,18 +186,16 @@ class ClientSession:
         self._sample_rtt(self.sim.now - exchange.sent_us)
         code = getattr(pkt, "return_code", sn.ReturnCode.ACCEPTED)
         if code != sn.ReturnCode.ACCEPTED:
-            self._fail(exchange, BrokerReject(
-                "{} rejected with code {}".format(exchange, code)))
-            if kind == "connect":
+            if cls is sn.Connack:
                 self._drop_session()
             return
-        if kind == "connect":
+        if cls is sn.Connack:
             self.state = ACTIVE
-        elif kind == "register" or kind == "subscribe":
+        elif cls is not sn.Unsuback:  # a REGACK or SUBACK grants an id
             self._learn_topic(exchange.topic, pkt.topic_id)
-        elif kind == "unsubscribe" and exchange.topic in self.topic_ids:
+        elif exchange.topic in self.topic_ids:
             self.topic_names.pop(self.topic_ids.pop(exchange.topic))
-        for on_ok, _ in exchange.waiters:
+        for on_ok in exchange.waiters:
             if on_ok is not None:
                 on_ok()
 
@@ -242,8 +203,7 @@ class ClientSession:
 
     def _start(self, exchange: _Exchange, request: sn.SnPacket) -> None:
         if exchange.key is None:
-            self._fail(exchange, SessionError(
-                "no free message id for {}".format(exchange)))
+            self.send_failures += 1
             return
         # An unencodable request raises here and leaves nothing pending.
         exchange.frame = sn.encode_packet(request)
@@ -253,7 +213,7 @@ class ClientSession:
 
     def _transmit(self, exchange: _Exchange, dup: bool = False) -> None:
         frame = exchange.frame
-        if dup and exchange.kind == "subscribe":
+        if dup and exchange.reply is sn.Suback:
             frame = frame[:2] + bytes((frame[2] | sn.FLAG_DUP,)) + frame[3:]
         self._send(frame, exchange.topic)
         exchange.sent_us = self.sim.now
@@ -275,29 +235,17 @@ class ClientSession:
             exchange.retries_left -= 1
             self.retransmits += 1
             self._transmit(exchange, dup=True)
-            return
-        del self._pending[exchange.key]
-        self._fail(exchange, RetriesExhausted(
-            "{} got no reply after {} retries".format(exchange, N_RETRY)))
-        self._drop_session()
-
-    def _fail(self, exchange: _Exchange, err: SessionError) -> None:
-        for _, on_fail in exchange.waiters:
-            if on_fail is not None:
-                on_fail(err)
+        else:
+            self._drop_session()  # which forgets this exchange with the rest
 
     def _drop_session(self) -> None:
         self.state = DISCONNECTED
-        dropped = sorted(self._pending.items())
-        for _, exchange in dropped:
+        for exchange in self._pending.values():
             exchange.timer.cancel()
         self._pending.clear()
         self.topic_ids.clear()
         self.topic_names.clear()
         self.rto_us, self._srtt, self._rttvar = T_RETRY_US, None, 0
-        for _, exchange in dropped:
-            self._fail(exchange, SessionError(
-                "{} dropped with the session".format(exchange)))
         if self.on_disconnect is not None:
             self.on_disconnect()
         if self._rejoin is not None:

@@ -7,7 +7,7 @@ from romano import mqttsn as sn
 from romano.broker import Broker, RadioGate
 from romano.harness.config import ScenarioConfig
 from romano.harness.world import World, commander_addr
-from romano.session import ACTIVE, BrokerReject, ClientSession
+from romano.session import ACTIVE, ClientSession
 from romano.simnet import LinkModel, Network, Simulator, TraceRecord
 
 BROKER = "fe80::212:4b00:1:1"
@@ -391,17 +391,28 @@ class TestSessions:
         ]
         assert broker.topic_id("t65535") is None
         assert broker.topic_id("fresh") is None
-        # A session hears the reject as BrokerReject and stays connected.
+        # A session whose REGISTER is rejected sends no PUBLISH and stays
+        # connected.
         del net.send
+        send, sent = net.send, []
+
+        def tap(src, dst, data, topic=None):
+            sent.append((src, sn.decode_packet(data)))
+            send(src, dst, data, topic)
+
+        net.send = tap
         net.set_link_pair("c", BROKER, LinkModel.fixed(0))
         session = ClientSession(net, "c", BROKER)
         session.connect()
-        errors = []
-        session.publish("late", b"x", on_fail=errors.append)
+        published = []
+        session.publish("late", b"x", on_ok=lambda: published.append(True))
         sim.run_until_idle()
-        assert isinstance(errors[0], BrokerReject)
-        assert "code 1" in str(errors[0])
-        assert session.state == ACTIVE
+        assert [type(p) for src, p in sent if src == "c"] == [
+            sn.Connect, sn.Register]
+        assert sent[-1] == (BROKER, sn.Regack(
+            0, 1, sn.ReturnCode.REJECTED_CONGESTION))
+        assert published == [] and session.topic_ids == {}
+        assert session.state == ACTIVE and session._pending == {}
 
     def test_publish_to_unknown_topic_id(self):
         sim, net = make_net()
@@ -484,6 +495,25 @@ class TestGatedEgress:
             TraceRecord(sim.now, BROKER, "s", "drop-buffer", 8, "common")]
         assert broker.first_overflow == {
             "time_us": sim.now, "topic": "common", "published_so_far": 1}
+
+    def test_a_cut_link_counts_each_unroutable_frame_once(self):
+        sim, net = make_net()
+        broker = Broker(net, BROKER)
+        subs = [Client(net, name) for name in ("s1", "s2", "s3")]
+        cut = LinkModel.fixed(0)
+        net.set_link_pair("s2", BROKER, cut)
+        ids = [sub.join(["common"]) for sub in subs][0]
+        pub = Client(net, "p")
+        pub.send(sn.Connect("p"))
+        sim.run_until_idle()
+        assert broker.unroutable == 0
+        cut.connected = False
+        pub.send(sn.Publish(ids["common"], b"x"))   # s2's copy has no link
+        handle(broker, "s2", sn.Register(0, 9, "alpha"))   # nor its REGACK
+        sim.run_until_idle()
+        assert broker.unroutable == 2
+        assert [len(sub.publishes()) for sub in subs] == [1, 0, 1]
+        assert broker.topic_stats("common") == (1, 3, 0)
 
     # A request retransmitted while its reply waits in the gate is
     # answered by that one queued reply.

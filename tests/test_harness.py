@@ -617,6 +617,22 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, rates", [
+        (("throughput", "--rate", "0.04", "--messages", "2"), ["0.04"]),
+        (("sweep", "--rates", "12.2,12.25", "--messages", "5"),
+         ["12.2", "12.25"]),
+    ])
+    def test_report_holds_the_exact_rate(self, tmp_path, capsys, argv,
+                                         rates):
+        # one decimal would read 0.0 for 0.04 and 12.2 for both 12.2 and
+        # 12.25
+        code = self.run(*argv, "--robots", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [row["rate_mps"] for row in table] == [
+            rate for rate in rates for _ in range(2)]
+
     def test_sweep_rate_is_its_grid(self, tmp_path, capsys):
         # --rate abbreviates --rates, so it sets the whole grid
         code = self.run("sweep", "--rate", "300", "--messages", "5",

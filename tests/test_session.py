@@ -14,15 +14,12 @@ from romano.harness.config import ScenarioConfig
 from romano.harness.world import World
 from romano.session import (
     ACTIVE,
-    BrokerReject,
     ClientSession,
     CONNECTING,
     DISCONNECTED,
     N_RETRY,
     RECONNECT_US,
-    RetriesExhausted,
     RTO_MAX_US,
-    SessionError,
     T_RETRY_US,
 )
 from romano.simnet import LinkModel, Network, Simulator
@@ -122,14 +119,16 @@ class TestConnect:
     def test_rejected_connect(self):
         sim, net, stub, session = make_session()
         stub.mute.add(sn.Connect)
-        errors = []
-        session.connect(on_fail=errors.append)
+        oks, lost = [], []
+        session.on_disconnect = lambda: lost.append(sim.now)
+        session.connect(on_ok=lambda: oks.append(sim.now))
         stub_reply = lambda: stub.push(CLIENT, sn.Connack(
             sn.ReturnCode.REJECTED_NOT_SUPPORTED))
         sim.after(10, stub_reply)
         run_until_drop(sim, session, 10)
-        assert session.state == DISCONNECTED
-        assert isinstance(errors[0], BrokerReject)
+        assert lost == [10] and oks == []
+        assert session.state == DISCONNECTED and session._pending == {}
+        assert len(stub.sends(sn.Connect)) == 1  # the reject ends its retries
 
     def test_rejected_connect_drops_the_session(self):
         sim, net, stub, session = make_session()
@@ -168,13 +167,13 @@ class TestReconnect:
     def test_a_rejected_connect_goes_out_again_with_the_same_callbacks(self):
         sim, net, stub, session = make_session()
         stub.connack_codes = [sn.ReturnCode.REJECTED_CONGESTION] * 2
-        oks, errors = [], []
-        session.connect(on_ok=lambda: oks.append(sim.now),
-                        on_fail=errors.append)
+        oks, lost = [], []
+        session.on_disconnect = lambda: lost.append(sim.now)
+        session.connect(on_ok=lambda: oks.append(sim.now))
         sim.run_until_idle()
         assert [t for t, _ in stub.sends(sn.Connect)] == [
             0, RECONNECT_US, 2 * RECONNECT_US]
-        assert [type(e) for e in errors] == [BrokerReject] * 2
+        assert lost == [0, RECONNECT_US]
         assert oks == [2 * RECONNECT_US] and session.state == ACTIVE
 
     def test_on_ok_runs_after_every_accepted_connack(self):
@@ -270,14 +269,19 @@ class TestRetransmission:
         sim, net, stub, session = make_session()
         connect(sim, session)
         stub.mute.add(sn.Register)
-        errors = []
-        session.publish("t", b"a", on_fail=errors.append)
-        session.publish("t", b"b", on_fail=errors.append)
+        sent, lost = [], []
+        session.on_disconnect = lambda: lost.append(sim.now)
+        session.publish("t", b"a", on_ok=lambda: sent.append(b"a"))
+        session.publish("t", b"b", on_ok=lambda: sent.append(b"b"))
         run_until_drop(sim, session, sim.now + EXHAUSTED_US)
         assert len(stub.sends(sn.Register)) == N_RETRY + 1
-        assert [type(e) for e in errors] == [RetriesExhausted] * 2
-        assert stub.sends(sn.Publish) == []
-        assert session.state == DISCONNECTED
+        assert lost == [EXHAUSTED_US] and session.state == DISCONNECTED
+        # neither publish goes out, not even once the session is back
+        stub.mute.clear()
+        sim.run_until_idle()
+        assert session.state == ACTIVE and session.topic_ids == {}
+        assert sent == [] and stub.sends(sn.Publish) == []
+        assert len(stub.sends(sn.Register)) == N_RETRY + 1
 
     def test_reply_of_another_kind_leaves_the_exchange_pending(self):
         sim, net, stub, session = make_session()
@@ -298,15 +302,17 @@ class TestRetransmission:
         sim, net, stub, session = make_session()
         connect(sim, session)
         stub.mute.add(sn.Subscribe)
-        lost = []
+        lost, done = [], []
         session.on_disconnect = lambda: lost.append(sim.now)
-        errors = []
-        session.subscribe("common", on_fail=errors.append)
+        session.subscribe("common", on_ok=lambda: done.append(sim.now))
         run_until_drop(sim, session, EXHAUSTED_US)
-        assert isinstance(errors[0], RetriesExhausted)
-        assert session.state == DISCONNECTED
+        assert session.state == DISCONNECTED and session._pending == {}
+        assert len(stub.sends(sn.Subscribe)) == N_RETRY + 1
         # the last retransmission still gets a full reply window
         assert lost == [(N_RETRY + 1) * T_RETRY_US]
+        stub.mute.clear()
+        sim.run_until_idle()
+        assert session.state == ACTIVE and done == []
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(kind=st.sampled_from([sn.Connect, sn.Register, sn.Subscribe,
@@ -434,26 +440,33 @@ class TestRetryTimeout:
 
 class TestDropFailsPending:
     def test_a_drop_fails_every_exchange_it_forgets(self):
+        # An on_ok still pending at a drop never runs: not at the drop,
+        # and not when its reply turns up after the reconnect.
         sim, net, stub, session = make_session()
         connect(sim, session)
         stub.mute.update((sn.Subscribe, sn.Register, sn.Unsubscribe))
         events = []
         session.on_disconnect = lambda: events.append(("drop", sim.now))
-        session.subscribe("common", on_fail=lambda e: events.append(
-            (type(e), sim.now)))
+        session.subscribe("common", on_ok=lambda: events.append("subscribe"))
         sim.run_until(T_RETRY_US // 2)
-        session.unsubscribe("u", on_fail=lambda e: events.append(
-            ("unsubscribe", type(e), sim.now)))
-        session.publish("t", b"y", on_fail=lambda e: events.append(
-            ("publish", type(e), sim.now)))   # waits on its REGISTER
+        session.unsubscribe("u")
+        session.publish("t", b"y", on_ok=lambda: events.append(
+            "publish"))   # waits on its REGISTER
         sim.run_until(2_100_000)
-        # the exhausted SUBSCRIBE first, then the rest in msg-id order,
-        # each before the owner hears of the drop
-        assert events == [(RetriesExhausted, EXHAUSTED_US),
-                          ("unsubscribe", SessionError, EXHAUSTED_US),
-                          ("publish", SessionError, EXHAUSTED_US),
-                          ("drop", EXHAUSTED_US)]
+        assert events == [("drop", EXHAUSTED_US)]
         assert session._pending == {}
+        sim.run_until(EXHAUSTED_US + RECONNECT_US)
+        assert session.state == ACTIVE
+        (_, sub), *_ = stub.sends(sn.Subscribe)
+        (_, unsub), *_ = stub.sends(sn.Unsubscribe)
+        (_, reg), *_ = stub.sends(sn.Register)
+        for late in (sn.Suback(7, sub.msg_id), sn.Unsuback(unsub.msg_id),
+                     sn.Regack(8, reg.msg_id)):
+            stub.push(CLIENT, late)
+        sim.run_until_idle()
+        assert events == [("drop", EXHAUSTED_US)]
+        assert session.stray_packets == 3 and session.topic_ids == {}
+        assert stub.sends(sn.Publish) == []
 
     def test_a_drop_cancels_every_pending_retry(self):
         # the UNSUBSCRIBE still has retries left when the SUBSCRIBE's run
@@ -474,7 +487,7 @@ class TestDropFailsPending:
 
 
 class TestMsgIdExhaustion:
-    def test_every_entry_point_fails_through_on_fail(self):
+    def test_every_entry_point_counts_a_send_failure(self):
         sim, net, stub, session = make_session()
         link = LinkModel.fixed(0)
         net.set_link_pair(CLIENT, BROKER, link)
@@ -485,14 +498,21 @@ class TestMsgIdExhaustion:
         for i in range(0xFFFF):
             session.subscribe("t{}".format(i))
         assert len(session._pending) == 0xFFFF
-        errors = []
-        session.subscribe("s", on_fail=errors.append)
-        session.unsubscribe("known", on_fail=errors.append)
-        session.publish("fresh", b"r", on_fail=errors.append)  # must REGISTER
-        session.subscribe("quiet")  # no on_fail: nothing to report to
-        assert [type(e) for e in errors] == [SessionError] * 3
+        assert session.send_failures == 0xFFFF
+        link.connected = True  # a request that went out would now arrive
+        heard = len(stub.log)
+        oks = []
+        session.subscribe("s", on_ok=lambda: oks.append("s"))
+        session.unsubscribe("known")
+        session.publish("fresh", b"r",
+                        on_ok=lambda: oks.append("fresh"))  # must REGISTER
+        sim.run_until(sim.now)
+        assert session.send_failures == 0xFFFF + 3
+        assert stub.log[heard:] == [] and oks == []
         assert len(session._pending) == 0xFFFF
-        assert session.send_failures == 0xFFFF  # nothing more was sent
+        assert {"s", "known", "fresh"}.isdisjoint(
+            e.topic for e in session._pending.values())
+        assert session.state == ACTIVE and session.topic_ids == {"known": 1}
 
 
 class TestUnencodableRequests:
