@@ -104,6 +104,8 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
             if key in file_overrides:
                 raise ConfigError(f"sweep takes {key} from {flag}, not from"
                                   " a scenario file")
+    elif args.command == "scalability":
+        file_overrides.setdefault("n_robots", 10)  # its largest swarm size
     # A flag the subcommand does not take is not in ``args``.
     cli = {
         "seed": getattr(args, "seed", None),
@@ -139,10 +141,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if args.robots is None:
-        cfg = cfg.replace(n_robots=10)
-    res = run_scalability(cfg)
+    res = run_scalability(_config_from(args))
     out = report.write_run_dir(
         _out_dir(args), report.SCALABILITY_HEADER,
         report.scalability_rows(res),
@@ -207,20 +206,22 @@ def _parse_grid(text: str, kind) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    grid = [check_config(cfg.replace(rate_mps=rate, seed=seed))
-            for rate in _parse_grid(args.rates, float)
-            for seed in _parse_grid(args.seeds, int)]
-    out = _out_dir(args)
+    cfg, out = _config_from(args), _out_dir(args)
+    grid: dict[Path, ScenarioConfig] = {}  # run directory -> its config
+    for rate in _parse_grid(args.rates, float):
+        for seed in _parse_grid(args.seeds, int):
+            run_dir = out / f"rate-{rate:g}-seed-{seed}"
+            if run_dir in grid:
+                raise ConfigError(f"two grid points share run dir {run_dir}")
+            grid[run_dir] = check_config(cfg.replace(rate_mps=rate, seed=seed))
     out.mkdir(parents=True, exist_ok=True)
     combined: list[list[str]] = []
     ok = True
-    for sub in grid:
+    for run_dir, sub in grid.items():
         res = run_throughput(sub)
         rows = report.throughput_rows(res)
         combined.extend(rows)
-        report.write_run_dir(out / f"rate-{sub.rate_mps:g}-seed-{sub.seed}",
-                             report.THROUGHPUT_HEADER, rows,
+        report.write_run_dir(run_dir, report.THROUGHPUT_HEADER, rows,
                              {"": res.trace}, res.robots)
         ok = ok and res.conservation_ok
         onset = ("-" if res.overflow_onset is None

@@ -34,9 +34,7 @@ class ScenarioConfig:
     latency_lo_us: int = 10_000
     latency_hi_us: int = 20_000
     loss_prob: float = 0.0
-    # broker egress calibration
-    dispatch_interval_us: int = broker.DEFAULT_DISPATCH_INTERVAL_US
-    radio_tx_interval_us: int = broker.DEFAULT_RADIO_TX_INTERVAL_US
+    # the broker's egress buffer (its timings are broker constants)
     radio_buffer_capacity: int = broker.DEFAULT_RADIO_BUFFER_CAPACITY
     ready_deadline_us: int = 10_000_000
     # dispersal behaviour

@@ -63,10 +63,7 @@ class Cell:
 
         wired = (server_addr(cell), commander_addr(cell), relay_addr(cell))
         self.broker = Broker(
-            net, self.addr,
-            dispatch_interval_us=cfg.dispatch_interval_us,
-            radio_tx_interval_us=cfg.radio_tx_interval_us,
-            radio_buffer_capacity=cfg.radio_buffer_capacity,
+            net, self.addr, radio_buffer_capacity=cfg.radio_buffer_capacity,
             local_clients=wired)
         for addr in wired:
             net.set_link_pair(addr, self.addr, LinkModel.fixed(0))

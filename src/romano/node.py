@@ -51,7 +51,6 @@ class RomanoNode:
         self.malformed = 0
         self.early_messages = 0
         self.stray_acks = 0
-        self.on_ready: Optional[Callable[[], None]] = None
         self.on_movement: Optional[Callable] = None  # MovementControl -> None
         self._data_handlers: dict[int, Callable] = {}
         self._extension_codes: frozenset[int] = frozenset()
@@ -74,14 +73,9 @@ class RomanoNode:
             self._ack_timer = None
         self.phase = AWAIT_ACK
         raw = codec.encode_message(codec.ConnectionRequest(self.romano_id))
-        # The ack wait starts once the session has sent the request, so
+        # "init-info" has a predefined id, so the request leaves now and
         # retries are spaced exactly one ack-wait apart.
-        self.session.publish(codec.TOPIC_INIT_INFO, raw,
-                             on_ok=self._arm_ack_timer)
-
-    def _arm_ack_timer(self) -> None:
-        if self.phase != AWAIT_ACK:
-            return
+        self.session.publish(codec.TOPIC_INIT_INFO, raw)
         self._ack_timer = self.sim.after(ACK_WAIT_US,
                                          self._publish_join_request)
 
@@ -96,8 +90,6 @@ class RomanoNode:
         self.ready_time_us = self.sim.now
         for topic in self._instructed:  # empty until a rejoin
             self.session.subscribe(topic)
-        if self.on_ready is not None:
-            self.on_ready()
 
     def _on_disconnect(self) -> None:
         # The session reconnects by itself; the node only drops its timers.

@@ -2,20 +2,20 @@
 
 Owns the topic name/id map and every in-flight exchange.  Every PUBLISH
 goes out at QoS 0, the only QoS the broker grants: at once under its
-predefined id for a topic in ``codec.PREDEFINED_TOPICS`` ("init-info"),
-and otherwise after a REGISTER when its topic has no id yet.  Exchanges
-that expect a reply (CONNECT, REGISTER, SUBSCRIBE and UNSUBSCRIBE)
-resend their frame up to ``N_RETRY`` times, a SUBSCRIBE with its DUP
-flag set.  An exchange that exhausts its retries, or a rejected
-CONNECT, drops the session, which is the only failure signal a QoS 0
-client gets: ``on_disconnect`` runs, and every other exchange in flight
-is forgotten without running its callbacks.  A rejected REGISTER,
+predefined id for a topic in ``codec.PREDEFINED_TOPICS`` ("init-info"
+and "common"), and otherwise after a REGISTER when its topic has no id
+yet.  Exchanges that expect a reply (CONNECT, REGISTER, SUBSCRIBE and
+UNSUBSCRIBE) resend their frame up to ``N_RETRY`` times, a SUBSCRIBE
+with its DUP flag set.  An exchange that exhausts its retries, or a
+rejected CONNECT, drops the session, which is the only failure signal a
+QoS 0 client gets: ``on_disconnect`` runs, and every other exchange in
+flight is forgotten without running its callbacks.  A rejected REGISTER,
 SUBSCRIBE or UNSUBSCRIBE runs none of its callbacks and leaves the
-session up.  A request that finds every msg id in flight is not sent
-and counts in ``send_failures``.  An inbound PUBLISH on an id the
-session never learned nor ``codec.PREDEFINED_TOPICS`` holds is stray:
-counted and dropped.  So is one above QoS 0, which does not decode, and
-it is never acknowledged.
+session up.  A request that finds every msg id in flight is not sent and
+counts in ``send_failures``.  An inbound PUBLISH on an id the session
+never learned nor ``codec.PREDEFINED_TOPICS`` holds is stray: counted
+and dropped.  So is one above QoS 0, which does not decode, and it is
+never acknowledged.
 
 The retry wait is the RFC 6298 timeout ``rto_us``, kept in integer us
 from the round trips of the session's own exchanges and clamped to
@@ -130,25 +130,22 @@ class ClientSession:
 
     # -- publishing --------------------------------------------------------------
 
-    def publish(self, topic: str, data: bytes,
-                on_ok: Optional[Callable] = None) -> None:
-        """Publish ``data`` at QoS 0; ``on_ok`` runs once it is sent.  A
-        topic with a predefined id goes under it; any other topic with
-        no id yet is registered first, and nothing is sent if that
-        REGISTER fails.  A PUBLISH that cannot be encoded raises
-        PacketError here, before anything is sent."""
+    def publish(self, topic: str, data: bytes) -> None:
+        """Publish ``data`` at QoS 0.  A topic with a predefined id goes
+        out under it at once; any other topic with no id yet is
+        registered first, and nothing is sent if that REGISTER fails.
+        A PUBLISH that cannot be encoded raises PacketError here, before
+        anything is sent."""
         flags, topic_id = sn.TOPIC_TYPE_NORMAL, self.topic_ids.get(topic)
         if topic in _PREDEFINED_IDS:
             flags, topic_id = sn.TOPIC_TYPE_PREDEFINED, _PREDEFINED_IDS[topic]
         if topic_id is not None:
             self._send(sn.encode_publish(topic_id, data, flags), topic)
-            if on_ok is not None:
-                on_ok()
             return
         # Encoded now, under topic id 0, only so a bad one raises here;
         # once registered, the publish goes out under the granted id.
         sn.encode_publish(0, data)
-        waiter = lambda: self.publish(topic, data, on_ok)
+        waiter = lambda: self.publish(topic, data)
         for exchange in self._pending.values():
             if exchange.reply is sn.Regack and exchange.topic == topic:
                 exchange.waiters.append(waiter)

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from romano import codec
-from romano.broker import Broker
+from romano.broker import DISPATCH_INTERVAL_US, Broker
 from romano.harness import report
 from romano.harness.cli import main
 from romano.harness.config import (ConfigError, ScenarioConfig, build_config,
@@ -25,7 +25,8 @@ from faults import Swallow
 # Scenario keys that no run set to a second value; each is now a constant.
 REMOVED_KEYS = ["heartbeat_period_us", "rssi_p0_dbm", "rssi_d0_mm",
                 "rssi_exponent", "rssi_threshold_dbm", "dispersal_stride_mm",
-                "dispersal_interval_us", "max_rounds", "bridge_latency_us"]
+                "dispersal_interval_us", "max_rounds", "bridge_latency_us",
+                "dispatch_interval_us", "radio_tx_interval_us"]
 
 
 class TestConfig:
@@ -232,11 +233,8 @@ class TestWorld:
         world.sim.run_until(world.sim.now + 1_000_000)
         assert len(got) == 5
         got.clear()
-        cfg = world.cfg
         Broker(world.net, world.broker.addr,
-               dispatch_interval_us=cfg.dispatch_interval_us,
-               radio_tx_interval_us=cfg.radio_tx_interval_us,
-               radio_buffer_capacity=cfg.radio_buffer_capacity,
+               radio_buffer_capacity=world.cfg.radio_buffer_capacity,
                local_clients=world.broker.local_clients)
         start = world.sim.now
         for k in range(10):
@@ -281,7 +279,7 @@ class TestThroughput:
         assert res.buffer_dropped == 0 and res.link_dropped == 0
         lo, hi = SMALL.latency_lo_us, SMALL.latency_hi_us
         for stats in res.per_robot:
-            worst = hi + (SMALL.n_robots - 1) * SMALL.dispatch_interval_us
+            worst = hi + (SMALL.n_robots - 1) * DISPATCH_INTERVAL_US
             assert min(stats.delays) >= lo
             assert max(stats.delays) <= worst
 
@@ -438,10 +436,14 @@ class TestCli:
         assert "rate 25 msg/s, 2 robots" in out
 
     def test_scalability_command(self, tmp_path, capsys):
-        # without --robots the sweep runs 1 to 10 robots
-        for robots, top in ((["--robots", "3"], 3), ([], 10)):
+        # --robots sets the largest swarm, else a scenario file's
+        # n_robots, else 10
+        scenario = tmp_path / "two.scenario"
+        scenario.write_text("n_robots = 2\n")
+        for argv, top in ((["--robots", "3"], 3),
+                          (["--scenario", str(scenario)], 2), ([], 10)):
             out_dir = tmp_path / f"sc{top}"
-            code = self.run("scalability", *robots, "--rate", "20",
+            code = self.run("scalability", *argv, "--rate", "20",
                             "--messages", "10", "--out-dir", str(out_dir))
             out = capsys.readouterr().out
             assert code == 0
@@ -513,8 +515,6 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "latency_lo_us = -20000",
-        "dispatch_interval_us = -1",
-        "radio_tx_interval_us = -1",
         "n_messages = -3",
     ])
     def test_negative_scenario_value_exits_2(self, tmp_path, capsys, line):
@@ -654,6 +654,19 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and line.split()[0] in err
         assert flag in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("rates, seeds", [("50.0000001,50", "1"),
+                                              ("50", "1,1")])
+    def test_sweep_points_sharing_a_run_directory_exit_2(
+            self, tmp_path, capsys, monkeypatch, rates, seeds):
+        monkeypatch.setattr("romano.harness.cli.run_throughput", pytest.fail)
+        code = self.run("sweep", "--rates", rates, "--seeds", seeds,
+                        "--robots", "1", "--messages", "5",
+                        "--out-dir", str(tmp_path / "sw"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "rate-50-seed-1" in err
         assert not (tmp_path / "sw").exists()
 
     def test_spent_event_budget_exits_1_with_an_error_line(

@@ -98,11 +98,13 @@ class TestEstablishment:
     def test_ready_state_and_subscriptions(self):
         rig = Rig()
         node = rig.add_node(NODE_1)
-        ready_at = []
-        node.on_ready = lambda: ready_at.append(rig.sim.now)
         node.start()
         rig.ready(node)
-        assert node.ready_time_us == ready_at[0]
+        # Ready as the SUBACK for "common" lands, a link trip after the
+        # broker took the SUBSCRIBE
+        (sub_at, _), = [(t, p) for t, p in rig.tap.from_src(
+            NODE_1, sn.Subscribe) if p.topic_name == codec.TOPIC_COMMON]
+        assert node.ready_time_us == rig.sim.now == sub_at + LATENCY_US
         assert rig.broker.subscribers(node.romano_id) == [NODE_1]
         assert NODE_1 in rig.broker.subscribers(codec.TOPIC_COMMON)
         assert rig.server.registry[node.romano_id] < node.ready_time_us
@@ -177,18 +179,20 @@ class TestEstablishment:
     def test_disconnect_returns_to_init_and_recovers(self):
         rig = Rig()
         node = rig.add_node(NODE_1)
-        readies = []
-        node.on_ready = lambda: readies.append(rig.sim.now)
         node.start()
         rig.ready(node)
+        first = node.ready_time_us
         broker_down = Swallow(rig.net, BROKER)
         # a control exchange must now exhaust its retries
         node.session.subscribe("anything")
         rig.sim.run_until(rig.sim.now + 2_500_000)
-        assert node.phase == INIT
+        assert node.phase == INIT and node.ready_time_us is None
         broker_down.lift()
         rig.ready(node, deadline_us=20_000_000)
-        assert len(readies) == 2
+        assert node.ready_time_us == rig.sim.now > first + 2_500_000
+        commons = [p for _, p in rig.tap.from_src(NODE_1, sn.Subscribe)
+                   if p.topic_name == codec.TOPIC_COMMON]
+        assert len(commons) == 2  # one per pass through the join
 
 
 class TestDispatch:
@@ -251,8 +255,6 @@ class TestDispatch:
             rig.publish_to(node, msg)
         rig.sim.run_until_idle()
         assert rig.broker.subscribers("telemetry") == [NODE_1]
-        readies = []
-        node.on_ready = lambda: readies.append(rig.sim.now)
         broker_down = Swallow(rig.net, BROKER)
         node.session.subscribe("anything")  # exhausts its retries: a drop
         rig.sim.run_until(rig.sim.now + 2_500_000)
@@ -260,9 +262,10 @@ class TestDispatch:
         assert rig.broker.subscribers("telemetry") == [NODE_1]  # not yet
         broker_down.lift()
         rig.ready(node, deadline_us=20_000_000)
+        rejoined = node.ready_time_us
         assert rig.broker.subscribers("telemetry") == []  # a clean session
         rig.sim.run_until_idle()
-        assert len(readies) == 1
+        assert node.phase == READY and node.ready_time_us == rejoined
         assert rig.broker.subscribers("telemetry") == [NODE_1]
         assert rig.broker.subscribers("status") == []
         assert rig.broker.subscribers("anything") == []

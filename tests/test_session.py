@@ -238,30 +238,32 @@ class TestPublishPath:
     def test_well_known_topics_go_under_their_predefined_ids(self):
         sim, net, stub, session = make_session(latency_us=5_000)
         connect(sim, session)
-        sent = []
-        session.publish(codec.TOPIC_INIT_INFO, b"join",
-                        on_ok=lambda: sent.append(sim.now))
-        session.publish(codec.TOPIC_COMMON, b"beat",
-                        on_ok=lambda: sent.append(sim.now))
-        assert sent == [sim.now] * 2  # at once, with no REGISTER first
+        t0 = sim.now
+        session.publish(codec.TOPIC_INIT_INFO, b"join")
+        session.publish(codec.TOPIC_COMMON, b"beat")
         session.publish("squad", b"x")  # any other topic registers first
         sim.run_until_idle()
         assert [p.topic_name for _, p in stub.sends(sn.Register)] == ["squad"]
-        assert [p for _, p in stub.sends(sn.Publish)] == [
-            sn.Publish(1, b"join", predefined=True),
-            sn.Publish(2, b"beat", predefined=True),
-            sn.Publish(stub.topic_ids["squad"], b"x")]
+        # the well-known two arrive one link trip after the call: they
+        # left at once, with no REGISTER first
+        assert stub.sends(sn.Publish) == [
+            (t0 + 5_000, sn.Publish(1, b"join", predefined=True)),
+            (t0 + 5_000, sn.Publish(2, b"beat", predefined=True)),
+            (t0 + 15_000, sn.Publish(stub.topic_ids["squad"], b"x"))]
         assert codec.PREDEFINED_TOPICS == {1: codec.TOPIC_INIT_INFO,
                                            2: codec.TOPIC_COMMON}
 
-    def test_qos0_on_ok_fires_at_send(self):
+    def test_qos0_publish_to_a_known_topic_goes_out_at_once(self):
         sim, net, stub, session = make_session(latency_us=5_000)
         connect(sim, session)
         session.publish("t", b"x")  # registers first
         sim.run_until_idle()
-        sent = []
-        session.publish("t", b"y", on_ok=lambda: sent.append(sim.now))
-        assert sent == [sim.now]  # synchronous once the topic id is known
+        t0 = sim.now
+        session.publish("t", b"y")
+        sim.run_until_idle()
+        assert stub.sends(sn.Publish)[-1] == (
+            t0 + 5_000, sn.Publish(stub.topic_ids["t"], b"y"))
+        assert len(stub.sends(sn.Register)) == 1
 
 
 class TestRetransmission:
@@ -269,10 +271,10 @@ class TestRetransmission:
         sim, net, stub, session = make_session()
         connect(sim, session)
         stub.mute.add(sn.Register)
-        sent, lost = [], []
+        lost = []
         session.on_disconnect = lambda: lost.append(sim.now)
-        session.publish("t", b"a", on_ok=lambda: sent.append(b"a"))
-        session.publish("t", b"b", on_ok=lambda: sent.append(b"b"))
+        session.publish("t", b"a")
+        session.publish("t", b"b")
         run_until_drop(sim, session, sim.now + EXHAUSTED_US)
         assert len(stub.sends(sn.Register)) == N_RETRY + 1
         assert lost == [EXHAUSTED_US] and session.state == DISCONNECTED
@@ -280,7 +282,7 @@ class TestRetransmission:
         stub.mute.clear()
         sim.run_until_idle()
         assert session.state == ACTIVE and session.topic_ids == {}
-        assert sent == [] and stub.sends(sn.Publish) == []
+        assert stub.sends(sn.Publish) == []
         assert len(stub.sends(sn.Register)) == N_RETRY + 1
 
     def test_reply_of_another_kind_leaves_the_exchange_pending(self):
@@ -440,8 +442,9 @@ class TestRetryTimeout:
 
 class TestDropFailsPending:
     def test_a_drop_fails_every_exchange_it_forgets(self):
-        # An on_ok still pending at a drop never runs: not at the drop,
-        # and not when its reply turns up after the reconnect.
+        # An on_ok still pending at a drop never runs, and a publish
+        # waiting on its REGISTER never goes out: not at the drop, and
+        # not when the reply turns up after the reconnect.
         sim, net, stub, session = make_session()
         connect(sim, session)
         stub.mute.update((sn.Subscribe, sn.Register, sn.Unsubscribe))
@@ -450,8 +453,7 @@ class TestDropFailsPending:
         session.subscribe("common", on_ok=lambda: events.append("subscribe"))
         sim.run_until(T_RETRY_US // 2)
         session.unsubscribe("u")
-        session.publish("t", b"y", on_ok=lambda: events.append(
-            "publish"))   # waits on its REGISTER
+        session.publish("t", b"y")   # waits on its REGISTER
         sim.run_until(2_100_000)
         assert events == [("drop", EXHAUSTED_US)]
         assert session._pending == {}
@@ -504,8 +506,7 @@ class TestMsgIdExhaustion:
         oks = []
         session.subscribe("s", on_ok=lambda: oks.append("s"))
         session.unsubscribe("known")
-        session.publish("fresh", b"r",
-                        on_ok=lambda: oks.append("fresh"))  # must REGISTER
+        session.publish("fresh", b"r")  # must REGISTER
         sim.run_until(sim.now)
         assert session.send_failures == 0xFFFF + 3
         assert stub.log[heard:] == [] and oks == []
